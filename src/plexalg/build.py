@@ -18,15 +18,18 @@ return plain chains.Algebra values.
 
 from __future__ import annotations
 
-from . import kernel as kn
+import random
+
 from .chains import (Algebra, FullH, GraphH, ProdH, discretely_embedded,
                      elem_from_prefix, gr_ambient, in_group_part, ladder,
-                     leaf, positive_idempotents, tau, unit, x_down, x_up)
+                     leaf, positive_idempotents, sample_gvec, tau, unit,
+                     x_down, x_up)
 from .errors import (DiscretenessViolated, InvalidElement, InvalidSubgroup,
                      PreconditionFailed, SubgroupChainViolated)
 from .groups import GroupDesc, sub_is_full, sub_leq, sub_validate
 
 DISC_SAMPLES = 100
+PROBE_MAGNITUDE = 3  # probe numerators in [-3, 3], denominators in [1, 3]
 
 
 def group_leaf(desc: GroupDesc) -> Algebra:
@@ -63,13 +66,15 @@ def _check_discrete(x: Algebra, kind: str):
         raise DiscretenessViolated(
             f"kind {kind} needs the group part of the child discretely embedded"
         )
-    amb = gr_ambient(x)
+    amb, own = _group_part_view(x)
     if amb.rank == 0:
         raise DiscretenessViolated("trivial group part is not discretely embedded")
+    rng = random.Random(0)  # fixed seed: a spec is accepted or not, always
     checked = 0
-    for k in range(DISC_SAMPLES):
+    for _ in range(DISC_SAMPLES):
+        vec = sample_gvec(x, own, rng, PROBE_MAGNITUDE, PROBE_MAGNITUDE)
         try:
-            el = elem_from_prefix(x, _probe_vec(amb, k))
+            el = elem_from_prefix(x, vec)
         except InvalidElement:
             continue
         for nb in (x_down(x, el), x_up(x, el)):
@@ -80,17 +85,6 @@ def _check_discrete(x: Algebra, kind: str):
         checked += 1
     if checked == 0:
         raise DiscretenessViolated("could not sample the group part")
-
-
-def _probe_vec(amb: GroupDesc, k: int):
-    out = []
-    for i, kind in enumerate(amb.kinds):
-        n = ((k + i) % 7) - 3
-        if kind == "Z":
-            out.append(kn.rmake(n))
-        else:
-            out.append(kn.rmake(n, (k + 2 * i) % 3 + 1))
-    return tuple(out)
 
 
 def build_type(kind: str, x: Algebra, y: Algebra, zsub=None, vsub=None) -> Algebra:

@@ -85,10 +85,6 @@ class GraphH:
 # ('graph', c, src)  value = c * value of ambient coordinate src
 
 
-def _constr_of_sub(entry):
-    return entry  # subgroup entries are already constraint-shaped
-
-
 def merge_constr(a, b):
     if a == FULL:
         return b
@@ -499,10 +495,6 @@ def res(a: Algebra, p, q):
 def tau(a: Algebra, p):
     """Local unit res(x, x); detects how far x is from invertible."""
     return res(a, p, p)
-
-
-def is_invertible(a: Algebra, p) -> bool:
-    return mul(a, p, comp(a, p)) == unit(a)
 
 
 # ---------------------------------------------------------------------------

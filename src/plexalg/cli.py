@@ -159,11 +159,10 @@ def _do_decompose(args) -> int:
     a = _load(args.spec)
     u = decompose.smallest_pos_idem(a)
     b = decompose.branch(a, u)
-    view = decompose._as_view(a)
     if b == decompose.IDEM_BRANCH:
-        child = decompose.QuotientChain(view, u)
+        child = decompose.QuotientChain(a, u)
     else:
-        child = decompose.RestrictionChain(view, u)
+        child = decompose.RestrictionChain(a, u)
     print(f"u: {parsing.print_elem(a, u)}")
     print(f"branch: {b}")
     print(f"child: {child.describe()}")

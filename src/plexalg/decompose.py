@@ -15,9 +15,14 @@ Two shapes occur:
 Iterating the step yields a representation tree: a base group plus one
 level record per step, each holding the step shape, the distinguished
 subgroup, the kernel hull and the middle-column restriction.  rebuild
-turns the tree back into a concrete algebra and alpha_embed realizes the
-isomorphism elementwise.  Everything here consumes chains only through
-the generic operations and the coordinate ladder, never by inspecting the
+turns the tree back into a concrete algebra.  The views above describe a
+single step; the full peel (representation_embedding, lex_embedding)
+reads every step off the input chain in one pass instead of stacking
+views: the local unit of x names the first step at which x is invertible,
+from there on each slot is a slice of the raw coordinates of x, and below
+it each slot is a marker.  Mapping one element costs O(depth) chain
+operations.  Everything here consumes chains only through the generic
+operations and the coordinate ladder, never by inspecting the
 construction tree of the input.
 """
 
@@ -36,14 +41,15 @@ from .chains import (
     cmp_elems,
     comp,
     elem_from_prefix,
-    is_mid,
     ladder,
     leaf,
+    lt,
     mid,
     mul,
     partial_vec,
     positive_idempotents,
     sample_elem,
+    tau,
     unit,
     validate_elem,
     x_down,
@@ -155,8 +161,9 @@ class RepTree:
 # ---------------------------------------------------------------------------
 # chain views
 #
-# The peeling step must run on its own output, so every operation below is
-# phrased against a small view interface instead of Algebra directly.
+# A single peeling step must run on its own output, so every operation
+# below is phrased against a small view interface instead of Algebra
+# directly.  The full peel (_walk) does not stack these views.
 
 
 class ChainView:
@@ -332,20 +339,12 @@ def coset_rep(a, u, x):
     return _canonical_fill(view, head)
 
 
-def kernel_offset(a, u, x) -> tuple:
-    """Free kernel coordinates separating x from its representative."""
-    view = _as_view(a)
-    if not view.lt(view.tau(x), u):
-        raise PreconditionFailed("kernel offsets exist below u only")
-    vec = view.partial_vec(x)
-    return tuple(vec[j] for j in _free_tail(view))
-
-
-def _free_tail(view: ChainView):
-    e0 = view.entries[0]
-    p1 = view.entries[1].prefix
-    return [j for j in range(p1, e0.prefix)
-            if e0.gconstr[j] != TRIV and e0.gconstr[j][0] != "graph"]
+def _free_tail(entries) -> tuple:
+    """Kernel coordinates of the step from entries[0] to entries[1] that
+    are neither pinned nor tied to another coordinate by a graph."""
+    e0 = entries[0]
+    return tuple(j for j in range(entries[1].prefix, e0.prefix)
+                 if e0.gconstr[j] != TRIV and e0.gconstr[j][0] != "graph")
 
 
 def _rep_of_top(view: ChainView, x):
@@ -649,26 +648,26 @@ def _entry_eq(kind: str, p, q) -> bool:
     return entry_leq(kind, p, q) and entry_leq(kind, q, p)
 
 
-def _level_record(view: ChainView, idem_branch: bool):
-    """RepLevel of the current step plus the free kernel indices."""
-    e0, e1 = view.entries[0], view.entries[1]
+def _level_record(ambient, entries, idem_branch: bool):
+    """RepLevel of the step from entries[0] to entries[1] plus its free
+    kernel indices."""
+    e0 = entries[0]
     g0 = e0.gconstr
-    free = _free_tail(view)
+    free = _free_tail(entries)
     if free:
-        gdesc = divisible_hull(
-            GroupDesc(tuple(view.ambient[j] for j in free)))
+        gdesc = divisible_hull(GroupDesc(tuple(ambient[j] for j in free)))
     else:
         gdesc = TRIV_GROUP
     ypart = []
     for j in free:
         if g0[j] != FULL:
             ypart.append(g0[j])
-        elif view.ambient[j] == "Z":
+        elif ambient[j] == "Z":
             ypart.append(idx(1))  # discrete direction inside its hull
         else:
             ypart.append(FULL)
     ypart = tuple(ypart)
-    kept, child_desc = _rebuilt_coords(view.entries[1:], view.ambient)
+    kept, child_desc = _rebuilt_coords(entries[1:], ambient)
     zpart = tuple(g0[j] for j in kept)
     if idem_branch:
         zsrc = e0.zconstr
@@ -691,95 +690,95 @@ def _level_record(view: ChainView, idem_branch: bool):
     return level, free
 
 
-def _walk(view: ChainView):
-    """(representation tree, rebuilt algebra, elementwise embedding)."""
-    idems = view.pos_idems()
-    if len(idems) != len(view.entries):
+def _walk(a: Algebra):
+    """(representation tree, rebuilt algebra, lex coordinates of elements).
+
+    Step k works at the positive idempotent idems[k + 1] and splits
+    ladder entry k from entry k + 1.  An element x whose local unit is
+    idems[j] is invertible at steps j, j + 1, ...; there its slot is the
+    free kernel slice of its raw coordinates, which the class
+    representatives of all earlier steps keep.  At the steps below j its
+    slot is a marker: T for a restriction step, and for a quotient step
+    T or B as x does or does not absorb the complement of the step
+    idempotent."""
+    ambient, entries = ladder(a)
+    idems = tuple(positive_idempotents(a))
+    if len(idems) != len(entries):
         raise StructuralMismatch(
             "idempotent count disagrees with the coordinate ladder")
-    if len(idems) == 1:
-        e0 = view.entries[0]
-        if any(c != FULL for c in e0.gconstr):
-            raise StructuralMismatch("group level with nontrivial constraints")
-        desc = GroupDesc(tuple(view.ambient[: e0.prefix]))
-        return RepTree(base=desc, levels=()), leaf(desc), view.partial_vec
-    u = idems[1]
-    nu = view.comp(u)
-    idem_b = view.mul(nu, nu) == nu
-    child = QuotientChain(view, u) if idem_b else RestrictionChain(view, u)
-    tree, child_alg, child_fn = _walk(child)
-    level, free = _level_record(view, idem_b)
-    if idem_b:
-        target = build_sublex("SLI", child_alg, leaf(level.g), level.h,
-                              zsub=level.z)
-    else:
-        target = build_sublex("SLII", child_alg, leaf(level.g), level.h)
+    if any(c != FULL for c in entries[-1].gconstr):
+        raise StructuralMismatch("group level with nontrivial constraints")
+    base = GroupDesc(tuple(ambient[: entries[-1].prefix]))
+    nus = [comp(a, u) for u in idems[1:]]
+    idem_b = [mul(a, nu, nu) == nu for nu in nus]
+    levels, steps, target = [], [], leaf(base)
+    for k in range(len(nus) - 1, -1, -1):  # innermost step first
+        level, free = _level_record(ambient, entries[k:], idem_b[k])
+        target = _stack_level(target, level)
+        levels.append(level)
+        steps.append((k, idem_b[k], nus[k], free))
+    head = entries[-1].prefix
+    unit_step = {e: j for j, e in enumerate(idems)}
 
-    def fn(x):
-        if view.lt(view.tau(x), u):
-            vec = view.partial_vec(x)
-            offset = tuple(vec[j] for j in free)
-            c = child.to_class(x) if idem_b else view.mul(x, u)
-            return (child_fn(c), mid(offset))
-        if idem_b:
-            c = child.to_class(x)
-            marker = TOP if view.lt(view.mul(x, nu), x) else BOT
-            return (child_fn(c), marker)
-        return (child_fn(x), TOP)
+    def lex(x):
+        j = unit_step.get(tau(a, x))
+        if j is None:
+            raise StructuralMismatch("local unit is not a positive idempotent")
+        vec = partial_vec(a, x)
+        out = [vec[:head]]
+        for k, idem, nu, free in steps:
+            if k >= j:
+                out.append(tuple(vec[i] for i in free))
+            elif idem and not lt(a, mul(a, x, nu), x):
+                out.append(BOT)
+            else:
+                out.append(TOP)
+        return tuple(out)
 
-    return RepTree(base=tree.base, levels=tree.levels + (level,)), target, fn
+    return RepTree(base=base, levels=tuple(levels)), target, lex
 
 
-def group_representation(a) -> RepTree:
-    tree, _, _ = _walk(_as_view(a))
+def _nest(p):
+    """Tower element of the lex coordinates p, innermost level first."""
+    e = p[0]
+    for s in p[1:]:
+        e = (e, s if s in (TOP, BOT) else mid(s))
+    return e
+
+
+def group_representation(a: Algebra) -> RepTree:
+    tree, _, _ = _walk(a)
     return tree
 
 
-def representation_embedding(a):
+def representation_embedding(a: Algebra):
     """Full peel of an algebra.
 
     Returns (tree, rebuilt, fn) where rebuilt is the algebra assembled
-    from the tree and fn maps elements of a onto it, composing the
-    per-level embeddings."""
-    return _walk(_as_view(a))
+    from the tree and fn maps elements of a onto it in one pass over the
+    levels."""
+    tree, target, lex = _walk(a)
+    return tree, target, lambda x: _nest(lex(x))
+
+
+def _stack_level(node: Algebra, level: RepLevel) -> Algebra:
+    if level.iota == "I":
+        if level.z == "gr":
+            raise PreconditionFailed("quotient levels need an explicit subgroup")
+        return build_sublex("SLI", node, leaf(level.g), level.h, zsub=level.z)
+    if level.iota == "II":
+        if level.z != "gr":
+            raise PreconditionFailed(
+                "restriction levels take the whole child group")
+        return build_sublex("SLII", node, leaf(level.g), level.h)
+    raise PreconditionFailed("level shape must be I or II")
 
 
 def rebuild(tree: RepTree) -> Algebra:
     node = leaf(tree.base)
     for level in tree.levels:
-        if level.iota == "I":
-            if level.z == "gr":
-                raise PreconditionFailed(
-                    "quotient levels need an explicit subgroup")
-            node = build_sublex("SLI", node, leaf(level.g), level.h,
-                                zsub=level.z)
-        elif level.iota == "II":
-            if level.z != "gr":
-                raise PreconditionFailed(
-                    "restriction levels take the whole child group")
-            node = build_sublex("SLII", node, leaf(level.g), level.h)
-        else:
-            raise PreconditionFailed("level shape must be I or II")
+        node = _stack_level(node, level)
     return node
-
-
-@dataclass(frozen=True)
-class AlphaEmbedding:
-    """Elementwise isomorphism onto the rebuilt tower."""
-
-    source: Algebra
-    target: Algebra
-    fn: object
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def alpha_embed(a: Algebra, u) -> AlphaEmbedding:
-    view = _as_view(a)
-    _check_least(view, u)
-    _, target, fn = _walk(view)
-    return AlphaEmbedding(source=view.a, target=target, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -842,24 +841,9 @@ class LexMonoid:
         return " lex ".join(names)
 
 
-def _flatten_tower(levels: int, e):
-    slots = []
-    for _ in range(levels):
-        e, second = e
-        slots.append(second[1] if is_mid(second) else second)
-    slots.reverse()
-    return (e,) + tuple(slots)
-
-
 def lex_embedding(a: Algebra):
     """(LexMonoid, map) embedding the chain for product and order only."""
-    view = _as_view(a)
-    tree, _, fn = _walk(view)
+    tree, _, lex = _walk(a)
     monoid = LexMonoid(base=tree.base,
                        parts=tuple(level.g for level in tree.levels))
-    depth = len(tree.levels)
-
-    def emb(x):
-        return _flatten_tower(depth, fn(x))
-
-    return monoid, emb
+    return monoid, lex

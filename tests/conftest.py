@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from plexalg import parsing
+
+# deterministic property tests: the same examples on every run, no
+# wall-clock deadline (peeling deep towers through the view-stack oracle is
+# slow by design); tests that need fewer examples say so themselves
+settings.register_profile("plexalg", derandomize=True, max_examples=100,
+                          deadline=None, database=None)
+settings.load_profile("plexalg")
 
 # canonical spec text for every fixture used across the suite
 SPECS = {

@@ -5,15 +5,22 @@ trees, and the closure that unifies the two branches; every expected
 value here was worked out by hand on the fixture definitions.
 """
 
+import functools
+import inspect
 import random
 
 import pytest
+from hypothesis import HealthCheck, event, given, reject, settings
+from hypothesis import strategies as st
 
 from plexalg import chains as ch
 from plexalg import decompose as dec
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
-from plexalg.errors import OnlyUnitIdempotent, PreconditionFailed, WrongBranch
+from plexalg.build import build_sublex
+from plexalg.errors import (OnlyUnitIdempotent, PlexError, PreconditionFailed,
+                            StructuralMismatch, WrongBranch)
+from plexalg.groups import FULL, GroupDesc
 
 BRANCHES = {
     "A": dec.NONIDEM_BRANCH,
@@ -271,3 +278,234 @@ def test_lex_monoid_marker_order(alg):
     assert monoid.cmp(unit, top) == -1
     assert monoid.mul(top, bot) == bot  # bottom absorbs
     assert monoid.mul(top, top) == top
+
+
+# ---------------------------------------------------------------------------
+# the one-pass peel against the view stack
+#
+# The oracle composes the per-level embeddings through stacked quotient and
+# restriction views, the way the peel was first written: every view op
+# re-classifies through the view below, so it costs about 10x per level.
+
+
+def _view_walk(view):
+    """(tree, rebuilt, element map) by stacking one view per step."""
+    idems = view.pos_idems()
+    if len(idems) != len(view.entries):
+        raise StructuralMismatch(
+            "idempotent count disagrees with the coordinate ladder")
+    if len(idems) == 1:
+        e0 = view.entries[0]
+        if any(c != FULL for c in e0.gconstr):
+            raise StructuralMismatch("group level with nontrivial constraints")
+        desc = GroupDesc(tuple(view.ambient[: e0.prefix]))
+        return dec.RepTree(base=desc, levels=()), ch.leaf(desc), view.partial_vec
+    u = idems[1]
+    nu = view.comp(u)
+    idem_b = view.mul(nu, nu) == nu
+    child = dec.QuotientChain(view, u) if idem_b else dec.RestrictionChain(view, u)
+    tree, child_alg, child_fn = _view_walk(child)
+    level, free = dec._level_record(view.ambient, view.entries, idem_b)
+    if idem_b:
+        target = build_sublex("SLI", child_alg, ch.leaf(level.g), level.h,
+                              zsub=level.z)
+    else:
+        target = build_sublex("SLII", child_alg, ch.leaf(level.g), level.h)
+
+    def fn(x):
+        if view.lt(view.tau(x), u):
+            vec = view.partial_vec(x)
+            offset = tuple(vec[j] for j in free)
+            c = child.to_class(x) if idem_b else view.mul(x, u)
+            return (child_fn(c), ch.mid(offset))
+        if idem_b:
+            c = child.to_class(x)
+            marker = ch.TOP if view.lt(view.mul(x, nu), x) else ch.BOT
+            return (child_fn(c), marker)
+        return (child_fn(x), ch.TOP)
+
+    return (dec.RepTree(base=tree.base, levels=tree.levels + (level,)),
+            target, fn)
+
+
+def _assert_raises_like(exc, fn, *args):
+    with pytest.raises(PlexError) as info:
+        fn(*args)
+    assert type(info.value) is type(exc)
+
+
+def _tower(depth):
+    spec = "II(Z, Q)"
+    for _ in range(depth - 1):
+        spec = f"I({spec}, full, Q)"
+    return spec
+
+
+@functools.cache
+def _peels(spec):
+    """Algebra, oracle peel and one-pass peels of a spec, built once."""
+    a = ps.parse_algebra(spec)
+    return (a, _view_walk(dec.BaseChain(a)), dec.representation_embedding(a),
+            dec.lex_embedding(a))
+
+
+def _assert_peels_agree(spec, rngs):
+    a, (tree, rebuilt, alpha), (tree2, rebuilt2, alpha2), (monoid, lex) = \
+        _peels(spec)
+    assert tree2 == tree
+    assert ps.print_reptree(tree2) == ps.print_reptree(tree)
+    assert ps.print_algebra(rebuilt2) == ps.print_algebra(rebuilt)
+    assert monoid.parts == tuple(level.g for level in tree.levels)
+    for rng, marker_p in rngs:
+        x = ch.sample_elem(a, rng, marker_p=marker_p)
+        try:
+            want = alpha(x)
+        except PlexError as exc:
+            _assert_raises_like(exc, alpha2, x)
+            _assert_raises_like(exc, lex, x)
+            continue
+        assert alpha2(x) == want, ps.print_elem(a, x)
+        flat = lex(x)
+        assert monoid.contains(flat)
+        assert dec._nest(flat) == want
+
+
+def _element_draws(n):
+    return st.lists(st.tuples(st.randoms(use_true_random=False),
+                              st.sampled_from((0.25, 0.6))),
+                    min_size=1, max_size=n)
+
+
+ONE_PASS_CASES = (["A", "B", "C", "G", "E", "V3b", "V4b", "LZQ"]
+                  + [f"tower{d}" for d in range(1, 5)])
+
+
+@pytest.mark.parametrize("name", ONE_PASS_CASES)
+@settings(max_examples=15)
+@given(rngs=_element_draws(4))
+def test_one_pass_peel_matches_view_stack(alg, name, rngs):
+    if name.startswith("tower"):
+        spec = _tower(int(name[len("tower"):]))
+    else:
+        spec = ps.print_algebra(alg[name])
+    _assert_peels_agree(spec, rngs)
+
+
+def _counted_chains_calls(monkeypatch):
+    """Counter of the calls decompose makes into chains."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            calls[0] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name, obj in list(vars(dec).items()):
+        if inspect.isfunction(obj) and obj.__module__ == ch.__name__:
+            monkeypatch.setattr(dec, name, counted(obj))
+    return calls
+
+
+def test_chains_calls_per_element_grow_linearly_in_depth(monkeypatch):
+    per_elem = {}
+    for d in (3, 5):
+        a = ps.parse_algebra(_tower(d))
+        _, _, alpha = dec.representation_embedding(a)
+        rng = random.Random(17)
+        xs = [ch.sample_elem(a, rng) for _ in range(24)]
+        with monkeypatch.context() as mp:
+            calls = _counted_chains_calls(mp)
+            for x in xs:
+                alpha(x)
+        per_elem[d] = calls[0] / len(xs)
+    assert per_elem[5] * 3 <= per_elem[3] * 5, per_elem
+
+
+# random specs of depth 1-3, with their ambient rank alongside the text
+
+_LEAVES = (("Z", 1), ("Q", 1), ("1", 0), ("Lex(Z, Z)", 2), ("Lex(Z, Q)", 2),
+           ("Lex(Q, Z)", 2))
+_SUBLEX_SECOND = (("Z", 1), ("Q", 1), ("1", 0), ("Lex(Z, Q)", 2))
+_ENTRIES = ("full", "triv", "idx 1", "idx 2", "idx 3")
+
+
+@st.composite
+def _subgroups(draw, rank):
+    if rank == 1:
+        return draw(st.sampled_from(_ENTRIES))
+    if rank == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(("full", "triv")))
+    return "(%s)" % ", ".join(draw(st.sampled_from(_ENTRIES))
+                              for _ in range(rank))
+
+
+@st.composite
+def _restrictions(draw, xrank, yrank):
+    shape = draw(st.sampled_from(("fullH", "prodH", "graphH")))
+    if shape == "fullH":
+        return shape
+    if shape == "prodH":
+        return "prodH(%s, %s)" % (draw(_subgroups(xrank)),
+                                  draw(_subgroups(yrank)))
+    return "graphH(%d/%d)" % (draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+
+@st.composite
+def _specs(draw, depth):
+    if depth == 0:
+        return draw(st.sampled_from(_LEAVES))
+    x, xrank = draw(_specs(draw(st.integers(0, depth - 1))))
+    kind = draw(st.sampled_from(("I", "II", "III", "IV", "SLI", "SLII")))
+    if kind in ("SLI", "SLII"):
+        y, yrank = draw(st.sampled_from(_SUBLEX_SECOND))
+        h = draw(_restrictions(xrank, yrank))
+        if kind == "SLI":
+            return f"SLI({x}, {draw(_subgroups(xrank))}, {y}, {h})", xrank + yrank
+        return f"SLII({x}, {y}, {h})", xrank + yrank
+    y, yrank = draw(_specs(draw(st.integers(0, depth - 1))))
+    subs = {"I": 1, "II": 0, "III": 2, "IV": 1}[kind]
+    args = [x] + [draw(_subgroups(xrank)) for _ in range(subs)] + [y]
+    return f"{kind}({', '.join(args)})", xrank + yrank
+
+
+REGRESSION_SPECS = [
+    # the discreteness probe once ignored the level constraints, so the
+    # rebuild of this tower failed with "could not sample the group part"
+    "IV(II(Lex(Z, Z), Z), triv, IV(Z, idx 1, Lex(Z, Q)))",
+]
+
+
+def _assert_random_spec_peels_agree(spec, rngs) -> str:
+    """Outcome of the view-stack peel, after checking that the one-pass
+    peel agrees with it."""
+    try:
+        a = ps.parse_algebra(spec)
+    except PlexError:
+        reject()
+    try:
+        _view_walk(dec.BaseChain(a))
+    except PlexError as exc:
+        for peel in (dec.group_representation, dec.representation_embedding,
+                     dec.lex_embedding):
+            _assert_raises_like(exc, peel, a)
+        return f"the view stack raises {type(exc).__name__}"
+    _assert_peels_agree(spec, rngs)
+    return "the view stack peels"
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(3))
+def test_one_pass_peel_matches_view_stack_on_random_specs(spec, rngs):
+    event(_assert_random_spec_peels_agree(spec[0], rngs))
+
+
+@pytest.mark.parametrize("spec", REGRESSION_SPECS)
+def test_one_pass_peel_regressions(spec):
+    a = ps.parse_algebra(spec)
+    tree, rebuilt, _ = dec.representation_embedding(a)
+    assert ps.print_algebra(dec.rebuild(tree)) == ps.print_algebra(rebuilt)
+    rngs = [(random.Random(s), 0.4) for s in range(12)]
+    assert _assert_random_spec_peels_agree(spec, rngs) == "the view stack peels"
