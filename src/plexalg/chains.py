@@ -17,6 +17,15 @@ Elements are nested pairs (first, second) with second one of 'T', 'B' or
 takes the algebra as explicit first argument.  Comparison is
 lexicographic with B < M(...) < T in the second slot.
 
+Validation happens at the boundary only: parsing (elem_check),
+sampling (sample_elem), building (build), validate_elem, from_gvec and
+elem_from_prefix check every coordinate and column constraint.  The
+operations (mul, comp, cmp_elems, x_up, x_down, ...) and the predicates
+(zset_member, mid_capable, the tests built by absorber) take valid
+elements and trust them; on a valid element, membership in the group
+part is just the absence of any T/B marker.  in_group_part stays the
+full check for raw values.
+
 The module also computes, per algebra, a structural "ladder": one flat
 coordinate view of the group part per reduction level, recording how many
 ambient coordinates that level keeps and which per-coordinate constraints
@@ -155,17 +164,18 @@ class Algebra:
     vsub: tuple | None = None  # III/IV: V over the same ambient
     h: FullH | ProdH | GraphH | None = None  # sublex nodes
 
-    @property
+    # node kinds are read on every recursion step: compute them once
+    @cached_property
     def is_leaf(self) -> bool:
         return self.kind == "grp"
 
-    @property
+    @cached_property
     def family(self) -> str | None:
         if self.is_leaf:
             return None
         return "tb" if self.kind in TB_KINDS else "t"
 
-    @property
+    @cached_property
     def is_sublex(self) -> bool:
         return self.kind in SUBLEX_KINDS
 
@@ -276,7 +286,7 @@ def gr_ambient(a: Algebra) -> GroupDesc:
 
 
 def validate_elem(a: Algebra, x) -> bool:
-    """Structural membership of x in the universe of a."""
+    """Structural membership of x in the universe of a (full check)."""
     if a.is_leaf:
         return g_member(a.group, x)
     if not (isinstance(x, tuple) and len(x) == 2):
@@ -290,7 +300,8 @@ def validate_elem(a: Algebra, x) -> bool:
         return a.family == "t" or zset_member(a, first)
     if not is_mid(second):
         return False
-    return mid_capable(a, first) and slice_member(a, first, second[1])
+    return (validate_elem(a.x, first) and mid_capable(a, first)
+            and slice_member(a, first, second[1]))
 
 
 def elem_check(a: Algebra, x):
@@ -302,7 +313,10 @@ def elem_check(a: Algebra, x):
 
 
 def in_group_part(a: Algebra, x) -> bool:
-    """x lies in the group part (invertible elements) of a."""
+    """x lies in the group part (invertible elements) of a.
+
+    Full check of an arbitrary value, for raw vectors and values of
+    unknown origin; a valid element needs only _marker_free."""
     if a.is_leaf:
         return g_member(a.group, x)
     if not (isinstance(x, tuple) and len(x) == 2 and is_mid(x[1])):
@@ -314,9 +328,24 @@ def in_group_part(a: Algebra, x) -> bool:
     return constr_ok(a._structure.entries[0].gconstr, vec)
 
 
+def _marker_free(a: Algebra, x) -> bool:
+    """No T/B marker anywhere in x.
+
+    Precondition: x is a valid element of a.  Then this is membership in
+    the group part, because validate_elem has already checked every
+    coordinate and every column constraint of a marker-free element."""
+    if a.is_leaf:
+        return True
+    first, second = x
+    return (isinstance(second, tuple) and _marker_free(a.x, first)
+            and _marker_free(a.y, second[1]))
+
+
 def zset_member(a: Algebra, first) -> bool:
-    """first coordinate admits a top column ('tb': the Z subgroup)."""
-    if not in_group_part(a.x, first):
+    """first coordinate admits a top column ('tb': the Z subgroup).
+
+    Precondition: first is a valid element of a.x."""
+    if not _marker_free(a.x, first):
         return False
     if a.family == "t":
         return True
@@ -324,14 +353,11 @@ def zset_member(a: Algebra, first) -> bool:
 
 
 def mid_capable(a: Algebra, first) -> bool:
-    """first coordinate admits middle columns (the V side, or H's shadow)."""
-    if not in_group_part(a.x, first):
-        return False
-    vc = a._structure.vconstr
-    vec = to_gvec(a.x, first)
-    if not constr_ok(vc, vec):
-        return False
-    return True
+    """first coordinate admits middle columns (the V side, or H's shadow).
+
+    Precondition: first is a valid element of a.x."""
+    return (_marker_free(a.x, first)
+            and constr_ok(a._structure.vconstr, to_gvec(a.x, first)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +496,60 @@ def comp(a: Algebra, p):
     first, second = p
     nf = comp(a.x, first)
     if a.family == "tb":
-        if not zset_member(a, first):
-            return (nf, BOT)
+        # p is valid, so a top or middle column already lies over Z
         if second == TOP:
             return (nf, BOT)
         if second == BOT:
-            return (nf, TOP)
+            return (nf, TOP if zset_member(a, first) else BOT)
         return (nf, mid(comp(a.y, second[1])))
     if second == TOP:
-        if in_group_part(a.x, first):
+        if _marker_free(a.x, first):
             below = x_down(a.x, nf)
             if below == nf:
                 raise StructuralMismatch("group part of the child is not discrete")
             return (below, TOP)
         return (nf, TOP)
     return (nf, mid(comp(a.y, second[1])))
+
+
+def _always(x) -> bool:
+    return True
+
+
+def _never(x) -> bool:
+    return False
+
+
+def absorber(a: Algebra, e):
+    """Predicate x -> mul(a, x, e) == x on valid elements x, for a fixed e.
+
+    The recursion over e runs once, here: a component of e that is the
+    unit of its factor leaves every x unchanged, so the predicate reads
+    only the slots of x where e differs from the unit, and never builds
+    the product."""
+    if a.is_leaf:
+        return _always if all(c == kn.ZERO for c in e) else _never
+    first = absorber(a.x, e[0])
+    if first is _never:
+        return _never
+    se = e[1]
+    if se == BOT:  # the product's column is bottom
+        second = lambda s: s == BOT
+    elif se == TOP:  # a marker column stays, a middle one turns top
+        second = lambda s: not is_mid(s)
+    else:
+        inner = absorber(a.y, se[1])
+        if inner is _always:
+            second = _always
+        elif inner is _never:
+            second = lambda s: not is_mid(s)
+        else:
+            second = lambda s: not is_mid(s) or inner(s[1])
+    if first is _always:
+        return _always if second is _always else lambda x: second(x[1])
+    if second is _always:
+        return lambda x: first(x[0])
+    return lambda x: second(x[1]) and first(x[0])
 
 
 def res(a: Algebra, p, q):

@@ -207,6 +207,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 1) < 1:
+            raise _UsageError(f"argument --budget: must be at least 1, "
+                              f"got {args.budget}")
         return _VERBS[args.verb](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -38,12 +38,12 @@ from .chains import (
     Algebra,
     FullH,
     ProdH,
+    absorber,
     cmp_elems,
     comp,
     elem_from_prefix,
     ladder,
     leaf,
-    lt,
     mid,
     mul,
     partial_vec,
@@ -716,7 +716,7 @@ def _walk(a: Algebra):
         level, free = _level_record(ambient, entries[k:], idem_b[k])
         target = _stack_level(target, level)
         levels.append(level)
-        steps.append((k, idem_b[k], nus[k], free))
+        steps.append((k, idem_b[k], absorber(a, nus[k]), free))
     head = entries[-1].prefix
     unit_step = {e: j for j, e in enumerate(idems)}
 
@@ -726,10 +726,10 @@ def _walk(a: Algebra):
             raise StructuralMismatch("local unit is not a positive idempotent")
         vec = partial_vec(a, x)
         out = [vec[:head]]
-        for k, idem, nu, free in steps:
+        for k, idem, absorbs, free in steps:
             if k >= j:
                 out.append(tuple(vec[i] for i in free))
-            elif idem and not lt(a, mul(a, x, nu), x):
+            elif idem and absorbs(x):
                 out.append(BOT)
             else:
                 out.append(TOP)

@@ -534,6 +534,14 @@ def _restriction_draw(st, a, u):
     return mul(a, st.draw(), u)
 
 
+def _classifier(a, u):
+    """dec.classify around u for elements a suite drew or computed itself:
+    one view and one complement of u per report, and no re-validation."""
+    view = dec.BaseChain(a)
+    nu = comp(a, u)
+    return lambda x: dec._classify(view, u, nu, x)
+
+
 @_named("prop7.2.eqs")
 def _law_extremals(ops, st, run, budget, fmt):
     # v*u and v*comp(u) are the top and bottom extremals of v's
@@ -577,11 +585,12 @@ def _law_gap_disjoint(ops, st, run, budget, fmt):
     a = ops.alg
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
+    kind = _classifier(a, u)
     run.cell("bps-in-restriction", "tps-not-tc", "bps-not-bc", "g2-not-tc")
     grp = _group_pred(ops, u)
     for _ in range(budget):
         x = _restriction_draw(st, a, u)
-        k = dec.classify(a, u, x)
+        k = kind(x)
         v = st.draw_where(grp)
         if k == dec.TOP_PS:
             d = x_down(a, x)
@@ -605,11 +614,12 @@ def _law_gap_partition(ops, st, run, budget, fmt):
     # component tops, pseudo-tops and second-kind gap elements
     a = ops.alg
     u = dec.smallest_pos_idem(a)
+    kind = _classifier(a, u)
     run.cell("gap-kinds", "no-gap")
     for _ in range(budget):
         x = _restriction_draw(st, a, u)
         d = x_down(a, x)
-        k = dec.classify(a, u, x)
+        k = kind(x)
         if d == x:
             run.check(k not in (dec.TOP_PS, dec.G2), (x,), k, "no-gap", fmt,
                       label="no-gap")
@@ -626,6 +636,7 @@ def _law_bottom_absorption(ops, st, run, budget, fmt):
     a = ops.alg
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
+    kind = _classifier(a, u)
     run.cell("tc-case", "tps-case", "other-case")
     grp = _group_pred(ops, u)
     for _ in range(budget):
@@ -633,26 +644,26 @@ def _law_bottom_absorption(ops, st, run, budget, fmt):
         if v is None:
             continue
         x = _restriction_draw(st, a, u)
-        k = dec.classify(a, u, x)
+        k = kind(x)
         bot = ops.mul(v, nu)
         p = ops.mul(x, bot)
         q = ops.mul(x, v)
         if k == dec.TOP_C:
             ok = p == ops.mul(q, nu) and ops.lt(p, q) and \
-                dec.classify(a, u, q) == dec.TOP_C
+                kind(q) == dec.TOP_C
             run.check(ok, (x, v), p, q, fmt, label="tc-case")
         elif k == dec.TOP_PS:
             d = x_down(a, q)
             ok = p == d and ops.lt(p, q) and \
-                dec.classify(a, u, q) == dec.TOP_PS
+                kind(q) == dec.TOP_PS
             run.check(ok, (x, v), p, d, fmt, label="tps-case")
         else:
             run.check(p == q, (x, v), p, q, fmt, label="other-case")
 
 
-def _pseudo_top_source(st, a, u):
+def _pseudo_top_source(st, a, u, kind):
     """Sampler for pseudo-tops, or None when the kind is absent."""
-    pred = lambda e: dec.classify(a, u, mul(a, e, u)) == dec.TOP_PS
+    pred = lambda e: kind(mul(a, e, u)) == dec.TOP_PS
     if st.draw_where(pred, tries=400) is None:
         return None
 
@@ -669,7 +680,8 @@ def _law_pseudo_mirror(ops, st, run, budget, fmt):
     a = ops.alg
     u = dec.smallest_pos_idem(a)
     run.cell("prop8.2.4")
-    src = _pseudo_top_source(st, a, u)
+    kind = _classifier(a, u)
+    src = _pseudo_top_source(st, a, u, kind)
     if src is None:
         return
     for _ in range(budget):
@@ -677,7 +689,7 @@ def _law_pseudo_mirror(ops, st, run, budget, fmt):
         if x is None:
             continue
         m = ops.comp(x_down(a, x))
-        k = dec.classify(a, u, m)
+        k = kind(m)
         run.check(k == dec.TOP_PS, (x,), k, dec.TOP_PS, fmt,
                   label="prop8.2.4")
 
@@ -689,7 +701,8 @@ def _law_pseudo_product_drops(ops, st, run, budget, fmt):
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
     run.cell("prop8.2.5")
-    src = _pseudo_top_source(st, a, u)
+    kind = _classifier(a, u)
+    src = _pseudo_top_source(st, a, u, kind)
     if src is None:
         return
     for _ in range(budget):
@@ -707,7 +720,8 @@ def _law_pseudo_tau(ops, st, run, budget, fmt):
     a = ops.alg
     u = dec.smallest_pos_idem(a)
     run.cell("prop8.2.6")
-    src = _pseudo_top_source(st, a, u)
+    kind = _classifier(a, u)
+    src = _pseudo_top_source(st, a, u, kind)
     if src is None:
         return
     for _ in range(budget):
@@ -755,10 +769,11 @@ def _law_tops_discrete(ops, st, run, budget, fmt):
     if dec.branch(a, u) != dec.NONIDEM_BRANCH:
         raise WrongBranch("top discreteness needs the non-idempotent branch")
     rc = dec.tau_ge_u_algebra(a, u)
+    kind = _classifier(a, u)
     run.cell("covers", "nothing-between")
     for _ in range(budget):
         x = _restriction_draw(st, a, u)
-        if dec.classify(a, u, x) not in (dec.TOP_C, dec.TOP_PS):
+        if kind(x) not in (dec.TOP_C, dec.TOP_PS):
             continue
         d, e = rc.x_down(x), rc.x_up(x)
         run.check(ops.lt(d, x) and ops.lt(x, e), (x,), d, e, fmt,
@@ -872,6 +887,7 @@ class _Kinds:
         self.a = ops.alg
         self.u = u
         self.nu = comp(ops.alg, u)
+        self.kind = _classifier(ops.alg, u)
         self._dead = set()
 
     def _find(self, name, pred, tries):
@@ -894,14 +910,14 @@ class _Kinds:
         a, u = self.a, self.u
         return self._find(
             "tps",
-            lambda e: dec.classify(a, u, mul(a, e, u)) == dec.TOP_PS,
+            lambda e: self.kind(mul(a, e, u)) == dec.TOP_PS,
             tries=400)
 
     def non_top(self):
         a, u = self.a, self.u
         return self._find(
             "nontop",
-            lambda e: dec.classify(a, u, mul(a, e, u)) not in
+            lambda e: self.kind(mul(a, e, u)) not in
             (dec.TOP_C, dec.TOP_PS),
             tries=400)
 
@@ -909,7 +925,7 @@ class _Kinds:
         a, u = self.a, self.u
         def pred(e):
             s = mul(a, e, u)
-            return x_down(a, s) == s and dec.classify(a, u, s) != dec.TOP_C
+            return x_down(a, s) == s and self.kind(s) != dec.TOP_C
         return self._find("dense", pred, tries=400)
 
     def lift(self, e):
@@ -976,9 +992,10 @@ def _table1(ops, kinds, run, fmt, budget):
             _cell(run, fmt, "a*top[w]", (aa, w), ops.mul(aa, tw), aw)
 
 
-def _member_nontop(a, u, e):
+def _member_nontop(kinds, e):
+    a, u = kinds.a, kinds.u
     return cmp_elems(a, u, tau(a, e)) <= 0 and \
-        dec.classify(a, u, e) not in (dec.TOP_C, dec.TOP_PS)
+        kinds.kind(e) not in (dec.TOP_C, dec.TOP_PS)
 
 
 def _gap_rows(ops, kinds, run, fmt):
@@ -1004,7 +1021,7 @@ def _gap_rows(ops, kinds, run, fmt):
         _cell(run, fmt, "bot[v]*s", (v, s), ops.mul(bv, s), ops.mul(v, s))
         for lab, e in (("v*s", v), ("top[v]*s", tv)):
             p = ops.mul(e, s)
-            _cell_ok(run, fmt, lab, (e, s), _member_nontop(a, u, p), p,
+            _cell_ok(run, fmt, lab, (e, s), _member_nontop(kinds, p), p,
                      "non-top")
         z = kinds.non_top()
         if z is not None:
@@ -1013,7 +1030,7 @@ def _gap_rows(ops, kinds, run, fmt):
             _cell(run, fmt, "z*bot[w]", (z, w), ops.mul(z, bw), zw)
             _cell(run, fmt, "z*top[w]", (z, w), ops.mul(z, tw), zw)
             p = ops.mul(z, s)
-            _cell_ok(run, fmt, "z*s", (z, s), _member_nontop(a, u, p), p,
+            _cell_ok(run, fmt, "z*s", (z, s), _member_nontop(kinds, p), p,
                      "non-top")
     y = kinds.pseudo_top()
     if y is not None:
@@ -1023,10 +1040,10 @@ def _gap_rows(ops, kinds, run, fmt):
         d = x_down(a, q)
         _cell_ok(run, fmt, "bot[v]*y", (v, y),
                  ops.mul(bv, y) == d and ops.lt(d, q) and
-                 dec.classify(a, u, q) == dec.TOP_PS,
+                 kinds.kind(q) == dec.TOP_PS,
                  ops.mul(bv, y), d)
         _cell_ok(run, fmt, "v*y", (v, y),
-                 dec.classify(a, u, q) == dec.TOP_PS, q, dec.TOP_PS)
+                 kinds.kind(q) == dec.TOP_PS, q, dec.TOP_PS)
         _cell(run, fmt, "top[v]*y", (v, y), ops.mul(tv, y), q)
         z = kinds.non_top()
         if z is not None:
@@ -1059,7 +1076,7 @@ def _table2(ops, kinds, run, fmt, budget):
                  ops.mul(x, bw) == d and ops.lt(d, q),
                  ops.mul(x, bw), d)
         _cell_ok(run, fmt, "x*w", (x, w),
-                 dec.classify(a, u, q) == dec.TOP_PS, q, dec.TOP_PS)
+                 kinds.kind(q) == dec.TOP_PS, q, dec.TOP_PS)
         _cell(run, fmt, "x*top[w]", (x, w), ops.mul(x, tw), q)
         s = kinds.non_top()
         if s is not None:
@@ -1067,7 +1084,7 @@ def _table2(ops, kinds, run, fmt, budget):
             _cell(run, fmt, "xdown*s", (x, s), ops.mul(xd, s),
                   ops.mul(x, s))
             p = ops.mul(x, s)
-            _cell_ok(run, fmt, "x*s", (x, s), _member_nontop(a, u, p), p,
+            _cell_ok(run, fmt, "x*s", (x, s), _member_nontop(kinds, p), p,
                      "non-top")
 
 
@@ -1115,7 +1132,7 @@ def _table3(ops, kinds, run, fmt, budget):
         _cell_ok(run, fmt, "x*bot[w]", (x, w),
                  ops.mul(x, bw) == d and ops.lt(d, q), ops.mul(x, bw), d)
         _cell_ok(run, fmt, "x*w", (x, w),
-                 dec.classify(a, u, q) == dec.TOP_PS, q, dec.TOP_PS)
+                 kinds.kind(q) == dec.TOP_PS, q, dec.TOP_PS)
         _cell(run, fmt, "x*top[w]", (x, w), ops.mul(x, tw), q)
         s = kinds.non_top()
         if s is not None:
@@ -1123,7 +1140,7 @@ def _table3(ops, kinds, run, fmt, budget):
             _cell(run, fmt, "xdown*s", (x, s), ops.mul(xd, s),
                   ops.mul(x, s))
             p = ops.mul(x, s)
-            _cell_ok(run, fmt, "x*s", (x, s), _member_nontop(a, u, p), p,
+            _cell_ok(run, fmt, "x*s", (x, s), _member_nontop(kinds, p), p,
                      "non-top")
         if y is None:
             continue
@@ -1133,13 +1150,13 @@ def _table3(ops, kinds, run, fmt, budget):
         drops = (ops.mul(xd, yd), ops.mul(xd, y), ops.mul(x, yd))
         if left:
             ok = all(p == d for p in drops) and \
-                dec.classify(a, u, q) == dec.TOP_PS
+                kinds.kind(q) == dec.TOP_PS
             _cell_ok(run, fmt, "xy-left", (x, y), ok, drops[0], d)
         else:
             floor = ops.mul(q, nu)
             ok = all(p == floor for p in drops) and \
-                dec.classify(a, u, q) == dec.TOP_C and \
-                dec.classify(a, u, floor) == dec.BOT_C
+                kinds.kind(q) == dec.TOP_C and \
+                kinds.kind(floor) == dec.BOT_C
             _cell_ok(run, fmt, "xy-right", (x, y), ok, drops[0], floor)
 
 
@@ -1160,7 +1177,7 @@ def _table4(ops, kinds, run, fmt, budget):
         q = ops.mul(v, y)
         _cell_ok(run, fmt, "top[v]*y", (v, y),
                  ops.mul(tv, y) == q and
-                 dec.classify(a, u, q) == dec.TOP_PS,
+                 kinds.kind(q) == dec.TOP_PS,
                  ops.mul(tv, y), q)
         x = kinds.pseudo_top()
         if x is None:
@@ -1169,11 +1186,11 @@ def _table4(ops, kinds, run, fmt, budget):
         q = ops.mul(x, w)
         _cell_ok(run, fmt, "x*top[w]", (x, w),
                  ops.mul(x, tw) == q and
-                 dec.classify(a, u, q) == dec.TOP_PS,
+                 kinds.kind(q) == dec.TOP_PS,
                  ops.mul(x, tw), q)
         q = ops.mul(x, y)
         d, left = _split_sides(a, u, q)
-        k = dec.classify(a, u, q)
+        k = kinds.kind(q)
         if left:
             _cell_ok(run, fmt, "xy-left", (x, y), k == dec.TOP_PS, k,
                      dec.TOP_PS)

@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from conftest import SPECS
 from plexalg import chains as ch
+from plexalg import groups as gr
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
-from plexalg.errors import InvalidElement
+from plexalg.errors import InvalidElement, PlexError
+from test_decompose import _element_draws, _specs, _tower
 
 
 def val(a, text):
@@ -143,3 +148,102 @@ def test_window_respects_subgroup_markers(alg):
         head, second = x
         if second == ch.TOP:
             assert head[0][1] == 1  # tops only over integer heads
+
+
+# ---------------------------------------------------------------------------
+# trusted predicates on the hot path against the full checks
+
+
+def _subelements(a, x):
+    """(algebra, element) for x and every element nested in it."""
+    yield a, x
+    if a.is_leaf:
+        return
+    first, second = x
+    yield from _subelements(a.x, first)
+    if ch.is_mid(second):
+        yield from _subelements(a.y, second[1])
+
+
+def _full_zset_member(a, first):
+    return ch.in_group_part(a.x, first) and (
+        a.family == "t"
+        or ch.constr_ok(a._structure.zconstr, ch.to_gvec(a.x, first)))
+
+
+def _full_mid_capable(a, first):
+    return ch.in_group_part(a.x, first) and ch.constr_ok(
+        a._structure.vconstr, ch.to_gvec(a.x, first))
+
+
+def _assert_trusted_checks_agree(a, x):
+    assert ch.validate_elem(a, x)
+    for b, y in _subelements(a, x):
+        assert ch._marker_free(b, y) == ch.in_group_part(b, y)
+        if not b.is_leaf:
+            first = y[0]
+            assert ch.zset_member(b, first) == _full_zset_member(b, first)
+            assert ch.mid_capable(b, first) == _full_mid_capable(b, first)
+    for op in (ch.comp, ch.x_up, ch.x_down):
+        assert ch.validate_elem(a, op(a, x)), op.__name__
+    assert ch.comp(a, ch.comp(a, x)) == x
+
+
+def _assert_absorber_matches_product(a, xs):
+    idems = ch._pos_idems(a)
+    es = idems + [ch.comp(a, u) for u in idems] + xs[:3]
+    for e in es:
+        absorbs = ch.absorber(a, e)
+        for x in xs + es:
+            assert absorbs(x) == (ch.mul(a, x, e) == x), (e, x)
+
+
+def _assert_agree_on_samples(a, rngs):
+    xs = []
+    for rng, marker_p in rngs:
+        x = ch.sample_elem(a, rng, marker_p=marker_p)
+        _assert_trusted_checks_agree(a, x)
+        for y in (ch.x_up(a, x), ch.x_down(a, x), ch.comp(a, x)):
+            _assert_trusted_checks_agree(a, y)
+        xs.append(x)
+    _assert_absorber_matches_product(a, xs[:24])
+
+
+DIFF_CASES = sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("name", DIFF_CASES)
+def test_trusted_membership_matches_full_checks(name):
+    spec = _tower(int(name[5:])) if name.startswith("tower") else SPECS[name]
+    a = ps.parse_algebra(spec)
+    rngs = [(random.Random(s), p) for s in range(40) for p in (0.25, 0.6)]
+    _assert_agree_on_samples(a, rngs)
+
+
+@settings(max_examples=60)
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(3))
+def test_trusted_membership_matches_full_checks_on_random_specs(spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_agree_on_samples(a, rngs)
+
+
+def test_chain_operations_do_not_revalidate(monkeypatch):
+    a = ps.parse_algebra(_tower(5))
+    rng = random.Random(23)
+    xs = [ch.sample_elem(a, rng) for _ in range(200)]
+    calls = [0]
+    g_member = gr.g_member
+
+    def counted(desc, elem):
+        calls[0] += 1
+        return g_member(desc, elem)
+
+    monkeypatch.setattr(ch, "g_member", counted)
+    monkeypatch.setattr(gr, "g_member", counted)
+    for op in (ch.comp, ch.x_up, ch.x_down):
+        for x in xs:
+            op(a, x)
+        assert calls[0] == 0, op.__name__

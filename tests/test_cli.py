@@ -51,6 +51,17 @@ def test_bad_usage_exits_1(capsys, spec_file):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("verb,budget", [("check", "0"), ("check", "-5"),
+                                         ("embed-lex", "0")])
+def test_budget_below_one_is_a_usage_error(capsys, spec_file, verb, budget):
+    code, out, err = run(capsys, verb, "-f", spec_file("II(Z, Q)"),
+                         "--budget", budget)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "error:" in lines[0], err
+
+
 def test_eval_values(capsys, spec_file):
     a_path = spec_file("II(Z, Q)")
     b_path = spec_file("I(Q, idx 1, Q)", "b.alg")
