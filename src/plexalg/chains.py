@@ -32,6 +32,12 @@ ambient coordinates that level keeps and which per-coordinate constraints
 cut the level's group out of them.  The decomposition layer consumes
 algebras only through the generic operations plus this ladder, never by
 inspecting the construction tree of the input.
+
+Consumers reach the operations through one view protocol, at the end of
+this module: ChainView derives le, lt, res, tau and fconst from the
+primitives a subclass provides, and BaseChain binds them to an algebra.
+Law suites, homomorphism checks and peeling steps all use it, so each
+runs unchanged on an algebra, a peel level or a mutated algebra.
 """
 
 from __future__ import annotations
@@ -877,3 +883,84 @@ def discretely_embedded(a: Algebra) -> bool:
     if not a.is_sublex:
         return discretely_embedded(a.y)
     return _slice_step(a) is not None
+
+
+# ---------------------------------------------------------------------------
+# the view protocol
+#
+# BaseChain wraps an algebra; a peel step of plexalg.decompose wraps
+# another view, so a step runs on its own output; lawcheck.Mutant is a
+# BaseChain with corrupted primitives.
+
+
+class ChainView:
+    """Shared derived operations; subclasses provide the primitives."""
+
+    def le(self, p, q) -> bool:
+        return self.cmp(p, q) <= 0
+
+    def lt(self, p, q) -> bool:
+        return self.cmp(p, q) < 0
+
+    def res(self, p, q):
+        return self.comp(self.mul(p, self.comp(q)))
+
+    def tau(self, p):
+        return self.res(p, p)
+
+    def fconst(self):
+        """Falsity constant; equals the unit in these odd chains."""
+        return self.unit()
+
+    @property
+    def prefix(self) -> int:
+        return self.entries[0].prefix
+
+
+class BaseChain(ChainView):
+    """View of a concrete algebra."""
+
+    def __init__(self, a: Algebra):
+        self.a = a
+        self.ambient, self.entries = ladder(a)
+
+    def describe(self) -> str:
+        return repr(self.a)
+
+    def mul(self, p, q):
+        return mul(self.a, p, q)
+
+    def comp(self, p):
+        return comp(self.a, p)
+
+    def cmp(self, p, q) -> int:
+        return cmp_elems(self.a, p, q)
+
+    def unit(self):
+        return unit(self.a)
+
+    def x_down(self, p):
+        return x_down(self.a, p)
+
+    def x_up(self, p):
+        return x_up(self.a, p)
+
+    def pos_idems(self) -> tuple:
+        return tuple(positive_idempotents(self.a))
+
+    def partial_vec(self, p) -> tuple:
+        return partial_vec(self.a, p)
+
+    def elem_from_prefix(self, h: tuple):
+        return elem_from_prefix(self.a, h)
+
+    def validate(self, p) -> bool:
+        return validate_elem(self.a, p)
+
+    def sample(self, rng):
+        return sample_elem(self.a, rng)
+
+
+def _as_view(a):
+    """A BaseChain for an Algebra; anything else is taken as a view."""
+    return BaseChain(a) if isinstance(a, Algebra) else a

@@ -15,15 +15,16 @@ Two shapes occur:
 Iterating the step yields a representation tree: a base group plus one
 level record per step, each holding the step shape, the distinguished
 subgroup, the kernel hull and the middle-column restriction.  rebuild
-turns the tree back into a concrete algebra.  The views above describe a
-single step; the full peel (representation_embedding, lex_embedding)
-reads every step off the input chain in one pass instead of stacking
-views: the local unit of x names the first step at which x is invertible,
-from there on each slot is a slice of the raw coordinates of x, and below
-it each slot is a marker.  Mapping one element costs O(depth) chain
-operations.  Everything here consumes chains only through the generic
-operations and the coordinate ladder, never by inspecting the
-construction tree of the input.
+turns the tree back into a concrete algebra.  A single step must run on
+its own output, so it takes any view of the chain protocol
+(plexalg.chains) and the step chains are views themselves.  The full peel
+(representation_embedding, lex_embedding) reads every step off the input
+chain in one pass instead of stacking views: the local unit of x names
+the first step at which x is invertible, from there on each slot is a
+slice of the raw coordinates of x, and below it each slot is a marker.
+Mapping one element costs O(depth) chain operations.  Everything here
+consumes chains only through the generic operations and the coordinate
+ladder, never by inspecting the construction tree of the input.
 """
 
 from __future__ import annotations
@@ -36,24 +37,20 @@ from .chains import (
     BOT,
     TOP,
     Algebra,
+    BaseChain,
+    ChainView,
     FullH,
     ProdH,
+    _as_view,
     absorber,
-    cmp_elems,
     comp,
-    elem_from_prefix,
     ladder,
     leaf,
     mid,
     mul,
     partial_vec,
     positive_idempotents,
-    sample_elem,
     tau,
-    unit,
-    validate_elem,
-    x_down,
-    x_up,
 )
 from .errors import (
     InvalidElement,
@@ -159,82 +156,6 @@ class RepTree:
 
 
 # ---------------------------------------------------------------------------
-# chain views
-#
-# A single peeling step must run on its own output, so every operation
-# below is phrased against a small view interface instead of Algebra
-# directly.  The full peel (_walk) does not stack these views.
-
-
-class ChainView:
-    """Shared derived operations; subclasses provide the primitives."""
-
-    def le(self, p, q) -> bool:
-        return self.cmp(p, q) <= 0
-
-    def lt(self, p, q) -> bool:
-        return self.cmp(p, q) < 0
-
-    def res(self, p, q):
-        return self.comp(self.mul(p, self.comp(q)))
-
-    def tau(self, p):
-        return self.res(p, p)
-
-    @property
-    def prefix(self) -> int:
-        return self.entries[0].prefix
-
-
-class BaseChain(ChainView):
-    """View of a concrete algebra."""
-
-    def __init__(self, a: Algebra):
-        self.a = a
-        self.ambient, self.entries = ladder(a)
-
-    def describe(self) -> str:
-        return repr(self.a)
-
-    def mul(self, p, q):
-        return mul(self.a, p, q)
-
-    def comp(self, p):
-        return comp(self.a, p)
-
-    def cmp(self, p, q) -> int:
-        return cmp_elems(self.a, p, q)
-
-    def unit(self):
-        return unit(self.a)
-
-    def x_down(self, p):
-        return x_down(self.a, p)
-
-    def x_up(self, p):
-        return x_up(self.a, p)
-
-    def pos_idems(self) -> tuple:
-        return tuple(positive_idempotents(self.a))
-
-    def partial_vec(self, p) -> tuple:
-        return partial_vec(self.a, p)
-
-    def elem_from_prefix(self, h: tuple):
-        return elem_from_prefix(self.a, h)
-
-    def validate(self, p) -> bool:
-        return validate_elem(self.a, p)
-
-    def sample(self, rng):
-        return sample_elem(self.a, rng)
-
-
-def _as_view(a) -> ChainView:
-    return a if isinstance(a, ChainView) else BaseChain(a)
-
-
-# ---------------------------------------------------------------------------
 # the least strictly positive idempotent and the branch decision
 
 
@@ -255,11 +176,7 @@ def branch(a, u) -> str:
 
 
 def _check_least(view: ChainView, u):
-    idems = view.pos_idems()
-    if len(idems) == 1:
-        raise OnlyUnitIdempotent(
-            "%s has no idempotent above the unit" % view.describe())
-    if u != idems[1]:
+    if u != smallest_pos_idem(view):
         raise PreconditionFailed(
             "the step idempotent must be the least strictly positive one")
 
@@ -362,23 +279,18 @@ def beta(a, u, x) -> BetaClass:
     return Singleton(x)
 
 
-class BetaChain(ChainView):
-    """Quotient by beta; operations act through class members."""
+class _ClassChain(ChainView):
+    """Quotient of a view at its least strictly positive idempotent u.
+
+    Elements are classes; operations act through class members.
+    Subclasses name the classes: to_class maps an element of the base to
+    its class, member picks a member of a class."""
 
     def __init__(self, base, u):
         self.base = _as_view(base)
         _check_least(self.base, u)
         self.u = u
         self.nu = self.base.comp(u)
-
-    def describe(self) -> str:
-        return "component quotient of %s" % self.base.describe()
-
-    def to_class(self, x) -> BetaClass:
-        return beta(self.base, self.u, x)
-
-    def member(self, c):
-        return c.rep if isinstance(c, Component) else c.x
 
     def mul(self, p, q):
         return self.to_class(self.base.mul(self.member(p), self.member(q)))
@@ -396,6 +308,19 @@ class BetaChain(ChainView):
 
     def sample(self, rng):
         return self.to_class(self.base.sample(rng))
+
+
+class BetaChain(_ClassChain):
+    """Quotient by beta."""
+
+    def describe(self) -> str:
+        return "component quotient of %s" % self.base.describe()
+
+    def to_class(self, x) -> BetaClass:
+        return beta(self.base, self.u, x)
+
+    def member(self, c):
+        return c.rep if isinstance(c, Component) else c.x
 
 
 def beta_algebra(a, u) -> BetaChain:
@@ -436,14 +361,11 @@ def _gamma_of_elem(view: ChainView, u, nu, x) -> GammaClass:
     return Plain(x)
 
 
-class QuotientChain(ChainView):
-    """Chain of gamma classes; operations act through class members."""
+class QuotientChain(_ClassChain):
+    """Chain of gamma classes."""
 
     def __init__(self, base, u):
-        self.base = _as_view(base)
-        _check_least(self.base, u)
-        self.u = u
-        self.nu = self.base.comp(u)
+        super().__init__(base, u)
         if self.base.mul(self.nu, self.nu) != self.nu:
             raise WrongBranch(
                 "the quotient step needs an idempotent complement of u")
@@ -478,20 +400,6 @@ class QuotientChain(ChainView):
             return c.upper
         return c.x
 
-    def mul(self, p, q):
-        return self.to_class(self.base.mul(self.member(p), self.member(q)))
-
-    def comp(self, p):
-        return self.to_class(self.base.comp(self.member(p)))
-
-    def cmp(self, p, q) -> int:
-        if p == q:
-            return 0
-        return self.base.cmp(self.member(p), self.member(q))
-
-    def unit(self):
-        return self.to_class(self.base.unit())
-
     def x_down(self, c):
         low = self.class_min(c)
         below = self.base.x_down(low)
@@ -518,9 +426,6 @@ class QuotientChain(ChainView):
         if not isinstance(c, (Triple, GapPair, Plain)):
             return False
         return self.to_class(self.member(c)) == c
-
-    def sample(self, rng):
-        return self.to_class(self.base.sample(rng))
 
 
 def gamma_algebra(a, u) -> QuotientChain:

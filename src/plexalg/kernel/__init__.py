@@ -1,31 +1,17 @@
-"""Kernel selection: compiled extension when available, else pure Python.
+"""Kernel selection: the compiled twin when it imports, else pure Python.
 
-Set PLEXALG_KERNEL=py or PLEXALG_KERNEL=c to force a choice; the default
-prefers the compiled twin and silently falls back.  KERNEL_IMPL names the
-active implementation so tests and the benchmark can report it.
+KERNEL_IMPL names the active implementation so tests and the benchmark
+can report it.
 """
 
-import os
-
-_choice = os.environ.get("PLEXALG_KERNEL", "").strip().lower()
-
-if _choice == "py":
-    from . import _ratvec_py as _impl
-
-    KERNEL_IMPL = "py"
-elif _choice == "c":
+try:
     from . import _ratvec_c as _impl  # type: ignore[attr-defined]
 
     KERNEL_IMPL = "c"
-else:
-    try:
-        from . import _ratvec_c as _impl  # type: ignore[attr-defined]
+except ImportError:
+    from . import _ratvec_py as _impl
 
-        KERNEL_IMPL = "c"
-    except ImportError:
-        from . import _ratvec_py as _impl
-
-        KERNEL_IMPL = "py"
+    KERNEL_IMPL = "py"
 
 ZERO = _impl.ZERO
 ONE = _impl.ONE

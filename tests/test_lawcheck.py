@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from plexalg import decompose as dec
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.errors import UnknownLaw, WrongBranch
@@ -132,8 +133,6 @@ def test_table_split_cells_need_family_variants(alg):
 
 
 def test_hom_checker_modes(alg):
-    import plexalg.decompose as dec
-
     B = alg["B"]
     u = dec.smallest_pos_idem(B)
     bq = dec.beta_algebra(B, u)
@@ -149,3 +148,25 @@ def test_report_is_frozen(alg):
     r = lc.check_fle_laws(alg["Z"], budget=20, seed=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.samples = 0
+
+
+@pytest.mark.parametrize("spec", [
+    "A", "B", "C", "G", "E", "V3", "V3b", "V4", "V4b",
+    "I(I(II(Z, Q), full, Q), full, Q)",
+])
+def test_fle_laws_hold_on_every_peel_level(alg, spec):
+    # each peeling step leaves an odd involutive chain with one positive
+    # idempotent fewer, so the residuated-monoid axioms hold on it again
+    view = dec.BaseChain(alg[spec] if spec in alg else ps.parse_algebra(spec))
+    count = len(view.pos_idems())
+    while count > 1:
+        u = dec.smallest_pos_idem(view)
+        if dec.branch(view, u) == dec.IDEM_BRANCH:
+            view = dec.QuotientChain(view, u)
+        else:
+            view = dec.RestrictionChain(view, u)
+        assert len(view.pos_idems()) == count - 1
+        count -= 1
+        r = lc.check_fle_laws(view, budget=40, seed=1)
+        assert r.passed, r.render()
+        assert r.vacuous == ()
