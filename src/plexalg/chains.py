@@ -20,11 +20,17 @@ lexicographic with B < M(...) < T in the second slot.
 Validation happens at the boundary only: parsing (elem_check),
 sampling (sample_elem), building (build), validate_elem, from_gvec and
 elem_from_prefix check every coordinate and column constraint.  The
-operations (mul, comp, cmp_elems, x_up, x_down, ...) and the predicates
-(zset_member, mid_capable, the tests built by absorber) take valid
-elements and trust them; on a valid element, membership in the group
-part is just the absence of any T/B marker.  in_group_part stays the
-full check for raw values.
+operations (mul, comp, cmp_elems, x_up, x_down, ...) and the trusted
+predicates take valid elements and do not re-check them:
+
+* the marker test _marker_free: on a valid element, membership in the
+  group part (invertibility) is just the absence of any T/B marker;
+* zset_member and mid_capable: the marker test plus one constraint check;
+* absorber(a, e): the test x -> x*e == x, read off x's marker slots;
+* _elem_from_prefix_raw and _from_gvec_raw: elem_from_prefix and
+  from_gvec without their checks, for prefixes known to name an element.
+
+in_group_part stays the full check for raw values.
 
 The module also computes, per algebra, a structural "ladder": one flat
 coordinate view of the group part per reduction level, recording how many
@@ -37,13 +43,16 @@ Consumers reach the operations through one view protocol, at the end of
 this module: ChainView derives le, lt, res, tau and fconst from the
 primitives a subclass provides, and BaseChain binds them to an algebra.
 Law suites, homomorphism checks and peeling steps all use it, so each
-runs unchanged on an algebra, a peel level or a mutated algebra.
+runs unchanged on an algebra, a peel level or a mutated algebra.  The
+view's invertibility and absorption tests and its fill_prefix builder
+are arithmetic by default; BaseChain answers them with the trusted
+predicates above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 
 from . import kernel as kn
@@ -411,30 +420,33 @@ def partial_vec(a: Algebra, x) -> tuple:
 
 
 def elem_from_prefix(a: Algebra, h: tuple):
-    """Canonical element with group prefix h, markers below.
+    """Canonical element with group prefix h, markers below (validated).
 
     A full-length h gives a group-part element.  Shorter prefixes are
     completed with the family's default marker: bottom for 'tb' nodes,
     top for 't' nodes.  Coordinates determined by a graph restriction and
     pinned coordinates must match, else InvalidElement.
     """
+    el = _elem_from_prefix_raw(a, h)
+    if not validate_elem(a, el):
+        raise InvalidElement("prefix does not name an element")
+    return el
+
+
+def _elem_from_prefix_raw(a: Algebra, h: tuple):
+    """elem_from_prefix without the membership checks, for a prefix known
+    to name an element (only the arity is checked)."""
     if a.is_leaf:
         if len(h) != a.group.rank:
             raise InvalidElement("prefix arity %d, expected %d" % (len(h), a.group.rank))
-        if not g_member(a.group, h):
-            raise InvalidElement("prefix is not a group element")
         return h
     xlen = a.xlen
-    filler = BOT if a.family == "tb" else TOP
     if len(h) <= xlen:
-        first = elem_from_prefix(a.x, h) if len(h) < xlen else from_gvec(a.x, h)
-        return (first, filler)
-    first = from_gvec(a.x, h[:xlen])
-    rest = elem_from_prefix(a.y, h[xlen:])
-    el = (first, mid(rest))
-    if not validate_elem(a, el):
-        raise InvalidElement("prefix violates a column restriction")
-    return el
+        first = (_elem_from_prefix_raw(a.x, h) if len(h) < xlen
+                 else _from_gvec_raw(a.x, h))
+        return (first, BOT if a.family == "tb" else TOP)
+    return (_from_gvec_raw(a.x, h[:xlen]),
+            mid(_elem_from_prefix_raw(a.y, h[xlen:])))
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +924,23 @@ class ChainView:
         """Falsity constant; equals the unit in these odd chains."""
         return self.unit()
 
+    # tests and a builder for elements the caller drew or computed itself;
+    # BaseChain answers them structurally, other views by arithmetic
+
+    def invertible(self, u):
+        """Test x -> tau(x) < u, which for u the least strictly positive
+        idempotent says that x is invertible."""
+        return lambda x: self.lt(self.tau(x), u)
+
+    def absorber(self, e):
+        """Test x -> not x*e < x, which for e at most the unit says that
+        x*e == x."""
+        return lambda x: not self.lt(self.mul(x, e), x)
+
+    def fill_prefix(self, h: tuple):
+        """elem_from_prefix for a prefix known to name an element."""
+        return self.elem_from_prefix(h)
+
     @property
     def prefix(self) -> int:
         return self.entries[0].prefix
@@ -953,6 +982,17 @@ class BaseChain(ChainView):
 
     def elem_from_prefix(self, h: tuple):
         return elem_from_prefix(self.a, h)
+
+    def invertible(self, u):
+        # tau(x) is a positive idempotent, so it is below the least strictly
+        # positive one exactly when it is the unit: x is marker-free
+        return partial(_marker_free, self.a)
+
+    def absorber(self, e):
+        return absorber(self.a, e)
+
+    def fill_prefix(self, h: tuple):
+        return _elem_from_prefix_raw(self.a, h)
 
     def validate(self, p) -> bool:
         return validate_elem(self.a, p)

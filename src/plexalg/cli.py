@@ -2,7 +2,9 @@
 
 Verbs: build, eval, check, decompose, represent, rebuild, embed-lex.
 Exit codes: 0 success, 1 parse error, 2 precondition failure, 3 law
-failure.  Identical command lines produce byte-identical output.
+failure.  A law that found no instance to check prints VACUOUS instead
+of PASS and still exits 0, since nothing was violated.  Identical
+command lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -109,9 +111,8 @@ def _do_eval(args) -> int:
 def _report_rows(report, fmt: str) -> list[str]:
     if fmt == "text":
         return [report.render()]
-    status = "PASS" if report.passed else "FAIL"
     return [
-        f"{report.law}\t{status}\t{report.samples}\t{label}\t{count}"
+        f"{report.law}\t{report.verdict}\t{report.samples}\t{label}\t{count}"
         for label, count in report.counts
     ]
 

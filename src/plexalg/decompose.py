@@ -183,48 +183,68 @@ def _check_least(view: ChainView, u):
 
 # ---------------------------------------------------------------------------
 # classification
+#
+# classifier(view, u) builds, once per view and u, the map sorting an
+# element into the kinds above: invertible (GROUP_BELOW), the top or
+# bottom extreme of a component (TOP_C, BOT_C), a pseudo-extreme closing
+# a gap (TOP_PS, BOT_PS), an upper gap end of the second kind (G2), or
+# none of these (INTERIOR).  It asks the view for its invertibility and
+# absorption tests, so on a BaseChain it reads marker slots instead of
+# computing tau(x) and x * comp(u), and multiplies only to tell a
+# pseudo-top from a component top.  Other views derive both tests from
+# their primitives.
 
 
 def classify(a, u, x) -> str:
     view = _as_view(a)
     if isinstance(view, BaseChain) and not view.validate(x):
         raise InvalidElement("classify: not an element")
-    return _classify(view, u, view.comp(u), x)
+    _check_least(view, u)
+    return classifier(view, u)(x)
 
 
-def _classify(view: ChainView, u, nu, x) -> str:
-    if view.lt(view.tau(x), u):
-        return GROUP_BELOW
-    k = _top_kind(view, u, nu, x)
-    if k is not None:
-        return k
-    k = _top_kind(view, u, nu, view.comp(x))
-    if k == TOP_C:
-        return BOT_C
-    if k == TOP_PS:
-        return BOT_PS
-    return G2 if view.lt(view.x_down(x), x) else INTERIOR
+def classifier(view: ChainView, u):
+    """Map x -> class kind of x around u, for u the least strictly
+    positive idempotent of the view and x an element of it; neither is
+    checked here."""
+    nu = view.comp(u)
+    invertible = view.invertible(u)
+    absorbs = view.absorber(nu)
 
+    def top_kind(x):
+        """TOP_C / TOP_PS when x closes a component or a gap from above,
+        None when x absorbs the complement of u from above."""
+        if absorbs(x):
+            return None
+        below = view.x_down(x)
+        if below == x:
+            return TOP_C  # the component below x is dense
+        if invertible(below):
+            # x covers an invertible element, so the component is discrete
+            # and x must sit directly on top of it
+            if view.mul(below, u) != x:
+                raise StructuralMismatch(
+                    "cover of a top extreme is invertible but does not "
+                    "generate it")
+            return TOP_C
+        if below == view.mul(x, nu):
+            return TOP_PS
+        raise StructuralMismatch("top-like element with a foreign cover below")
 
-def _top_kind(view: ChainView, u, nu, x):
-    """TOP_C / TOP_PS when x closes a component or a gap from above,
-    None when x does not absorb the complement of u from above."""
-    d = view.mul(x, nu)
-    if not view.lt(d, x):
-        return None
-    below = view.x_down(x)
-    if below == x:
-        return TOP_C  # the component below x is dense
-    if view.lt(view.tau(below), u):
-        # x covers an invertible element, so the component is discrete
-        # and x must sit directly on top of it
-        if view.mul(below, u) != x:
-            raise StructuralMismatch(
-                "cover of a top extreme is invertible but does not generate it")
-        return TOP_C
-    if below == d:
-        return TOP_PS
-    raise StructuralMismatch("top-like element with a foreign cover below")
+    def kind(x) -> str:
+        if invertible(x):
+            return GROUP_BELOW
+        k = top_kind(x)
+        if k is not None:
+            return k
+        k = top_kind(view.comp(x))
+        if k == TOP_C:
+            return BOT_C
+        if k == TOP_PS:
+            return BOT_PS
+        return G2 if view.lt(view.x_down(x), x) else INTERIOR
+
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +264,7 @@ def _canonical_fill(view: ChainView, head: tuple):
             vec.append(kn.rmul(con[1], vec[con[2]]))
         else:
             vec.append(kn.ZERO)
-    return view.elem_from_prefix(tuple(vec))
+    return view.fill_prefix(tuple(vec))
 
 
 def coset_rep(a, u, x):
@@ -339,11 +359,12 @@ def gamma(a, u, b: BetaClass) -> GammaClass:
             "gluing classes need an idempotent complement of u")
     if isinstance(b, Component):
         return Triple(Component(b.rep))
-    return _gamma_of_elem(view, u, nu, b.x)
+    _check_least(view, u)
+    return _gamma_of_elem(view, classifier(view, u), b.x)
 
 
-def _gamma_of_elem(view: ChainView, u, nu, x) -> GammaClass:
-    kind = _classify(view, u, nu, x)
+def _gamma_of_elem(view: ChainView, kind_of, x) -> GammaClass:
+    kind = kind_of(x)
     if kind == GROUP_BELOW:
         head = view.partial_vec(x)[: view.entries[1].prefix]
         return Triple(Component(_canonical_fill(view, head)))
@@ -372,12 +393,13 @@ class QuotientChain(_ClassChain):
         self.ambient = self.base.ambient
         self.entries = self.base.entries[1:]
         self._idems = None
+        self._kind = classifier(self.base, u)
 
     def describe(self) -> str:
         return "glued quotient of %s" % self.base.describe()
 
     def to_class(self, x) -> GammaClass:
-        return _gamma_of_elem(self.base, self.u, self.nu, x)
+        return _gamma_of_elem(self.base, self._kind, x)
 
     def member(self, c):
         if isinstance(c, Triple):

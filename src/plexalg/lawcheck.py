@@ -34,17 +34,19 @@ from .chains import (
     BOT,
     TOP,
     BaseChain,
+    ChainView,
     _as_view,
     cmp_elems,
     comp,
     mid,
+    mid_capable,
     mul,
-    positive_idempotents,
+    slice_member,
     tau,
-    validate_elem,
     x_down,
+    zset_member,
 )
-from .errors import UnknownLaw, WrongBranch
+from .errors import PreconditionFailed, UnknownLaw, WrongBranch
 from .parsing import print_elem
 
 _SEED_MASK = (1 << 64) - 1
@@ -84,8 +86,9 @@ class SampleStream:
 class Mutant(BaseChain):
     """View of an algebra whose target primitive, "mul" or "comp",
     returns the unit on a deterministic subset of calls (one in stride,
-    by a CRC of the arguments).  res and tau derive from the corrupted
-    primitives, so every law that should notice does, reproducibly.
+    by a CRC of the arguments).  res, tau and the invertibility and
+    absorption tests derive from the corrupted primitives, so every law
+    that should notice does, reproducibly.
     """
 
     def __init__(self, base, target, stride=3):
@@ -104,6 +107,10 @@ class Mutant(BaseChain):
         if self.target == "comp" and _tick((x,), self.stride):
             return self.unit()
         return c
+
+    # a mutated chain classifies through its corrupted primitives as well
+    invertible = ChainView.invertible
+    absorber = ChainView.absorber
 
 
 def _tick(args, stride):
@@ -138,10 +145,18 @@ class Report:
     def vacuous(self):
         return tuple(lab for lab, n in self.counts if n == 0)
 
+    @property
+    def verdict(self):
+        """FAIL on any violation, VACUOUS when nothing was instantiated,
+        else PASS."""
+        if self.violations:
+            return "FAIL"
+        return "VACUOUS" if self.samples == 0 else "PASS"
+
     def render(self):
-        verdict = "PASS" if self.passed else "FAIL"
         vac = ",".join(self.vacuous) if self.vacuous else "none"
-        line = f"LAW {self.law} {verdict} samples={self.samples} vacuous={vac}"
+        line = (f"LAW {self.law} {self.verdict} samples={self.samples} "
+                f"vacuous={vac}")
         if not self.passed and self.witness:
             line += "\n  witness " + self.witness
         return line
@@ -376,7 +391,7 @@ def _law_tau_range(ops, st, run, budget, fmt):
     run.cell("lands-on-idems", "idems-in-range")
     t = ops.unit()
     fmt_ = fmt
-    for p in positive_idempotents(ops.a):
+    for p in ops.pos_idems():
         run.check(ops.tau(p) == p, (p,), ops.tau(p), p, fmt_,
                   label="idems-in-range")
     for _ in range(budget):
@@ -481,8 +496,21 @@ def _law_group_part(ops, st, run, budget, fmt):
             run.check(l != r, (x, y, z), l, r, fmt, label="cancel")
 
 
-def _group_pred(ops, u):
-    return lambda e: ops.lt(tau(ops.a, e), u)
+def _algebra_of(ops, law):
+    """The algebra under a view, for the suites whose sampling predicates,
+    classification and windows read it directly."""
+    a = getattr(ops, "a", None)
+    if a is None:
+        raise PreconditionFailed(
+            f"law {law} needs a view of an algebra, not the "
+            f"{ops.describe()}")
+    return a
+
+
+def _group_pred(a, u):
+    """Invertibility test on the algebra (never on a mutated view), so that
+    a mutation cannot change which elements are drawn."""
+    return BaseChain(a).invertible(u)
 
 
 def _restriction_draw(st, a, u):
@@ -492,10 +520,8 @@ def _restriction_draw(st, a, u):
 
 def _classifier(a, u):
     """dec.classify around u for elements a suite drew or computed itself:
-    one view and one complement of u per report, and no re-validation."""
-    view = BaseChain(a)
-    nu = comp(a, u)
-    return lambda x: dec._classify(view, u, nu, x)
+    built once per report, with no re-validation."""
+    return dec.classifier(BaseChain(a), u)
 
 
 @_named("prop7.2.eqs")
@@ -503,12 +529,12 @@ def _law_extremals(ops, st, run, budget, fmt):
     # v*u and v*comp(u) are the top and bottom extremals of v's
     # component: they sandwich it, mirror each other through comp, and
     # separate it from the upper stabilizer part on the right sides
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
     run.cell("order", "mirror", "least-above", "greatest-below",
              "same-component")
-    grp = _group_pred(ops, u)
+    grp = _group_pred(a, u)
     for _ in range(budget):
         v = st.draw_where(grp)
         if v is None:
@@ -538,12 +564,12 @@ def _law_gap_disjoint(ops, st, run, budget, fmt):
     # gap kinds do not overlap: pseudo-bottoms stay in the upper part,
     # pseudo-extremals are not component extremals, and second-kind gap
     # elements are not component tops
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
     kind = _classifier(a, u)
     run.cell("bps-in-restriction", "tps-not-tc", "bps-not-bc", "g2-not-tc")
-    grp = _group_pred(ops, u)
+    grp = _group_pred(a, u)
     for _ in range(budget):
         x = _restriction_draw(st, a, u)
         k = kind(x)
@@ -568,7 +594,7 @@ def _law_gap_disjoint(ops, st, run, budget, fmt):
 def _law_gap_partition(ops, st, run, budget, fmt):
     # upper ends of gaps in the upper stabilizer part are exactly the
     # component tops, pseudo-tops and second-kind gap elements
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     kind = _classifier(a, u)
     run.cell("gap-kinds", "no-gap")
@@ -589,12 +615,12 @@ def _law_bottom_absorption(ops, st, run, budget, fmt):
     # multiplying by a bottom extremal lands on the floor of the
     # product's component, or on the gap floor for pseudo-tops, and is
     # plain multiplication for everything below the tops
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
     kind = _classifier(a, u)
     run.cell("tc-case", "tps-case", "other-case")
-    grp = _group_pred(ops, u)
+    grp = _group_pred(a, u)
     for _ in range(budget):
         v = st.draw_where(grp)
         if v is None:
@@ -633,7 +659,7 @@ def _pseudo_top_source(st, a, u, kind):
 @_named("prop8.2.4")
 def _law_pseudo_mirror(ops, st, run, budget, fmt):
     # the complement of a pseudo-top's gap floor is again a pseudo-top
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     run.cell("prop8.2.4")
     kind = _classifier(a, u)
@@ -653,7 +679,7 @@ def _law_pseudo_mirror(ops, st, run, budget, fmt):
 @_named("prop8.2.5")
 def _law_pseudo_product_drops(ops, st, run, budget, fmt):
     # products of pseudo-tops are moved by the complement of u
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
     run.cell("prop8.2.5")
@@ -673,7 +699,7 @@ def _law_pseudo_product_drops(ops, st, run, budget, fmt):
 @_named("prop8.2.6")
 def _law_pseudo_tau(ops, st, run, budget, fmt):
     # pseudo-tops have stabilizer exactly u
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     run.cell("prop8.2.6")
     kind = _classifier(a, u)
@@ -693,7 +719,7 @@ def _law_class_disjoint(ops, st, run, budget, fmt):
     # the collapse classes of the component-and-gap quotient partition
     # an exhaustive window: intervals are disjoint and cover their own
     # members (budget is ignored; the window is enumerated)
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     if dec.branch(a, u) != dec.IDEM_BRANCH:
         raise WrongBranch("class collapse needs the idempotent branch")
@@ -720,7 +746,7 @@ def _law_tops_discrete(ops, st, run, budget, fmt):
     # in the non-idempotent branch the tops sit discretely inside the
     # upper stabilizer part: strict covers exist on both sides and no
     # sampled member falls in between
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     if dec.branch(a, u) != dec.NONIDEM_BRANCH:
         raise WrongBranch("top discreteness needs the non-idempotent branch")
@@ -745,7 +771,7 @@ def _law_nucleus(ops, st, run, budget, fmt):
     # the double-reflection retraction is a nucleus whose image is the
     # branch codomain: class ceilings in the idempotent branch, the
     # upper stabilizer part otherwise
-    a = ops.a
+    a = _algebra_of(ops, run.law)
     u = dec.smallest_pos_idem(a)
     nu = comp(a, u)
     idem = dec.branch(a, u) == dec.IDEM_BRANCH
@@ -790,26 +816,30 @@ def _window_rats(bound, max_den):
 def window_elems(a, bound=3, max_den=4):
     """Enumerate every element with coordinates in [-bound, bound] and
     denominators at most max_den, in ascending order."""
-    out = _window_raw(a, bound, max_den)
-    return sorted(out, key=cmp_to_key(lambda p, q: cmp_elems(a, p, q)))
+    return _window(a, _window_rats(bound, max_den),
+                   [kn.rmake(k, 1) for k in range(-bound, bound + 1)])
 
 
-def _window_raw(a, bound, max_den):
+def _window(a, rats, ints):
+    """The window of a, built valid and ascending: heads ascend, and over
+    each head the order is B, then the middle columns by the second
+    window, then T."""
     if a.is_leaf:
-        ints = [kn.rmake(k, 1) for k in range(-bound, bound + 1)]
-        rats = _window_rats(bound, max_den)
-        pools = [ints if k == "Z" else rats for k in a.group.kinds]
-        return [v for v in product(*pools) if validate_elem(a, v)]
-    heads = _window_raw(a.x, bound, max_den)
+        return list(product(*[ints if k == "Z" else rats
+                              for k in a.group.kinds]))
+    ys = _window(a.y, rats, ints)
+    tb = a.family == "tb"
     out = []
-    for h in heads:
-        for m in ((h, TOP), (h, BOT)):
-            if validate_elem(a, m):
-                out.append(m)
-        for y in _window_raw(a.y, bound, max_den):
-            m = (h, mid(y))
-            if validate_elem(a, m):
-                out.append(m)
+    for h in _window(a.x, rats, ints):
+        if tb:
+            out.append((h, BOT))
+        if mid_capable(a, h):
+            if a.is_sublex:
+                out.extend((h, mid(y)) for y in ys if slice_member(a, h, y))
+            else:
+                out.extend((h, mid(y)) for y in ys)
+        if not tb or zset_member(a, h):
+            out.append((h, TOP))
     return out
 
 
@@ -830,6 +860,7 @@ class _Kinds:
         self.u = u
         self.nu = comp(ops.a, u)
         self.kind = _classifier(ops.a, u)
+        self._grp = _group_pred(ops.a, u)
         self._dead = set()
 
     def _find(self, name, pred, tries):
@@ -841,7 +872,7 @@ class _Kinds:
         return x
 
     def group(self):
-        return self._find("group", _group_pred(self.ops, self.u), tries=400)
+        return self._find("group", self._grp, tries=400)
 
     def restriction(self):
         return mul(self.a, self.st.draw(), self.u)
@@ -879,7 +910,7 @@ def check_table(a, table, budget=200, seed=0):
     if table not in (1, 2, 3, 4):
         raise UnknownLaw(f"no table {table!r}")
     ops = _as_view(a)
-    alg = ops.a
+    alg = _algebra_of(ops, f"table{table}")
     u = dec.smallest_pos_idem(alg)
     br = dec.branch(alg, u)
     need = dec.IDEM_BRANCH if table in (1, 3) else dec.NONIDEM_BRANCH

@@ -1,6 +1,9 @@
 """Element operations on built chains, against hand-computed values."""
 
 import random
+from functools import cmp_to_key
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings
@@ -8,11 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import SPECS
 from plexalg import chains as ch
+from plexalg import decompose as dec
 from plexalg import groups as gr
+from plexalg import kernel as kn
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.errors import InvalidElement, PlexError
-from test_decompose import _element_draws, _specs, _tower
+from test_decompose import (PEELABLE_CASES, _element_draws, _specs, _tower,
+                            case_spec)
 
 
 def val(a, text):
@@ -247,3 +253,117 @@ def test_chain_operations_do_not_revalidate(monkeypatch):
         for x in xs:
             op(a, x)
         assert calls[0] == 0, op.__name__
+
+
+# ---------------------------------------------------------------------------
+# canonical fills and windows, built valid without the validators
+
+
+def _canonical_fills(a, xs):
+    """(prefix, element) of every canonical fill the peel step builds for
+    the elements xs and their complements: coset representatives of the
+    invertible ones and, in the idempotent branch, their gamma classes."""
+    u = dec.smallest_pos_idem(a)
+    kind = dec.classifier(dec.BaseChain(a), u)
+    q = (dec.QuotientChain(a, u) if dec.branch(a, u) == dec.IDEM_BRANCH
+         else None)
+    fills = []
+    raw = ch._elem_from_prefix_raw
+
+    def recording(b, h):
+        el = raw(b, h)
+        if b is a:
+            fills.append((h, el))
+        return el
+
+    with mock.patch.object(ch, "_elem_from_prefix_raw", recording):
+        for x in xs:
+            for y in (x, ch.comp(a, x)):
+                if kind(y) == dec.GROUP_BELOW:
+                    dec.coset_rep(a, u, y)
+                if q is not None:
+                    q.to_class(y)
+    return fills
+
+
+def _assert_fills_match_validated_builder(a, xs):
+    fills = _canonical_fills(a, xs)
+    for h, el in fills:
+        # the validating builder raises where h names no element
+        assert ch.elem_from_prefix(a, h) == el, h
+        assert ch.validate_elem(a, el)
+    return fills
+
+
+@pytest.mark.parametrize("name", PEELABLE_CASES)
+def test_canonical_fills_are_valid_without_validation(name):
+    a = ps.parse_algebra(case_spec(name))
+    xs = [ch.sample_elem(a, random.Random(s), marker_p=p)
+          for s in range(40) for p in (0.25, 0.6)]
+    assert _assert_fills_match_validated_builder(a, xs)
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(4))
+def test_canonical_fills_are_valid_on_random_specs(spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+        dec.smallest_pos_idem(a)
+    except PlexError:
+        reject()
+    xs = [ch.sample_elem(a, rng, marker_p=p) for rng, p in rngs]
+    _assert_fills_match_validated_builder(a, xs)
+
+
+def test_validated_prefix_builder_rejects(alg):
+    G, B = alg["G"], alg["B"]
+    half, one = kn.rmake(1, 2), kn.rmake(1)
+    with pytest.raises(InvalidElement):
+        ch.elem_from_prefix(G, (one, one))  # the graph wants half the head
+    with pytest.raises(InvalidElement):
+        ch.elem_from_prefix(alg["A"], (half,))  # the head lies in Z
+    with pytest.raises(InvalidElement):
+        ch.elem_from_prefix(B, (one, one, one))
+    assert ch.elem_from_prefix(G, (kn.rmake(2), one)) == \
+        ch._elem_from_prefix_raw(G, (kn.rmake(2), one))
+
+
+def _window_oracle(a, bound, max_den):
+    """The window as first written: every candidate, markers included,
+    filtered by validate_elem and sorted by cmp_elems."""
+    def raw(b):
+        if b.is_leaf:
+            ints = [kn.rmake(k, 1) for k in range(-bound, bound + 1)]
+            rats = lc._window_rats(bound, max_den)
+            pools = [ints if k == "Z" else rats for k in b.group.kinds]
+            return [v for v in product(*pools) if ch.validate_elem(b, v)]
+        out = []
+        for h in raw(b.x):
+            for m in ((h, ch.TOP), (h, ch.BOT)):
+                if ch.validate_elem(b, m):
+                    out.append(m)
+            for y in raw(b.y):
+                m = (h, ch.mid(y))
+                if ch.validate_elem(b, m):
+                    out.append(m)
+        return out
+
+    return sorted(raw(a), key=cmp_to_key(lambda p, q: ch.cmp_elems(a, p, q)))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("bound,max_den", [(1, 1), (2, 2), (3, 4)])
+def test_window_matches_filter_and_sort(name, bound, max_den):
+    a = ps.parse_algebra(SPECS[name])
+    assert lc.window_elems(a, bound, max_den) == \
+        _window_oracle(a, bound, max_den)
+
+
+@settings(max_examples=60)
+@given(spec=st.integers(1, 3).flatmap(_specs))
+def test_window_matches_filter_and_sort_on_random_specs(spec):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    assert lc.window_elems(a, 1, 1) == _window_oracle(a, 1, 1)

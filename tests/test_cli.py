@@ -99,6 +99,21 @@ def test_check_single_law(capsys, spec_file):
     assert out == "LAW eq2.2 PASS samples=50 vacuous=none\n"
 
 
+@pytest.mark.parametrize("fmt,want", [
+    ("text", "LAW prop8.2.4 VACUOUS samples=0 vacuous=prop8.2.4\n"),
+    ("tsv", "law\tstatus\tsamples\tcell\tcount\n"
+            "prop8.2.4\tVACUOUS\t0\tprop8.2.4\t0\n"),
+])
+def test_check_fully_vacuous_law(capsys, spec_file, fmt, want):
+    # the dense fixture has no pseudo-tops: nothing is checked, nothing
+    # is violated, so the verdict is VACUOUS and the exit code 0
+    path = spec_file("I(II(Z, Q), full, Q)")
+    code, out, _ = run(capsys, "check", "-f", path, "--laws", "prop8.2.4",
+                       "--budget", "40", "--format", fmt)
+    assert code == 0
+    assert out == want
+
+
 def test_check_all_skips_wrong_branch(capsys, spec_file):
     path = spec_file("I(Q, idx 1, Q)")
     code, out, _ = run(capsys, "check", "-f", path, "--laws", "all",

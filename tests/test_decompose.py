@@ -5,6 +5,7 @@ trees, and the closure that unifies the two branches; every expected
 value here was worked out by hand on the fixture definitions.
 """
 
+import collections
 import functools
 import inspect
 import random
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import HealthCheck, event, given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import SPECS
 from plexalg import chains as ch
 from plexalg import decompose as dec
+from plexalg import groups as gr
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.build import build_sublex
@@ -94,6 +97,13 @@ def test_classification_consistent_with_tau(alg):
             assert kind in dec.CLASS_KINDS
             below = ch.lt(a, ch.tau(a, x), u)
             assert below == (kind == dec.GROUP_BELOW)
+
+
+def test_classify_needs_the_least_positive_idempotent(alg):
+    E = alg["E"]
+    top = ch.positive_idempotents(E)[2]
+    with pytest.raises(PreconditionFailed):
+        dec.classify(E, top, ch.unit(E))
 
 
 def test_beta_collapses_components(alg):
@@ -509,3 +519,124 @@ def test_one_pass_peel_regressions(spec):
     assert ps.print_algebra(dec.rebuild(tree)) == ps.print_algebra(rebuilt)
     rngs = [(random.Random(s), 0.4) for s in range(12)]
     assert _assert_random_spec_peels_agree(spec, rngs) == "the view stack peels"
+
+
+# ---------------------------------------------------------------------------
+# the structural classifier against the arithmetic one
+#
+# The oracle is the classification as first written: tau(x) < u for
+# invertibility and not x * comp(u) < x for absorption, recomputed on every
+# call.
+
+
+def _arith_classify(view, u, nu, x):
+    if view.lt(view.tau(x), u):
+        return dec.GROUP_BELOW
+    k = _arith_top_kind(view, u, nu, x)
+    if k is not None:
+        return k
+    k = _arith_top_kind(view, u, nu, view.comp(x))
+    if k == dec.TOP_C:
+        return dec.BOT_C
+    if k == dec.TOP_PS:
+        return dec.BOT_PS
+    return dec.G2 if view.lt(view.x_down(x), x) else dec.INTERIOR
+
+
+def _arith_top_kind(view, u, nu, x):
+    d = view.mul(x, nu)
+    if not view.lt(d, x):
+        return None
+    below = view.x_down(x)
+    if below == x:
+        return dec.TOP_C
+    if view.lt(view.tau(below), u):
+        if view.mul(below, u) != x:
+            raise StructuralMismatch("invertible cover does not generate")
+        return dec.TOP_C
+    if below == d:
+        return dec.TOP_PS
+    raise StructuralMismatch("foreign cover")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PlexError as exc:
+        return type(exc)
+
+
+def _assert_classifier_matches_oracle(a, rngs, mutants=False):
+    view = dec.BaseChain(a)
+    u = dec.smallest_pos_idem(a)
+    nu = view.comp(u)
+    views = [view]
+    if mutants:
+        views += [lc.Mutant(a, "mul"), lc.Mutant(a, "comp")]
+    kinds = [dec.classifier(v, u) for v in views]
+    invertible, absorbs = view.invertible(u), view.absorber(nu)
+    for rng, marker_p in rngs:
+        x = ch.sample_elem(a, rng, marker_p=marker_p)
+        for y in (x, ch.comp(a, x)):
+            assert invertible(y) == ch.lt(a, ch.tau(a, y), u)
+            assert absorbs(y) == (not ch.lt(a, ch.mul(a, y, nu), y))
+            for v, kind in zip(views, kinds):
+                want = _outcome(_arith_classify, v, u, v.comp(u), y)
+                assert _outcome(kind, y) == want, (ps.print_elem(a, y), v)
+
+
+# fixtures with a second factor that is itself a chain: their elements
+# can carry a marker below a middle column
+NESTED_SECOND_FACTOR = ["II(Z, II(Z, Q))", "I(Q, full, I(Q, idx 1, Q))",
+                        "I(Q, idx 1, II(Z, Q))", "IV(Z, idx 2, II(Z, Q))"]
+PEELABLE_CASES = (sorted(n for n in SPECS if n not in ("Z", "Q", "LZZ", "LZQ"))
+                  + [f"tower{d}" for d in range(1, 6)] + NESTED_SECOND_FACTOR)
+
+
+def case_spec(name):
+    if name.startswith("tower"):
+        return _tower(int(name[len("tower"):]))
+    return SPECS.get(name, name)
+
+
+@pytest.mark.parametrize("name", PEELABLE_CASES)
+def test_classifier_matches_arithmetic(name):
+    spec = case_spec(name)
+    rngs = [(random.Random(s), p) for s in range(40) for p in (0.25, 0.6)]
+    _assert_classifier_matches_oracle(ps.parse_algebra(spec), rngs,
+                                      mutants=True)
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(4))
+def test_classifier_matches_arithmetic_on_random_specs(spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+        dec.smallest_pos_idem(a)
+    except PlexError:
+        reject()
+    _assert_classifier_matches_oracle(a, rngs)
+
+
+def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
+    a = ps.parse_algebra(_tower(5))
+    u = dec.smallest_pos_idem(a)
+    rng = random.Random(29)
+    xs = [ch.sample_elem(a, rng, marker_p=p) for p in (0.25, 0.6)
+          for _ in range(100)]
+    kind = lc._classifier(a, u)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for owner, name in ((ch, "tau"), (ch, "res"), (ch.ChainView, "tau"),
+                        (ch.ChainView, "res"), (ch, "g_member"),
+                        (gr, "g_member")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    kinds = collections.Counter(kind(x) for x in xs)
+    assert not calls, calls
+    assert len(kinds) > 2, kinds

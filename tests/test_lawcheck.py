@@ -7,7 +7,7 @@ import pytest
 from plexalg import decompose as dec
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
-from plexalg.errors import UnknownLaw, WrongBranch
+from plexalg.errors import PreconditionFailed, UnknownLaw, WrongBranch
 
 
 def test_named_registry_order():
@@ -71,6 +71,17 @@ def test_vacuous_cells_reported(alg):
     assert r.passed
     assert r.vacuous == ("prop8.2.4",)
     assert "vacuous=prop8.2.4" in r.render()
+
+
+def test_fully_vacuous_report_is_not_a_pass(alg):
+    r = lc.check_named(alg["A"], "prop8.2.4", budget=60, seed=0)
+    assert r.samples == 0 and r.passed
+    assert r.verdict == "VACUOUS"
+    assert r.render() == "LAW prop8.2.4 VACUOUS samples=0 vacuous=prop8.2.4"
+    partly = lc.check_table(alg["A"], 2, budget=20, seed=2)
+    assert partly.vacuous and partly.verdict == "PASS"
+    bad = lc.check_fle_laws(lc.Mutant(alg["A"], "mul"), budget=50, seed=1)
+    assert bad.verdict == "FAIL"
 
 
 def test_failing_report_carries_witness(alg):
@@ -170,3 +181,27 @@ def test_fle_laws_hold_on_every_peel_level(alg, spec):
         r = lc.check_fle_laws(view, budget=40, seed=1)
         assert r.passed, r.render()
         assert r.vacuous == ()
+
+
+@pytest.fixture(scope="module")
+def peel_level(alg):
+    E = alg["E"]
+    return dec.QuotientChain(E, dec.smallest_pos_idem(E))
+
+
+@pytest.mark.parametrize("check", [
+    lambda v: lc.check_named(v, "prop7.2.eqs", budget=20, seed=1),
+    lambda v: lc.check_named(v, "prop9.2", budget=20, seed=1),
+    lambda v: lc.check_table(v, 2, budget=20, seed=1),
+], ids=["prop7.2.eqs", "prop9.2", "table2"])
+def test_laws_reading_the_algebra_refuse_a_peel_level(peel_level, check):
+    with pytest.raises(PreconditionFailed, match="needs a view of an algebra"):
+        check(peel_level)
+
+
+@pytest.mark.parametrize("law", ["eq2.2", "prop2.3.5"])
+def test_arithmetic_laws_hold_on_a_peel_level(peel_level, law):
+    # prop2.3.5 reads the positive idempotents through the view
+    r = lc.check_named(peel_level, law, budget=40, seed=1)
+    assert r.verdict == "PASS", r.render()
+    assert r.vacuous == ()
