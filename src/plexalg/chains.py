@@ -43,7 +43,8 @@ Consumers reach the operations through one view protocol, at the end of
 this module: ChainView derives le, lt, res, tau and fconst from the
 primitives a subclass provides, and BaseChain binds them to an algebra.
 Law suites, homomorphism checks and peeling steps all use it, so each
-runs unchanged on an algebra, a peel level or a mutated algebra.  The
+runs unchanged on an algebra, a peel level or a mutated algebra (whose
+`clean` view is the uncorrupted one).  The
 view's invertibility and absorption tests and its fill_prefix builder
 are arithmetic by default; BaseChain answers them with the trusted
 predicates above.
@@ -940,6 +941,13 @@ class ChainView:
     def fill_prefix(self, h: tuple):
         """elem_from_prefix for a prefix known to name an element."""
         return self.elem_from_prefix(h)
+
+    @property
+    def clean(self) -> "ChainView":
+        """The uncorrupted view, which sampling predicates, classification
+        and windows read: the view itself, except for a view that corrupts
+        its own primitives on purpose."""
+        return self
 
     @property
     def prefix(self) -> int:

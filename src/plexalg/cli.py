@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from . import chains, decompose, lawcheck, parsing
-from .errors import ParseError, PlexError, UnknownLaw, WrongBranch
+from .errors import (OnlyUnitIdempotent, ParseError, PlexError, UnknownLaw,
+                     WrongBranch)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -21,6 +22,10 @@ EXIT_PRECONDITION = 2
 EXIT_LAW = 3
 
 _TABLES = {"table1": 1, "table2": 2, "table3": 3, "table4": 4}
+
+# laws that do not apply to a chain, reported as SKIP under --laws all
+_SKIPS = {WrongBranch: "wrong branch",
+          OnlyUnitIdempotent: "no idempotent above the unit"}
 
 
 class _UsageError(Exception):
@@ -117,9 +122,9 @@ def _report_rows(report, fmt: str) -> list[str]:
     ]
 
 
-def _skip_rows(law: str, fmt: str) -> list[str]:
+def _skip_rows(law: str, fmt: str, reason: str) -> list[str]:
     if fmt == "text":
-        return [f"LAW {law} SKIP wrong branch"]
+        return [f"LAW {law} SKIP {reason}"]
     return [f"{law}\tSKIP\t0\t-\t0"]
 
 
@@ -143,8 +148,8 @@ def _do_check(args) -> int:
         for law in ("fle",) + tuple(lawcheck.named_law_ids()):
             try:
                 report = _run_one(a, law, args.budget, args.seed)
-            except WrongBranch:
-                lines += _skip_rows(law, fmt)
+            except tuple(_SKIPS) as e:
+                lines += _skip_rows(law, fmt, _SKIPS[type(e)])
                 continue
             failed = failed or not report.passed
             lines += _report_rows(report, fmt)

@@ -30,6 +30,7 @@ ladder, never by inspecting the construction tree of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernel as kn
 from .build import build_sublex
@@ -343,10 +344,6 @@ class BetaChain(_ClassChain):
         return c.rep if isinstance(c, Component) else c.x
 
 
-def beta_algebra(a, u) -> BetaChain:
-    return BetaChain(a, u)
-
-
 # ---------------------------------------------------------------------------
 # gamma: glue extremes back onto their components
 
@@ -394,6 +391,9 @@ class QuotientChain(_ClassChain):
         self.entries = self.base.entries[1:]
         self._idems = None
         self._kind = classifier(self.base, u)
+        # a quotient of a quotient classifies the same few base elements
+        # over and over: each class operation classifies one level down
+        self.to_class = lru_cache(maxsize=64)(self.to_class)
 
     def describe(self) -> str:
         return "glued quotient of %s" % self.base.describe()
@@ -448,10 +448,6 @@ class QuotientChain(_ClassChain):
         if not isinstance(c, (Triple, GapPair, Plain)):
             return False
         return self.to_class(self.member(c)) == c
-
-
-def gamma_algebra(a, u) -> QuotientChain:
-    return QuotientChain(a, u)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +531,6 @@ class RestrictionChain(ChainView):
         return self.base.mul(self.base.sample(rng), self.u)
 
 
-def tau_ge_u_algebra(a, u) -> RestrictionChain:
-    return RestrictionChain(a, u)
-
-
 # ---------------------------------------------------------------------------
 # the closure that forgets one kernel
 
@@ -575,6 +567,15 @@ def _entry_eq(kind: str, p, q) -> bool:
     return entry_leq(kind, p, q) and entry_leq(kind, q, p)
 
 
+def _in_hull(con, ambient_kind: str, kind: str):
+    """A constraint on an ambient coordinate, read in a rebuilt coordinate
+    of the given kind: the whole of an integer direction kept as its hull
+    Q is the index-1 subgroup there."""
+    if con == FULL and ambient_kind == "Z" and kind == "Q":
+        return idx(1)
+    return con
+
+
 def _level_record(ambient, entries, idem_branch: bool):
     """RepLevel of the step from entries[0] to entries[1] plus its free
     kernel indices."""
@@ -585,22 +586,15 @@ def _level_record(ambient, entries, idem_branch: bool):
         gdesc = divisible_hull(GroupDesc(tuple(ambient[j] for j in free)))
     else:
         gdesc = TRIV_GROUP
-    ypart = []
-    for j in free:
-        if g0[j] != FULL:
-            ypart.append(g0[j])
-        elif ambient[j] == "Z":
-            ypart.append(idx(1))  # discrete direction inside its hull
-        else:
-            ypart.append(FULL)
-    ypart = tuple(ypart)
+    ypart = tuple(_in_hull(g0[j], ambient[j], "Q") for j in free)
     kept, child_desc = _rebuilt_coords(entries[1:], ambient)
-    zpart = tuple(g0[j] for j in kept)
+    coords = tuple(zip(kept, child_desc.kinds))
+    zpart = tuple(_in_hull(g0[j], ambient[j], k) for j, k in coords)
     if idem_branch:
         zsrc = e0.zconstr
         if zsrc is None:
             raise StructuralMismatch("quotient step without top-column data")
-        z = tuple(zsrc[j] for j in kept)
+        z = tuple(_in_hull(zsrc[j], ambient[j], k) for j, k in coords)
         full_ok = all(
             _entry_eq(child_desc.kinds[i], zpart[i], z[i])
             for i in range(len(kept)))

@@ -116,14 +116,6 @@ def idx(m: int):
     return ("idx", m)
 
 
-def sub_full(desc: GroupDesc):
-    return (FULL,) * desc.rank
-
-
-def sub_triv(desc: GroupDesc):
-    return (TRIV,) * desc.rank
-
-
 def sub_validate(desc: GroupDesc, sub):
     if not isinstance(sub, tuple) or len(sub) != desc.rank:
         raise InvalidSubgroup(

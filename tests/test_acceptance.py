@@ -175,7 +175,7 @@ def test_criterion_08_closure_cross_check(alg):
         win = lc.window_elems(a)
         image = {phi(x) for x in win}
         if dec.branch(a, u) == dec.IDEM_BRANCH:
-            q = dec.gamma_algebra(a, u)
+            q = dec.QuotientChain(a, u)
             ok = ok and all(phi(x) == q.class_max(q.to_class(x)) for x in win)
             ok = ok and image == {q.class_max(q.to_class(x)) for x in win}
         else:

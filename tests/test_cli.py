@@ -126,6 +126,30 @@ def test_check_all_skips_wrong_branch(capsys, spec_file):
         ["fle"] + list(lawcheck.named_law_ids())
 
 
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+@pytest.mark.parametrize("spec", ["Z", "Lex(Z, Q)"])
+def test_check_all_skips_laws_needing_a_second_idempotent(capsys, spec_file,
+                                                          spec, fmt):
+    # a group has only the unit idempotent: the laws at the least strictly
+    # positive idempotent do not apply, fle and the arithmetic laws do
+    code, out, _ = run(capsys, "check", "-f", spec_file(spec), "--laws",
+                       "all", "--budget", "20", "--format", fmt)
+    assert code == 0
+    ids = ("fle",) + lawcheck.named_law_ids()
+    at_u = ids[ids.index("prop7.2.eqs"):]
+    if fmt == "text":
+        lines = out.splitlines()
+        assert [l.split()[1] for l in lines] == list(ids)
+        assert lines[-len(at_u):] == [
+            f"LAW {law} SKIP no idempotent above the unit" for law in at_u]
+        assert all(" PASS " in l for l in lines[:-len(at_u)])
+    else:
+        rows = [l.split("\t") for l in out.splitlines()[1:]]
+        assert [r[:3] for r in rows[-len(at_u):]] == \
+            [[law, "SKIP", "0"] for law in at_u]
+        assert {r[1] for r in rows[:-len(at_u)]} == {"PASS"}
+
+
 def test_check_explicit_wrong_branch_exits_2(capsys, spec_file):
     path = spec_file("II(Z, Q)")
     code, _, err = run(capsys, "check", "-f", path, "--laws", "table1")

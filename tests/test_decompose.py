@@ -121,7 +121,7 @@ def test_beta_collapses_components(alg):
 def test_beta_algebra_is_a_monoid_quotient(alg):
     B = alg["B"]
     u = dec.smallest_pos_idem(B)
-    bq = dec.beta_algebra(B, u)
+    bq = dec.BetaChain(B, u)
     rng = random.Random(2)
     for _ in range(200):
         x, y = ch.sample_elem(B, rng), ch.sample_elem(B, rng)
@@ -134,7 +134,7 @@ def test_gamma_needs_idempotent_branch(alg):
     A = alg["A"]
     u = dec.smallest_pos_idem(A)
     with pytest.raises(WrongBranch):
-        dec.gamma_algebra(A, u)
+        dec.QuotientChain(A, u)
     with pytest.raises(WrongBranch):
         dec.gamma(A, u, dec.beta(A, u, ch.unit(A)))
 
@@ -143,14 +143,14 @@ def test_restriction_needs_non_idempotent_branch(alg):
     B = alg["B"]
     u = dec.smallest_pos_idem(B)
     with pytest.raises(WrongBranch):
-        dec.tau_ge_u_algebra(B, u)
+        dec.RestrictionChain(B, u)
 
 
 def test_gamma_classes_are_intervals(alg):
     for name in ("B", "V3"):
         a = alg[name]
         u = dec.smallest_pos_idem(a)
-        q = dec.gamma_algebra(a, u)
+        q = dec.QuotientChain(a, u)
         for x in lc.window_elems(a, bound=2, max_den=2):
             c = q.to_class(x)
             assert ch.le(a, q.class_min(c), x)
@@ -160,7 +160,7 @@ def test_gamma_classes_are_intervals(alg):
 def test_gamma_glues_extremes_to_their_component(alg):
     B = alg["B"]
     u = dec.smallest_pos_idem(B)
-    q = dec.gamma_algebra(B, u)
+    q = dec.QuotientChain(B, u)
     mid = ps.parse_elem(B, "(3, 1/2)")
     top = ps.parse_elem(B, "(3, T)")
     bot = ps.parse_elem(B, "(3, B)")
@@ -174,7 +174,7 @@ def test_gamma_glues_extremes_to_their_component(alg):
 def test_restriction_behaves_like_a_unit_shift(alg):
     A = alg["A"]
     u = dec.smallest_pos_idem(A)
-    rc = dec.tau_ge_u_algebra(A, u)
+    rc = dec.RestrictionChain(A, u)
     assert rc.unit() == u
     rng = random.Random(4)
     for _ in range(200):
@@ -188,7 +188,7 @@ def test_restriction_behaves_like_a_unit_shift(alg):
 def test_restriction_covers_on_v4(alg):
     V4 = alg["V4"]
     u = dec.smallest_pos_idem(V4)
-    rc = dec.tau_ge_u_algebra(V4, u)
+    rc = dec.RestrictionChain(V4, u)
     x = ps.parse_elem(V4, "(1, T)")
     assert ps.print_elem(V4, rc.x_down(x)) == "(0, T)"
     assert ps.print_elem(V4, rc.x_up(x)) == "(2, T)"
@@ -483,6 +483,13 @@ REGRESSION_SPECS = [
     # the discreteness probe once ignored the level constraints, so the
     # rebuild of this tower failed with "could not sample the group part"
     "IV(II(Lex(Z, Z), Z), triv, IV(Z, idx 1, Lex(Z, Q)))",
+    # an integer direction that the rebuilt child keeps as its hull Q was
+    # copied as "full" into the level's restriction or top-column subgroup,
+    # so the rebuild raised SubgroupChainViolated
+    "I(Q, idx 3, II(Z, Z))",
+    "II(II(Lex(Z, Z), Lex(Z, Z)), Z)",
+    "II(I(Q, full, Z), III(Z, idx 1, triv, 1))",
+    "I(I(1, full, 1), full, III(Z, full, idx 3, 1))",
 ]
 
 
@@ -624,7 +631,7 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
     rng = random.Random(29)
     xs = [ch.sample_elem(a, rng, marker_p=p) for p in (0.25, 0.6)
           for _ in range(100)]
-    kind = lc._classifier(a, u)
+    kind = dec.classifier(dec.BaseChain(a), u)
     calls = collections.Counter()
 
     def counted(name, fn):
