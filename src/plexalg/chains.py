@@ -18,7 +18,7 @@ takes the algebra as explicit first argument.  Comparison is
 lexicographic with B < M(...) < T in the second slot.
 
 Validation happens at the boundary only: parsing (elem_check),
-sampling (sample_elem), building (build), validate_elem, from_gvec and
+sampling (sample_elem), building (build), validate_elem and
 elem_from_prefix check every coordinate and column constraint.  The
 operations (mul, comp, cmp_elems, x_up, x_down, ...) and the trusted
 predicates take valid elements and do not re-check them:
@@ -27,21 +27,25 @@ predicates take valid elements and do not re-check them:
   group part (invertibility) is just the absence of any T/B marker;
 * zset_member and mid_capable: the marker test plus one constraint check;
 * absorber(a, e): the test x -> x*e == x, read off x's marker slots;
-* _elem_from_prefix_raw and _from_gvec_raw: elem_from_prefix and
-  from_gvec without their checks, for prefixes known to name an element.
+* _elem_from_prefix_raw and _from_gvec_raw: elem_from_prefix and its
+  full-length case without checks, for prefixes known to name an element.
 
-in_group_part stays the full check for raw values.
+in_group_part stays the full check for raw values.  The complement is an
+order-reversing involution, so the upper side derives from the lower one,
+as res and tau do: x_up (above the group leaves) and ChainView.x_up are
+comp(x_down(comp(p))), and universe_max is comp(universe_min).
 
 The module also computes, per algebra, a structural "ladder": one flat
 coordinate view of the group part per reduction level, recording how many
 ambient coordinates that level keeps and which per-coordinate constraints
 cut the level's group out of them.  The decomposition layer consumes
 algebras only through the generic operations plus this ladder, never by
-inspecting the construction tree of the input.
+inspecting the construction tree of the input.  H is read only to build
+the ladder: sublex slices read the Y part of the outermost entry.
 
 Consumers reach the operations through one view protocol, at the end of
-this module: ChainView derives le, lt, res, tau and fconst from the
-primitives a subclass provides, and BaseChain binds them to an algebra.
+this module: ChainView derives le, lt, res, tau, fconst and x_up from
+the primitives a subclass provides, and BaseChain binds them to an algebra.
 Law suites, homomorphism checks and peeling steps all use it, so each
 runs unchanged on an algebra, a peel level or a mutated algebra (whose
 `clean` view is the uncorrupted one).  The
@@ -128,13 +132,8 @@ def merge_constr_vec(a, b):
     return tuple(merge_constr(x, y) for x, y in zip(a, b))
 
 
-def constr_ok(constraints, vec, offset=0, full_vec=None) -> bool:
-    """Check a raw coordinate vector against per-coordinate constraints.
-
-    Graph constraints point at absolute ambient indices, so the full
-    ambient vector is needed when the checked slice does not start at 0.
-    """
-    ref = full_vec if full_vec is not None else vec
+def constr_ok(constraints, vec) -> bool:
+    """Check a raw coordinate vector against per-coordinate constraints."""
     for i, con in enumerate(constraints):
         v = vec[i]
         if con == FULL:
@@ -146,7 +145,7 @@ def constr_ok(constraints, vec, offset=0, full_vec=None) -> bool:
             if not coord_in_sub(con, v):
                 return False
         else:  # graph
-            if v != kn.rmul(con[1], ref[con[2] - offset]):
+            if v != kn.rmul(con[1], vec[con[2]]):
                 return False
     return True
 
@@ -388,14 +387,6 @@ def to_gvec(a: Algebra, x) -> tuple:
     return to_gvec(a.x, first) + to_gvec(a.y, second[1])
 
 
-def from_gvec(a: Algebra, vec: tuple):
-    """Group-part element from a flat vector (validated)."""
-    el = _from_gvec_raw(a, vec)
-    if not in_group_part(a, el):
-        raise InvalidElement("vector outside the group part")
-    return el
-
-
 def _from_gvec_raw(a: Algebra, vec: tuple):
     if a.is_leaf:
         if len(vec) != a.group.rank:
@@ -586,32 +577,26 @@ def tau(a: Algebra, p):
 #
 # The middle columns over a fixed first coordinate form one "slice":
 # the whole universe of Y for plain nodes, a coset pattern cut out by H
-# for sublex nodes.  Cover steps inside a slice drive cover steps of the
-# algebra.
+# for sublex nodes, whose Y is a group leaf.  Cover steps inside a slice
+# drive cover steps of the algebra.
+
+
+def _y_constraints(a: Algebra):
+    """Constraints of a sublex node's slices on its Y leaf: the Y part of
+    the outermost ladder entry.  A graph entry points at an ambient index
+    of the first side."""
+    return a._structure.entries[0].gconstr[a.xlen:]
 
 
 def slice_member(a: Algebra, first, yv) -> bool:
+    """yv lies in the slice over first.
+
+    Precondition: first is a valid element of a.x that admits middle
+    columns."""
     if not a.is_sublex:
         return validate_elem(a.y, yv)
-    if not g_member(a.y.group, yv):
-        return False
-    h = a.h
-    if isinstance(h, FullH):
-        return True
-    if isinstance(h, ProdH):
-        return constr_ok(h.ypart, yv)
-    return yv[0] == kn.rmul(h.c, to_gvec(a.x, first)[-1])
-
-
-def _ypart_constraints(a: Algebra):
-    """Per-coordinate constraints of sublex slices over the Y leaf."""
-    h = a.h
-    rank = a.y.group.rank
-    if isinstance(h, ProdH):
-        return h.ypart
-    if isinstance(h, GraphH):
-        return (("pinned",),)  # determined by the first side
-    return (FULL,) * rank
+    return (g_member(a.y.group, yv) and constr_ok(
+        a._structure.entries[0].gconstr, to_gvec(a.x, first) + yv))
 
 
 def slice_step_down(a: Algebra, first, yv):
@@ -628,26 +613,13 @@ def slice_step_down(a: Algebra, first, yv):
     return tuple(out)
 
 
-def slice_step_up(a: Algebra, first, yv):
-    if not a.is_sublex:
-        above = x_up(a.y, yv)
-        return None if above == yv else above
-    step = _slice_step(a)
-    if step is None:
-        return None
-    i, m = step
-    out = list(yv)
-    out[i] = kn.radd(out[i], m)
-    return tuple(out)
-
-
 def _slice_step(a: Algebra):
     """(coordinate, step) generating covers of a sublex slice, or None."""
-    cons = _ypart_constraints(a)
+    cons = _y_constraints(a)
     kinds = a.y.group.kinds
     for i in range(len(cons) - 1, -1, -1):
         con = cons[i]
-        if con == TRIV or con[0] == "pinned":
+        if con == TRIV or con[0] == "graph":
             continue
         if con[0] == "idx":
             return (i, kn.rmake(con[1]))
@@ -669,17 +641,13 @@ def slice_max(a: Algebra, first):
 
 
 def _slice_pinned_value(a: Algebra, first):
-    """A sublex slice is bounded only when every coordinate is pinned."""
-    cons = _ypart_constraints(a)
-    if any(c != TRIV and c[0] != "pinned" for c in cons):
+    """A sublex slice is bounded only when every coordinate is pinned:
+    to 0, or by a graph to the first side."""
+    cons = _y_constraints(a)
+    if any(c != TRIV and c[0] != "graph" for c in cons):
         return None
-    out = []
-    for c in cons:
-        if c == TRIV:
-            out.append(kn.ZERO)
-        else:
-            out.append(kn.rmul(a.h.c, to_gvec(a.x, first)[-1]))
-    return tuple(out)
+    return tuple(kn.ZERO if c == TRIV
+                 else kn.rmul(c[1], to_gvec(a.x, first)[c[2]]) for c in cons)
 
 
 # ---------------------------------------------------------------------------
@@ -702,14 +670,10 @@ def universe_min(a: Algebra):
 
 
 def universe_max(a: Algebra):
-    if a.is_leaf:
-        return () if a.group.rank == 0 else None
-    xmax = universe_max(a.x)
-    if xmax is None:
-        return None
-    if a.family == "t":
-        return (xmax, TOP)
-    return (xmax, TOP) if zset_member(a, xmax) else (xmax, BOT)
+    """Greatest element of the universe, or None when unbounded above:
+    the complement of the least one."""
+    m = universe_min(a)
+    return None if m is None else comp(a, m)
 
 
 def _column_max(a: Algebra, first):
@@ -750,39 +714,16 @@ def x_down(a: Algebra, p):
 
 
 def x_up(a: Algebra, p):
-    """Least element strictly above p, or p itself when none exists."""
+    """Least element strictly above p, or p itself when none exists.
+
+    The complement reverses the order, so above the group leaves this is
+    the cover below, mirrored: comp(x_down(comp(p)))."""
     if a.is_leaf:
         k = a.group.kinds
         if k and k[-1] == "Z":
             return p[:-1] + (kn.radd(p[-1], kn.ONE),)
         return p
-    first, second = p
-    if is_mid(second):
-        yv = second[1]
-        above = slice_step_up(a, first, yv)
-        if above is not None:
-            return (first, mid(above))
-        if slice_max(a, first) == yv:
-            return (first, TOP)
-        return p
-    if second == BOT:
-        if mid_capable(a, first):
-            m = slice_min(a, first)
-            return p if m is None else (first, mid(m))
-        if zset_member(a, first):
-            return (first, TOP)
-        xu = x_up(a.x, first)
-        return (xu, BOT) if xu != first else p
-    # second == TOP
-    xu = x_up(a.x, first)
-    if xu == first:
-        return p
-    if a.family == "tb":
-        return (xu, BOT)
-    if mid_capable(a, xu):
-        m = slice_min(a, xu)
-        return p if m is None else (xu, mid(m))
-    return (xu, TOP)
+    return comp(a, x_down(a, comp(a, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -863,22 +804,12 @@ def sample_elem(a: Algebra, rng, magnitude: int = 6, denominator: int = 8,
             return (_from_gvec_raw(a.x, vec), TOP)
         first = sample_elem(a.x, rng, magnitude, denominator, marker_p)
         return (first, TOP)
+    if a.is_sublex:  # a middle column of a sublex node is a group element
+        return _from_gvec_raw(
+            a, sample_gvec(a, s.entries[0].gconstr, rng, magnitude, denominator))
     first = _from_gvec_raw(
         a.x, sample_gvec(a.x, s.vconstr, rng, magnitude, denominator))
-    if not a.is_sublex:
-        return (first, mid(sample_elem(a.y, rng, magnitude, denominator, marker_p)))
-    cons = list(_ypart_constraints(a))
-    yv = []
-    for j, con in enumerate(cons):
-        if con == TRIV:
-            yv.append(kn.ZERO)
-        elif con == FULL:
-            yv.append(sample_rat(rng, a.y.group.kinds[j], magnitude, denominator))
-        elif con[0] == "idx":
-            yv.append(kn.rmake(con[1] * rng.randint(-magnitude, magnitude)))
-        else:  # pinned by a graph: value set by the first side
-            yv.append(kn.rmul(a.h.c, to_gvec(a.x, first)[-1]))
-    return (first, mid(tuple(yv)))
+    return (first, mid(sample_elem(a.y, rng, magnitude, denominator, marker_p)))
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +855,10 @@ class ChainView:
     def fconst(self):
         """Falsity constant; equals the unit in these odd chains."""
         return self.unit()
+
+    def x_up(self, p):
+        """Cover above, mirrored from the cover below by the complement."""
+        return self.comp(self.x_down(self.comp(p)))
 
     # tests and a builder for elements the caller drew or computed itself;
     # BaseChain answers them structurally, other views by arithmetic

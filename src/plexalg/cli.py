@@ -88,21 +88,17 @@ def _do_build(args) -> int:
     return EXIT_OK
 
 
+# eval operations whose value is an element, by their name in chains
+# (looked up per call, so a wrapper installed on the module is seen)
+_ELEM_OPS = {"mul": "mul", "res": "res", "comp": "comp", "tau": "tau",
+             "down": "x_down", "up": "x_up"}
+
+
 def _do_eval(args) -> int:
     a = _load(args.spec)
     op, *elems = parsing.parse_expr(a, args.expr)
-    if op == "mul":
-        print(parsing.print_elem(a, chains.mul(a, *elems)))
-    elif op == "res":
-        print(parsing.print_elem(a, chains.res(a, *elems)))
-    elif op == "comp":
-        print(parsing.print_elem(a, chains.comp(a, *elems)))
-    elif op == "tau":
-        print(parsing.print_elem(a, chains.tau(a, *elems)))
-    elif op == "down":
-        print(parsing.print_elem(a, chains.x_down(a, *elems)))
-    elif op == "up":
-        print(parsing.print_elem(a, chains.x_up(a, *elems)))
+    if op in _ELEM_OPS:
+        print(parsing.print_elem(a, getattr(chains, _ELEM_OPS[op])(a, *elems)))
     elif op == "le":
         print("true" if chains.le(a, *elems) else "false")
     elif op == "unit":

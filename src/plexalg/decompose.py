@@ -427,11 +427,6 @@ class QuotientChain(_ClassChain):
         below = self.base.x_down(low)
         return c if below == low else self.to_class(below)
 
-    def x_up(self, c):
-        high = self.class_max(c)
-        above = self.base.x_up(high)
-        return c if above == high else self.to_class(above)
-
     def pos_idems(self) -> tuple:
         if self._idems is None:
             self._idems = tuple(
@@ -497,16 +492,6 @@ class RestrictionChain(ChainView):
         if below != p and not self.contains(below):
             raise StructuralMismatch("cover below leaves the restriction")
         return below
-
-    def x_up(self, p):
-        cp = self.base.comp(p)
-        d = self.base.mul(cp, self.nu)
-        if self.base.lt(d, cp):
-            return self.base.comp(d)
-        above = self.base.x_up(p)
-        if above != p and not self.contains(above):
-            raise StructuralMismatch("cover above leaves the restriction")
-        return above
 
     def pos_idems(self) -> tuple:
         if self._idems is None:

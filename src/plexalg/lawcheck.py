@@ -27,7 +27,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, partial
 from itertools import groupby, product
 
 from . import decompose as dec
@@ -221,17 +221,32 @@ class _Run:
         )
 
 
-def _fmt_for(view):
-    """Witness formatter: print through the view's algebra, if any."""
+def _printer(view):
+    """Element printer of a view: print_elem on a view of an algebra; on a
+    peel level, through its base, a class as [a member of it]."""
     a = getattr(view, "a", None)
+    if a is not None:
+        return partial(print_elem, a)
+    base = getattr(view, "base", None)
+    if base is None:
+        return repr
+    below = _printer(base)
+    member = getattr(view, "member", None)
+    if member is None:  # a restriction keeps the elements of its base
+        return below
+    return lambda c: "[%s]" % below(member(c))
+
+
+def _fmt_for(view):
+    """Witness formatter: print through _printer, and show a value it
+    cannot print by its repr."""
+    shown = _printer(view)
 
     def one(v):
-        if a is not None:
-            try:
-                return print_elem(a, v)
-            except Exception:
-                pass
-        return repr(v)
+        try:
+            return shown(v)
+        except Exception:
+            return repr(v)
 
     def fmt(inputs, lhs, rhs):
         ins = "; ".join(one(v) for v in inputs)

@@ -647,3 +647,116 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
     kinds = collections.Counter(kind(x) for x in xs)
     assert not calls, calls
     assert len(kinds) > 2, kinds
+
+
+# ---------------------------------------------------------------------------
+# covers: the cover above and the cover below undo each other, on algebras
+# and on every peel level
+
+
+def _peel_levels(view):
+    """The peel levels below a view, outermost first: each step quotients
+    or restricts at the least strictly positive idempotent, as the branch
+    says, until only the unit idempotent is left."""
+    levels = []
+    while len(view.pos_idems()) > 1:
+        u = dec.smallest_pos_idem(view)
+        if dec.branch(view, u) == dec.IDEM_BRANCH:
+            view = dec.QuotientChain(view, u)
+        else:
+            view = dec.RestrictionChain(view, u)
+        levels.append(view)
+    return levels
+
+
+def _assert_covers_mutual(view, xs):
+    for p in xs:
+        q = view.x_up(p)
+        assert q == p or (view.lt(p, q) and view.x_down(q) == p), (p, q)
+        d = view.x_down(p)
+        assert d == p or (view.lt(d, p) and view.x_up(d) == p), (p, d)
+
+
+def _assert_covers_mutual_everywhere(a, rngs):
+    xs = [ch.sample_elem(a, rng, marker_p=p) for rng, p in rngs]
+    view = dec.BaseChain(a)
+    _assert_covers_mutual(view, xs)
+    for level in _peel_levels(view):
+        # carry the samples down: a quotient takes their classes, a
+        # restriction projects them by * u
+        if isinstance(level, dec.QuotientChain):
+            xs = [level.to_class(x) for x in xs]
+        else:
+            xs = [level.base.mul(x, level.u) for x in xs]
+        _assert_covers_mutual(level, xs)
+
+
+COVER_CASES = sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("name", COVER_CASES)
+def test_covers_are_mutual(name):
+    a = ps.parse_algebra(case_spec(name))
+    rngs = [(random.Random(s), p) for s in range(30) for p in (0.25, 0.6)]
+    _assert_covers_mutual_everywhere(a, rngs)
+
+
+@settings(max_examples=120,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(8))
+def test_covers_are_mutual_on_random_specs(spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_covers_mutual_everywhere(a, rngs)
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline on random specs: build, laws, represent, rebuild,
+# the alpha map and the lex embedding
+
+
+def _assert_pipeline(spec, seed):
+    try:
+        a = ps.parse_algebra(spec)
+    except PlexError:
+        reject()
+    r = lc.check_fle_laws(a, budget=10, seed=seed)
+    assert r.passed, r.render()
+    tree = dec.group_representation(a)
+    tree2, rebuilt, alpha = dec.representation_embedding(a)
+    assert tree2 == tree
+    again = dec.rebuild(tree)
+    assert ps.print_algebra(again) == ps.print_algebra(rebuilt)
+    assert dec.group_representation(again) == tree  # represent∘rebuild
+    r = lc.check_hom(alpha, a, rebuilt, budget=10, seed=seed, law="alpha")
+    assert r.passed, r.render()
+    monoid, lex = dec.lex_embedding(a)
+    r = lc.check_hom(lex, a, monoid, budget=10, seed=seed, law="lex")
+    assert r.passed, r.render()
+    monoid2, lex2 = dec.lex_embedding(rebuilt)
+    assert (monoid2.describe(), monoid2.parts) == \
+        (monoid.describe(), monoid.parts)
+    rng = random.Random(seed)
+    for p in (0.25, 0.6):
+        for _ in range(6):
+            x = ch.sample_elem(a, rng, marker_p=p)
+            assert lex2(alpha(x)) == lex(x), ps.print_elem(a, x)
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), seed=st.integers(0, 999))
+def test_pipeline_on_random_specs(spec, seed):
+    _assert_pipeline(spec[0], seed)
+
+
+@settings(max_examples=40,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=_specs(4), seed=st.integers(0, 999))
+def test_pipeline_on_random_depth4_specs(spec, seed):
+    _assert_pipeline(spec[0], seed)

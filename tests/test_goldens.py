@@ -1,10 +1,15 @@
-"""Law reports against the recorded benchmark goldens.
+"""Law reports and CLI output against the recorded benchmark goldens.
 
 perfbench/goldens/check-fixtures.json records, for each input set, the
 outcome of every law and table on every benchmark fixture: a digest of
 the report, or the error class it raised.  Replaying one input set here
 makes any change to what a law draws, checks or reports fail the test
-suite, not only the benchmark.  The goldens file is only read.
+suite, not only the benchmark.
+
+perfbench/goldens/cli-verbs.json records the exit code and standard
+output of every short CLI call of every input set; they are replayed
+in-process, so CLI output stays byte-identical.  The goldens files are
+only read.
 """
 
 import hashlib
@@ -13,14 +18,15 @@ from pathlib import Path
 
 import pytest
 
+from plexalg import cli
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.errors import PlexError
 
-GOLDENS = json.loads(
-    (Path(__file__).resolve().parent.parent
-     / "perfbench" / "goldens" / "check-fixtures.json").read_text())
+GOLDENS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+GOLDENS = json.loads((GOLDENS_DIR / "check-fixtures.json").read_text())
 SLOT = 0  # the input set replayed
+CLI_GOLDENS = json.loads((GOLDENS_DIR / "cli-verbs.json").read_text())
 
 
 def _outcome(a, law, budget, seed) -> str:
@@ -49,3 +55,16 @@ def test_law_reports_match_the_goldens(fixture):
         got[key] = _outcome(a, law, GOLDENS["budget"], seed)
         want[key] = expected[key]
     assert got == want
+
+
+@pytest.mark.parametrize("slot", range(CLI_GOLDENS["slots"]))
+def test_cli_output_matches_the_goldens(slot, tmp_path, capsys):
+    for name, text in CLI_GOLDENS["files"].items():
+        (tmp_path / name).write_text(text)
+    for call in CLI_GOLDENS["calls"][slot]:
+        args = [str(tmp_path / a[1:]) if a.startswith("@") else a
+                for a in call["args"]]
+        code = cli.main(args)
+        out = capsys.readouterr().out.encode()
+        assert (code, out) == (call["exit"], call["stdout"].encode()), \
+            call["name"]

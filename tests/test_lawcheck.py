@@ -2,10 +2,11 @@
 
 import dataclasses
 import functools
+import re
 
 import pytest
 from conftest import SPECS
-from test_decompose import case_spec
+from test_decompose import _peel_levels, case_spec
 
 from plexalg import decompose as dec
 from plexalg import lawcheck as lc
@@ -164,21 +165,6 @@ def test_report_is_frozen(alg):
         r.samples = 0
 
 
-def _peel_levels(view):
-    """The peel levels below a view, outermost first: each step quotients
-    or restricts at the least strictly positive idempotent, as the branch
-    says, until only the unit idempotent is left."""
-    levels = []
-    while len(view.pos_idems()) > 1:
-        u = dec.smallest_pos_idem(view)
-        if dec.branch(view, u) == dec.IDEM_BRANCH:
-            view = dec.QuotientChain(view, u)
-        else:
-            view = dec.RestrictionChain(view, u)
-        levels.append(view)
-    return levels
-
-
 @pytest.mark.parametrize("spec", [
     "A", "B", "C", "G", "E", "V3", "V3b", "V4", "V4b",
     "I(I(II(Z, Q), full, Q), full, Q)",
@@ -298,6 +284,12 @@ def _mul_corrupted(step):
     return Corrupted
 
 
+# a raw repr names a class payload, quotes a marker, or shows the kernel's
+# (numerator, denominator) pair in a one-coordinate vector
+_RAW_REPR = re.compile(
+    r"Triple|Component|GapPair|Plain|Singleton|'[TBM]'|\(-?\d+, \d+\),\)")
+
+
 @pytest.mark.parametrize("spec,step", [
     ("I(II(Z, Q), full, Q)", dec.QuotientChain),
     ("II(II(Z, Z), II(Z, Q))", dec.RestrictionChain),
@@ -311,6 +303,9 @@ def test_checks_fail_on_a_corrupted_peel_level(spec, step):
     laws = ["prop7.2.eqs"] + [f"table{t}" for t in tables]
     bad = [_check(level, law, budget=60, seed=1) for law in laws]
     assert [r.verdict for r in bad] == ["FAIL"] * 3, [r.render() for r in bad]
+    # witnesses print through the base algebra, a class as [member]
+    for r in bad:
+        assert not _RAW_REPR.search(r.witness), r.witness
     good = [_check(level.clean, law, budget=60, seed=1) for law in laws]
     assert [r.verdict for r in good] == ["PASS"] * 3, \
         [r.render() for r in good]
