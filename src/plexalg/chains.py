@@ -433,7 +433,8 @@ def _elem_from_prefix_raw(a: Algebra, h: tuple):
             raise InvalidElement("prefix arity %d, expected %d" % (len(h), a.group.rank))
         return h
     xlen = a.xlen
-    if len(h) <= xlen:
+    # a prefix as long as the group part is full-length, also when Y has rank 0
+    if len(h) < xlen or len(h) == xlen < len(a._structure.ambient):
         first = (_elem_from_prefix_raw(a.x, h) if len(h) < xlen
                  else _from_gvec_raw(a.x, h))
         return (first, BOT if a.family == "tb" else TOP)

@@ -7,10 +7,14 @@ a canonical coset representative and a kernel offset, and the elements
 with local unit at least u form the skeleton that remains after the step.
 Two shapes occur:
 
-* the complement of u is idempotent: the chain maps onto a quotient whose
-  elements are the beta/gamma classes below (QuotientChain);
+* the complement of u is idempotent: the chain maps onto a quotient by
+  the beta/gamma classes below (QuotientChain);
 * it is not: the skeleton itself is a chain under the restricted
   operations (RestrictionChain).
+
+Both step views keep elements of their base, ordered as there: a class
+is an interval of the base and is named by its canonical member, so every
+element of every peel level is an element of the input algebra.
 
 Iterating the step yields a representation tree: a base group plus one
 level record per step, each holding the step shape, the distinguished
@@ -89,49 +93,6 @@ CLASS_KINDS = (GROUP_BELOW, TOP_C, BOT_C, TOP_PS, BOT_PS, G2, INTERIOR)
 # the two peeling steps at the least strictly positive idempotent
 IDEM_BRANCH = "IdemBranch"
 NONIDEM_BRANCH = "NonIdemBranch"
-
-
-# ---------------------------------------------------------------------------
-# class payloads
-
-
-@dataclass(frozen=True)
-class Component:
-    """Coset of the step kernel, named by its canonical representative."""
-
-    rep: object
-
-
-@dataclass(frozen=True)
-class Singleton:
-    """One-element class of a non-invertible element."""
-
-    x: object
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A component glued with its adjoined extremes."""
-
-    rep: Component
-
-
-@dataclass(frozen=True)
-class GapPair:
-    """A two-element covering pair of pseudo extremes, named by the upper."""
-
-    upper: object
-
-
-@dataclass(frozen=True)
-class Plain:
-    """Class of an element no gluing touches."""
-
-    x: object
-
-
-BetaClass = Component | Singleton
-GammaClass = Triple | GapPair | Plain
 
 
 @dataclass(frozen=True)
@@ -268,13 +229,17 @@ def _canonical_fill(view: ChainView, head: tuple):
     return view.fill_prefix(tuple(vec))
 
 
+def _rep_of(view: ChainView, x):
+    """Canonical representative of the kernel coset of x, for x invertible."""
+    return _canonical_fill(view, view.partial_vec(x)[: view.entries[1].prefix])
+
+
 def coset_rep(a, u, x):
-    """Canonical representative of the kernel coset of an invertible x."""
+    """_rep_of with its precondition checked."""
     view = _as_view(a)
     if not view.lt(view.tau(x), u):
         raise PreconditionFailed("coset representatives exist below u only")
-    head = view.partial_vec(x)[: view.entries[1].prefix]
-    return _canonical_fill(view, head)
+    return _rep_of(view, x)
 
 
 def _free_tail(entries) -> tuple:
@@ -290,39 +255,30 @@ def _rep_of_top(view: ChainView, x):
 
 
 # ---------------------------------------------------------------------------
-# beta: components of invertibles, singletons elsewhere
+# the two step views: both keep elements of their base, ordered as there
 
 
-def beta(a, u, x) -> BetaClass:
-    view = _as_view(a)
-    if view.lt(view.tau(x), u):
-        return Component(coset_rep(view, u, x))
-    return Singleton(x)
-
-
-class _ClassChain(ChainView):
-    """Quotient of a view at its least strictly positive idempotent u.
-
-    Elements are classes; operations act through class members.
-    Subclasses name the classes: to_class maps an element of the base to
-    its class, member picks a member of a class."""
+class _Step(ChainView):
+    """One peeling step of a view at its least strictly positive u."""
 
     def __init__(self, base, u):
         self.base = _as_view(base)
         _check_least(self.base, u)
         self.u = u
         self.nu = self.base.comp(u)
+        self.cmp = self.base.cmp
+
+
+class _ClassChain(_Step):
+    """Quotient of a view at u.  A class is an interval of the base, named
+    by its canonical member, which is an element of the base: to_class
+    maps an element of the base to the member of its class."""
 
     def mul(self, p, q):
-        return self.to_class(self.base.mul(self.member(p), self.member(q)))
+        return self.to_class(self.base.mul(p, q))
 
     def comp(self, p):
-        return self.to_class(self.base.comp(self.member(p)))
-
-    def cmp(self, p, q) -> int:
-        if p == q:
-            return 0
-        return self.base.cmp(self.member(p), self.member(q))
+        return self.to_class(self.base.comp(p))
 
     def unit(self):
         return self.to_class(self.base.unit())
@@ -331,52 +287,58 @@ class _ClassChain(ChainView):
         return self.to_class(self.base.sample(rng))
 
 
+# ---------------------------------------------------------------------------
+# beta: components of invertibles, singletons elsewhere
+
+
+def beta(a, u, x):
+    """Member of the beta class of x: the coset representative of an
+    invertible x, x itself otherwise."""
+    view = _as_view(a)
+    return _rep_of(view, x) if view.lt(view.tau(x), u) else x
+
+
 class BetaChain(_ClassChain):
     """Quotient by beta."""
 
     def describe(self) -> str:
         return "component quotient of %s" % self.base.describe()
 
-    def to_class(self, x) -> BetaClass:
+    def to_class(self, x):
         return beta(self.base, self.u, x)
-
-    def member(self, c):
-        return c.rep if isinstance(c, Component) else c.x
 
 
 # ---------------------------------------------------------------------------
 # gamma: glue extremes back onto their components
 
 
-def gamma(a, u, b: BetaClass) -> GammaClass:
+def gamma(a, u, b):
+    """Member of the gamma class of the beta class b."""
     view = _as_view(a)
     nu = view.comp(u)
     if view.mul(nu, nu) != nu:
         raise WrongBranch(
             "gluing classes need an idempotent complement of u")
-    if isinstance(b, Component):
-        return Triple(Component(b.rep))
     _check_least(view, u)
-    return _gamma_of_elem(view, classifier(view, u), b.x)
+    return _gamma_of_elem(view, classifier(view, u), b)
 
 
-def _gamma_of_elem(view: ChainView, kind_of, x) -> GammaClass:
+def _gamma_of_elem(view: ChainView, kind_of, x):
+    """Canonical member of the gamma class of x: the coset representative
+    of the component x belongs to or closes, the upper end of the gap
+    pair x closes, and x itself otherwise.  The kinds are disjoint
+    (representatives are invertible, gap uppers are pseudo-tops), so the
+    member fixes the class."""
     kind = kind_of(x)
     if kind == GROUP_BELOW:
-        head = view.partial_vec(x)[: view.entries[1].prefix]
-        return Triple(Component(_canonical_fill(view, head)))
+        return _rep_of(view, x)
     if kind == TOP_C:
-        return Triple(Component(_rep_of_top(view, x)))
+        return _rep_of_top(view, x)
     if kind == BOT_C:
-        rep_above = _rep_of_top(view, view.comp(x))
-        return Triple(Component(_canonical_fill(
-            view,
-            view.partial_vec(view.comp(rep_above))[: view.entries[1].prefix])))
-    if kind == TOP_PS:
-        return GapPair(x)
+        return _rep_of(view, view.comp(_rep_of_top(view, view.comp(x))))
     if kind == BOT_PS:
-        return GapPair(view.x_up(x))
-    return Plain(x)
+        return view.x_up(x)
+    return x
 
 
 class QuotientChain(_ClassChain):
@@ -390,6 +352,7 @@ class QuotientChain(_ClassChain):
         self.ambient = self.base.ambient
         self.entries = self.base.entries[1:]
         self._idems = None
+        self._invertible = self.base.invertible(u)
         self._kind = classifier(self.base, u)
         # a quotient of a quotient classifies the same few base elements
         # over and over: each class operation classifies one level down
@@ -398,29 +361,16 @@ class QuotientChain(_ClassChain):
     def describe(self) -> str:
         return "glued quotient of %s" % self.base.describe()
 
-    def to_class(self, x) -> GammaClass:
+    def to_class(self, x):
         return _gamma_of_elem(self.base, self._kind, x)
 
-    def member(self, c):
-        if isinstance(c, Triple):
-            return c.rep.rep
-        if isinstance(c, GapPair):
-            return c.upper
-        return c.x
-
     def class_min(self, c):
-        if isinstance(c, Triple):
-            return self.base.mul(c.rep.rep, self.nu)
-        if isinstance(c, GapPair):
-            return self.base.x_down(c.upper)
-        return c.x
+        if self._invertible(c):
+            return self.base.mul(c, self.nu)
+        return self.base.x_down(c) if self._kind(c) == TOP_PS else c
 
     def class_max(self, c):
-        if isinstance(c, Triple):
-            return self.base.mul(c.rep.rep, self.u)
-        if isinstance(c, GapPair):
-            return c.upper
-        return c.x
+        return self.base.mul(c, self.u) if self._invertible(c) else c
 
     def x_down(self, c):
         low = self.class_min(c)
@@ -434,29 +384,24 @@ class QuotientChain(_ClassChain):
         return self._idems
 
     def partial_vec(self, c) -> tuple:
-        return self.base.partial_vec(self.member(c))[: self.prefix]
+        return self.base.partial_vec(c)[: self.prefix]
 
     def elem_from_prefix(self, h: tuple):
         return self.to_class(self.base.elem_from_prefix(h))
 
     def validate(self, c) -> bool:
-        if not isinstance(c, (Triple, GapPair, Plain)):
-            return False
-        return self.to_class(self.member(c)) == c
+        return self.base.validate(c) and self.to_class(c) == c
 
 
 # ---------------------------------------------------------------------------
 # the restriction to elements with local unit at least u
 
 
-class RestrictionChain(ChainView):
+class RestrictionChain(_Step):
     """Elements whose local unit is at least u, with u as the new unit."""
 
     def __init__(self, base, u):
-        self.base = _as_view(base)
-        _check_least(self.base, u)
-        self.u = u
-        self.nu = self.base.comp(u)
+        super().__init__(base, u)
         if self.base.mul(self.nu, self.nu) == self.nu:
             raise WrongBranch(
                 "the restriction step needs a non-idempotent complement of u")
@@ -477,9 +422,6 @@ class RestrictionChain(ChainView):
         # uniform form of the two-case complement: top-like elements step
         # down inside their column first, everything else is fixed by *nu
         return self.base.comp(self.base.mul(p, self.nu))
-
-    def cmp(self, p, q) -> int:
-        return self.base.cmp(p, q)
 
     def unit(self):
         return self.u
@@ -502,7 +444,9 @@ class RestrictionChain(ChainView):
         return self.base.partial_vec(p)
 
     def elem_from_prefix(self, h: tuple):
-        x = self.base.elem_from_prefix(h)
+        # * u moves a group element of the base (a full-length prefix, when
+        # the step kernel has rank 0) onto the restriction, fixing the rest
+        x = self.base.mul(self.base.elem_from_prefix(h), self.u)
         if not self.contains(x):
             raise InvalidElement("prefix lands outside the restriction")
         return x

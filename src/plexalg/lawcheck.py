@@ -222,19 +222,13 @@ class _Run:
 
 
 def _printer(view):
-    """Element printer of a view: print_elem on a view of an algebra; on a
-    peel level, through its base, a class as [a member of it]."""
-    a = getattr(view, "a", None)
-    if a is not None:
-        return partial(print_elem, a)
-    base = getattr(view, "base", None)
-    if base is None:
-        return repr
-    below = _printer(base)
-    member = getattr(view, "member", None)
-    if member is None:  # a restriction keeps the elements of its base
-        return below
-    return lambda c: "[%s]" % below(member(c))
+    """Element printer of a view: print_elem on the algebra below its
+    peel levels, whose elements are elements of that algebra."""
+    while not hasattr(view, "a"):
+        view = getattr(view, "base", None)
+        if view is None:
+            return repr
+    return partial(print_elem, view.a)
 
 
 def _fmt_for(view):

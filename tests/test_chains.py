@@ -328,6 +328,25 @@ def test_validated_prefix_builder_rejects(alg):
         ch._elem_from_prefix_raw(G, (kn.rmake(2), one))
 
 
+# a second factor of rank 0 adds no coordinate, so a prefix as long as
+# the first factor's is already full-length
+RANK0_SECOND = ["I(Q, idx 3, 1)", "III(Z, idx 1, idx 3, 1)",
+                "I(Z, full, I(SLI(1, full, 1, fullH), full, 1))"]
+
+
+@pytest.mark.parametrize("spec", RANK0_SECOND)
+def test_full_length_prefix_names_a_group_element(spec):
+    a = ps.parse_algebra(spec)
+    h = (kn.rmake(3),)
+    el = ch.elem_from_prefix(a, h)
+    assert ch.partial_vec(a, el) == h
+    assert ch._marker_free(a, el), ps.print_elem(a, el)
+    # the laws that read canonical coset representatives hold
+    for law in ("prop9.2", "remark11.4"):
+        r = lc.check_named(a, law, budget=30, seed=0)
+        assert r.verdict != "FAIL", r.render()
+
+
 def _window_oracle(a, bound, max_den):
     """The window as first written: every candidate, markers included,
     filtered by validate_elem and sorted by cmp_elems."""

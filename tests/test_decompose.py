@@ -714,6 +714,69 @@ def test_covers_are_mutual_on_random_specs(spec, rngs):
 
 
 # ---------------------------------------------------------------------------
+# one element representation: every element of every peel level is an
+# element of the input algebra, and a quotient names each class by its
+# canonical member
+
+
+def _assert_levels_keep_input_elements(a, rngs):
+    for level in _peel_levels(dec.BaseChain(a)):
+        xs = [level.sample(rng) for rng in rngs]
+        win = lc.window_elems(level, 1, 2)
+        elems = xs + win + [level.unit()] + list(level.pos_idems())
+        elems += [f(x) for x in xs + win for f in (level.x_down, level.x_up)]
+        for e in elems:
+            assert ch.validate_elem(a, e) and level.validate(e), \
+                (level.describe(), e)
+        if not isinstance(level, dec.QuotientChain):
+            continue
+        below = ([level.base.sample(rng) for rng in rngs]
+                 + lc.window_elems(level.base, 1, 2))
+        for x in below:
+            c = level.to_class(x)
+            assert level.to_class(c) == c, (level.describe(), x)
+            lo, hi = level.class_min(c), level.class_max(c)
+            assert level.le(lo, c) and level.le(c, hi), (level.describe(), c)
+            assert level.to_class(lo) == level.to_class(hi) == c, \
+                (level.describe(), c)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS)
+                         + [f"tower{d}" for d in range(1, 5)])
+def test_peel_levels_keep_input_elements(name):
+    a = ps.parse_algebra(case_spec(name))
+    _assert_levels_keep_input_elements(a, [random.Random(s) for s in range(20)])
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(4))
+def test_peel_levels_keep_input_elements_on_random_specs(spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_levels_keep_input_elements(a, [rng for rng, _ in rngs])
+
+
+def test_gamma_of_beta_is_the_quotient_member(alg):
+    seen = []
+    for name, a in sorted(alg.items()):
+        if len(ch.positive_idempotents(a)) == 1:
+            continue
+        u = dec.smallest_pos_idem(a)
+        if dec.branch(a, u) != dec.IDEM_BRANCH:
+            continue
+        seen.append(name)
+        q = dec.QuotientChain(a, u)
+        for x in lc.window_elems(a, 2, 2):
+            assert dec.gamma(a, u, dec.beta(a, u, x)) == q.to_class(x), \
+                (name, ps.print_elem(a, x))
+    assert seen == ["B", "E", "V3", "V3b"]
+
+
+# ---------------------------------------------------------------------------
 # the whole pipeline on random specs: build, laws, represent, rebuild,
 # the alpha map and the lex embedding
 

@@ -284,10 +284,16 @@ def _mul_corrupted(step):
     return Corrupted
 
 
-# a raw repr names a class payload, quotes a marker, or shows the kernel's
-# (numerator, denominator) pair in a one-coordinate vector
-_RAW_REPR = re.compile(
-    r"Triple|Component|GapPair|Plain|Singleton|'[TBM]'|\(-?\d+, \d+\),\)")
+# a raw repr quotes a marker or shows the kernel's (numerator,
+# denominator) pair in a one-coordinate vector
+_RAW_REPR = re.compile(r"'[TBM]'|\(-?\d+, \d+\),\)")
+
+
+def _witness_values(witness):
+    """Texts of the inputs, lhs and rhs of a witness."""
+    ins, lhs, rhs = re.fullmatch(r"inputs=\((.*)\) lhs=(.*) rhs=(.*)",
+                                 witness).groups()
+    return ins.split("; ") + [lhs, rhs]
 
 
 @pytest.mark.parametrize("spec,step", [
@@ -303,9 +309,12 @@ def test_checks_fail_on_a_corrupted_peel_level(spec, step):
     laws = ["prop7.2.eqs"] + [f"table{t}" for t in tables]
     bad = [_check(level, law, budget=60, seed=1) for law in laws]
     assert [r.verdict for r in bad] == ["FAIL"] * 3, [r.render() for r in bad]
-    # witnesses print through the base algebra, a class as [member]
+    # a peel level's elements are elements of the input algebra, so its
+    # witnesses print as such and parse back
     for r in bad:
         assert not _RAW_REPR.search(r.witness), r.witness
+    for text in _witness_values(bad[0].witness):
+        assert level.clean.validate(ps.parse_elem(a, text)), bad[0].witness
     good = [_check(level.clean, law, budget=60, seed=1) for law in laws]
     assert [r.verdict for r in good] == ["PASS"] * 3, \
         [r.render() for r in good]
