@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 
-from .chains import (Algebra, FullH, GraphH, ProdH, discretely_embedded,
-                     elem_from_prefix, gr_ambient, in_group_part, ladder,
-                     leaf, positive_idempotents, sample_gvec, tau, unit,
+from .chains import (Algebra, FullH, GraphH, ProdH, _sample_group,
+                     discretely_embedded, gr_ambient, in_group_part, ladder,
+                     leaf, positive_idempotents, tau, unit, validate_elem,
                      x_down, x_up)
-from .errors import (DiscretenessViolated, InvalidElement, InvalidSubgroup,
+from .errors import (DiscretenessViolated, InvalidSubgroup,
                      PreconditionFailed, SubgroupChainViolated)
 from .groups import GroupDesc, sub_is_full, sub_leq, sub_validate
 
@@ -66,16 +66,13 @@ def _check_discrete(x: Algebra, kind: str):
         raise DiscretenessViolated(
             f"kind {kind} needs the group part of the child discretely embedded"
         )
-    amb, own = _group_part_view(x)
-    if amb.rank == 0:
+    if gr_ambient(x).rank == 0:
         raise DiscretenessViolated("trivial group part is not discretely embedded")
     rng = random.Random(0)  # fixed seed: a spec is accepted or not, always
     checked = 0
     for _ in range(DISC_SAMPLES):
-        vec = sample_gvec(x, own, rng, PROBE_MAGNITUDE, PROBE_MAGNITUDE)
-        try:
-            el = elem_from_prefix(x, vec)
-        except InvalidElement:
+        el = _sample_group(x, rng, PROBE_MAGNITUDE, PROBE_MAGNITUDE)
+        if not validate_elem(x, el):
             continue
         for nb in (x_down(x, el), x_up(x, el)):
             if nb == el or not in_group_part(x, nb):

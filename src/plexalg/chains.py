@@ -57,12 +57,13 @@ predicates above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import lcm
 
 from . import kernel as kn
 from .errors import InvalidElement, InvalidSubgroup, StructuralMismatch
-from .groups import FULL, TRIV, GroupDesc, coord_in_sub, g_member, idx
+from .groups import (FULL, TRIV, GroupDesc, coord_in_sub, entry_leq, g_member,
+                     idx)
 
 TOP = "T"
 BOT = "B"
@@ -201,6 +202,11 @@ class Algebra:
     @cached_property
     def _structure(self):
         return _build_structure(self)
+
+    @cached_property
+    def _samplers(self) -> dict:
+        """Compiled samplers by (magnitude, denominator, marker_p)."""
+        return {}
 
     def __repr__(self):  # pragma: no cover - debugging aid
         from .parsing import print_algebra
@@ -761,56 +767,183 @@ def _pos_idems(a: Algebra):
 
 # ---------------------------------------------------------------------------
 # random elements
+#
+# The draw stream is part of the reproducibility contract: a seed fixes
+# every report, so a sampler may get faster but must consume the
+# generator exactly as this definition does.  Per level, one rng.random()
+# roll decides the column: below marker_p a marker column (for 'tb' nodes
+# a second roll picks bottom below 0.5, else a top column over the top
+# set), otherwise a middle column: a sublex node draws a group element of
+# its own, any other node a group element of X over the middle-column
+# set and then an element of Y.  A group element draws its coordinates
+# in order: pinned ones draw nothing, a full integer coordinate draws
+# randint(-magnitude, magnitude), a full rational one that numerator and
+# then randint(1, denominator), an index-m one m times an integer draw,
+# and a graph-tied one is computed from the coordinate it follows.
+#
+# The definition is compiled once per algebra and parameters into nested
+# closures (_sampler), which build the nested element directly and look
+# coordinates up in tables shared by the whole process.  An integer draw
+# calls getrandbits with the rejection loop of CPython's randint, so the
+# generator advances draw for draw as randint would advance it.
 
 
-def sample_rat(rng, kind: str, magnitude: int, denominator: int):
-    n = rng.randint(-magnitude, magnitude)
-    if kind == "Z":
-        return kn.rmake(n)
-    return kn.rmake(n, rng.randint(1, denominator))
+@lru_cache(maxsize=None)
+def _int_table(magnitude: int, step: int, wrap: bool) -> tuple:
+    """step * n for n = -magnitude..magnitude, by n + magnitude; as
+    1-tuples when wrap is set (the element of a rank-one group leaf)."""
+    if magnitude < 0:
+        raise ValueError("empty range for a sampled coordinate")
+    vals = (kn.rmake(step * n) for n in range(-magnitude, magnitude + 1))
+    return tuple((v,) if wrap else v for v in vals)
 
 
-def sample_gvec(a: Algebra, constraints, rng, magnitude: int, denominator: int):
-    """Raw coordinate vector inside a constrained group-part set."""
-    amb = a._structure.ambient
-    vec = []
-    for j, con in enumerate(constraints):
-        if con == TRIV:
-            vec.append(kn.ZERO)
-        elif con == FULL:
-            vec.append(sample_rat(rng, amb[j], magnitude, denominator))
-        elif con[0] == "idx":
-            vec.append(kn.rmake(con[1] * rng.randint(-magnitude, magnitude)))
-        else:  # graph
-            vec.append(kn.rmul(con[1], vec[con[2]]))
-    return tuple(vec)
+@lru_cache(maxsize=None)
+def _rat_table(magnitude: int, denominator: int, wrap: bool) -> tuple:
+    """n / d for n = -magnitude..magnitude and d = 1..denominator, by
+    (n + magnitude, d - 1); as 1-tuples when wrap is set."""
+    if magnitude < 0 or denominator < 1:
+        raise ValueError("empty range for a sampled coordinate")
+    return tuple(tuple((kn.rmake(n, d),) if wrap else kn.rmake(n, d)
+                       for d in range(1, denominator + 1))
+                 for n in range(-magnitude, magnitude + 1))
+
+
+def _coord_sampler(kind: str, con, magnitude: int, denominator: int,
+                   wrap: bool = False):
+    """(random, getrandbits) -> one coordinate under a pinned, full or
+    index constraint, or its 1-tuple when wrap is set."""
+    if con == TRIV:
+        zero = (kn.ZERO,) if wrap else kn.ZERO
+        return lambda rnd, bits: zero
+    n = 2 * magnitude + 1
+    k = n.bit_length()
+    if con == FULL and kind == "Q":
+        table = _rat_table(magnitude, denominator, wrap)
+        kd = denominator.bit_length()
+
+        def rat(rnd, bits):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            s = bits(kd)
+            while s >= denominator:
+                s = bits(kd)
+            return table[r][s]
+
+        return rat
+    table = _int_table(magnitude, 1 if con == FULL else con[1], wrap)
+
+    def integer(rnd, bits):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return table[r]
+
+    return integer
+
+
+def _coord_getter(a: Algebra, i: int):
+    """Nested group element of a -> its raw coordinate i."""
+    if a.is_leaf:
+        return lambda g: g[i]
+    xlen = a.xlen
+    if i < xlen:
+        inner = _coord_getter(a.x, i)
+        return lambda g: inner(g[0])
+    inner = _coord_getter(a.y, i - xlen)
+    return lambda g: inner(g[1][1])
+
+
+def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int,
+                   offset: int = 0):
+    """(random, getrandbits) -> group element of a whose raw vector
+    satisfies constraints (over the ambient of a), nested as
+    _from_gvec_raw nests it.  A graph constraint names its source
+    coordinate in the frame of the outermost call, where the coordinates
+    of a start at offset."""
+    if a.is_leaf:
+        kinds = a.group.kinds
+        if len(kinds) == 1:
+            return _coord_sampler(kinds[0], constraints[0], magnitude,
+                                  denominator, wrap=True)
+        coords = [_coord_sampler(k, con, magnitude, denominator)
+                  for k, con in zip(kinds, constraints)]
+        return lambda rnd, bits: tuple([f(rnd, bits) for f in coords])
+    xlen = a.xlen
+    fx = _group_sampler(a.x, constraints[:xlen], magnitude, denominator,
+                        offset)
+    ycons = constraints[xlen:]
+    if ycons and ycons[0][0] == "graph":
+        # a graph restriction: Y is one rational, c times a coordinate of X
+        _, c, src = ycons[0]
+        of_x = _coord_getter(a.x, src - offset)
+
+        def graph(rnd, bits):
+            g = fx(rnd, bits)
+            return (g, ("M", (kn.rmul(c, of_x(g)),)))
+
+        return graph
+    fy = _group_sampler(a.y, ycons, magnitude, denominator, offset + xlen)
+    return lambda rnd, bits: (fx(rnd, bits), ("M", fy(rnd, bits)))
+
+
+def _sampler(a: Algebra, magnitude: int, denominator: int, marker_p: float):
+    """(random, getrandbits) -> element: sample_elem compiled for a and
+    the parameters, cached on a."""
+    key = (magnitude, denominator, marker_p)
+    draw = a._samplers.get(key)
+    if draw is None:
+        draw = a._samplers[key] = _compile_sampler(a, magnitude, denominator,
+                                                   marker_p)
+    return draw
+
+
+def _compile_sampler(a: Algebra, magnitude: int, denominator: int,
+                     marker_p: float):
+    if a.is_leaf:
+        return _group_sampler(a, (FULL,) * a.group.rank, magnitude,
+                              denominator)
+    s = a._structure
+    fx = _sampler(a.x, magnitude, denominator, marker_p)
+    if a.is_sublex:  # a middle column of a sublex node is a group element
+        fm = _group_sampler(a, s.entries[0].gconstr, magnitude, denominator)
+        fy = None
+    else:
+        fm = _group_sampler(a.x, s.vconstr, magnitude, denominator)
+        fy = _sampler(a.y, magnitude, denominator, marker_p)
+    # a top column of a 'tb' node needs its first coordinate in the top set
+    fz = (_group_sampler(a.x, s.zconstr, magnitude, denominator)
+          if a.family == "tb" else None)
+
+    def draw(rnd, bits):
+        if rnd() < marker_p:
+            if fz is None:
+                return (fx(rnd, bits), TOP)
+            if rnd() < 0.5:
+                return (fx(rnd, bits), BOT)
+            return (fz(rnd, bits), TOP)
+        if fy is None:
+            return fm(rnd, bits)
+        return (fm(rnd, bits), ("M", fy(rnd, bits)))
+
+    return draw
 
 
 def sample_elem(a: Algebra, rng, magnitude: int = 6, denominator: int = 8,
                 marker_p: float = 0.25):
     """Random valid element; markers injected with probability marker_p
-    per level, group-part directions otherwise."""
-    if a.is_leaf:
-        return tuple(sample_rat(rng, k, magnitude, denominator)
-                     for k in a.group.kinds)
-    s = a._structure
-    roll = rng.random()
-    if roll < marker_p:
-        if a.family == "tb" and rng.random() < 0.5:
-            first = sample_elem(a.x, rng, magnitude, denominator, marker_p)
-            return (first, BOT)
-        # a top column: 'tb' needs the first coordinate inside the top set
-        if a.family == "tb":
-            vec = sample_gvec(a.x, s.zconstr, rng, magnitude, denominator)
-            return (_from_gvec_raw(a.x, vec), TOP)
-        first = sample_elem(a.x, rng, magnitude, denominator, marker_p)
-        return (first, TOP)
-    if a.is_sublex:  # a middle column of a sublex node is a group element
-        return _from_gvec_raw(
-            a, sample_gvec(a, s.entries[0].gconstr, rng, magnitude, denominator))
-    first = _from_gvec_raw(
-        a.x, sample_gvec(a.x, s.vconstr, rng, magnitude, denominator))
-    return (first, mid(sample_elem(a.y, rng, magnitude, denominator, marker_p)))
+    per level, group-part directions otherwise (see the notes above)."""
+    draw = (a._samplers.get((magnitude, denominator, marker_p))
+            or _sampler(a, magnitude, denominator, marker_p))
+    return draw(rng.random, rng.getrandbits)
+
+
+def _sample_group(a: Algebra, rng, magnitude: int, denominator: int):
+    """Random element of the group part of a, drawn as a sublex middle
+    column draws one."""
+    return _group_sampler(a, a._structure.entries[0].gconstr, magnitude,
+                          denominator)(rng.random, rng.getrandbits)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +961,58 @@ def discretely_embedded(a: Algebra) -> bool:
     if not a.is_sublex:
         return discretely_embedded(a.y)
     return _slice_step(a) is not None
+
+
+# ---------------------------------------------------------------------------
+# kinds around the least strictly positive idempotent
+#
+# Let u be the least strictly positive idempotent and call x*u the upper
+# part.  Follow the second factors from the root down to the node n whose
+# Y is a group leaf: u is n's top column over the unit, seen through the
+# middle columns of the nodes above, which hold whole copies of their Y.
+# The marker columns of those nodes absorb u and its complement, so they
+# are neither tops nor pseudo-tops; they are non-tops (Prop 8.2).  At n
+# the upper part is its top columns and, for 'tb', its bottom columns,
+# which are non-tops.  A top column over an invertible f closes a
+# component when f carries middle columns and is a pseudo-top when it
+# does not; over a non-invertible f (family 't' only) it absorbs the
+# complement of u and is a non-top.
+
+PSEUDO_TOP = "pseudo-top"  # classified TOP_PS by plexalg.decompose
+NON_TOP = "non-top"  # classified neither TOP_C nor TOP_PS
+
+
+def _constr_within(desc_kinds, small, big) -> bool:
+    """Every vector satisfying small satisfies big (graph entries must
+    agree exactly)."""
+    for kind, sm, bg in zip(desc_kinds, small, big):
+        if sm == bg:
+            continue
+        if sm[0] == "graph" or bg[0] == "graph" or \
+                not entry_leq(kind, sm, bg):
+            return False
+    return True
+
+
+def _ruled_out(a: Algebra) -> frozenset:
+    """Kinds of the upper part around u that the structure of a rules out
+    (see above): pseudo-tops when every first coordinate carrying a top
+    column also carries middle columns, non-tops when n is the root, of
+    family 't', with a group leaf as X."""
+    if a.is_leaf:
+        return frozenset()
+    n = a
+    while not n.y.is_leaf:
+        n = n.y
+    s = n._structure
+    x_amb, x_entries = ladder(n.x)
+    tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
+    out = set()
+    if _constr_within(x_amb, tops, s.vconstr):
+        out.add(PSEUDO_TOP)
+    if n is a and n.family == "t" and n.x.is_leaf:
+        out.add(NON_TOP)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +1062,13 @@ class ChainView:
     def fill_prefix(self, h: tuple):
         """elem_from_prefix for a prefix known to name an element."""
         return self.elem_from_prefix(h)
+
+    def lacks(self, u, kind: str) -> bool:
+        """One-sided presence test: True when no element x*u of the upper
+        part around u, the least strictly positive idempotent, is of kind
+        (PSEUDO_TOP or NON_TOP); False when the kind exists or the view
+        cannot tell.  Only BaseChain answers from structure."""
+        return False
 
     @property
     def clean(self) -> "ChainView":
@@ -940,6 +1132,9 @@ class BaseChain(ChainView):
 
     def validate(self, p) -> bool:
         return validate_elem(self.a, p)
+
+    def lacks(self, u, kind: str) -> bool:
+        return kind in _ruled_out(self.a)
 
     def sample(self, rng):
         return sample_elem(self.a, rng)

@@ -158,6 +158,11 @@ def _check_least(view: ChainView, u):
 
 
 def classify(a, u, x) -> str:
+    """Class kind of one element x around u, with x and u checked.
+
+    Each call validates x, recomputes the positive idempotents to check
+    that u is the least strictly positive one, and builds a classifier:
+    to classify many elements, build classifier(view, u) once."""
     view = _as_view(a)
     if isinstance(view, BaseChain) and not view.validate(x):
         raise InvalidElement("classify: not an element")
@@ -313,7 +318,11 @@ class BetaChain(_ClassChain):
 
 
 def gamma(a, u, b):
-    """Member of the gamma class of the beta class b."""
+    """Member of the gamma class of the beta class b.
+
+    Each call checks the branch and that u is the least strictly positive
+    idempotent, and builds a classifier: to map many elements, build
+    QuotientChain(a, u) once and use its to_class."""
     view = _as_view(a)
     nu = view.comp(u)
     if view.mul(nu, nu) != nu:

@@ -8,9 +8,21 @@ homomorphism checks for the decomposition maps.
 
 Sampling is deterministic: a 64-bit seed fixes the element stream, so
 the report for a given (algebra, law, budget, seed) is reproducible.
-Element kinds that an algebra simply does not contain (pseudo-top gaps
-in a dense chain, say) make the affected cells vacuous; vacuous cells
-are counted and reported rather than silently passed.
+The stream itself is part of that contract (see the sampling notes in
+plexalg.chains): a faster sampler or probe must leave every draw where
+it was.  Element kinds that an algebra simply does not contain
+(pseudo-top gaps in a dense chain, say) make the affected cells vacuous;
+vacuous cells are counted and reported rather than silently passed.
+
+Special kinds are found by rejection: a probe of 400 draws that finds
+none declares the kind absent.  On an algebra the structure decides two
+kinds first (chains.ChainView.lacks, Prop 8.2): where pseudo-tops cannot
+exist, the laws that need them return before drawing; where pseudo-tops
+or non-tops cannot exist, the product tables' probe still makes its
+draws but classifies none.  Group elements and dense-below elements,
+pseudo-tops and non-tops the structure leaves possible, and every kind
+on a peel level are still probed; each answer equals the probe's, so
+every report is the same as by probing alone.
 
 Every check routes the arithmetic under test through a chain view
 (plexalg.chains), so every suite runs on an algebra or on any peel level
@@ -34,10 +46,13 @@ from . import decompose as dec
 from . import kernel as kn
 from .chains import (
     BOT,
+    NON_TOP,
+    PSEUDO_TOP,
     TOP,
     BaseChain,
     ChainView,
     _as_view,
+    _never,
     comp,
     mid,
     mid_capable,
@@ -635,7 +650,10 @@ def _law_bottom_absorption(ops, st, run, budget, fmt):
 
 
 def _pseudo_top_source(st, c, u, kind):
-    """Sampler for pseudo-tops, or None when the kind is absent."""
+    """Sampler for pseudo-tops, or None when the kind is absent: ruled out
+    by the structure before any draw, or not found in 400 draws."""
+    if c.lacks(u, PSEUDO_TOP):
+        return None
     pred = lambda e: kind(c.mul(e, u)) == dec.TOP_PS
     if st.draw_where(pred, tries=400) is None:
         return None
@@ -842,7 +860,10 @@ class _Kinds:
     """Samplers for the element kinds used by the product tables.
 
     A kind that cannot be found within a probing budget is marked dead,
-    so the affected cells go vacuous instead of burning draws."""
+    so the affected cells go vacuous instead of burning draws.  Where the
+    view rules a kind out by structure (pseudo-tops, non-tops), its probe
+    still makes its draws, so every later draw stays where it was, but
+    skips lifting and classifying them."""
 
     def __init__(self, ops, st, u):
         self.st = st
@@ -852,10 +873,15 @@ class _Kinds:
         self.kind = dec.classifier(c, u)
         self._grp = c.invertible(u)
         self._dead = set()
+        self._ruled_out = {name for name, k in (("tps", PSEUDO_TOP),
+                                                ("nontop", NON_TOP))
+                           if c.lacks(u, k)}
 
     def _find(self, name, pred, tries):
         if name in self._dead:
             return None
+        if name in self._ruled_out:
+            pred = _never
         x = self.st.draw_where(pred, tries)
         if x is None:
             self._dead.add(name)

@@ -386,3 +386,101 @@ def test_window_matches_filter_and_sort_on_random_specs(spec):
     except PlexError:
         reject()
     assert lc.window_elems(a, 1, 1) == _window_oracle(a, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the compiled sampler against the recursive definition
+#
+# Reports are reproducible from their seed, so the compiled sampler must
+# draw the same elements and leave the generator in the same state as the
+# recursive definition below, which draws through randint.
+
+
+def _ref_rat(rng, kind, magnitude, denominator):
+    n = rng.randint(-magnitude, magnitude)
+    if kind == "Z":
+        return kn.rmake(n)
+    return kn.rmake(n, rng.randint(1, denominator))
+
+
+def _ref_gvec(a, constraints, rng, magnitude, denominator):
+    amb = a._structure.ambient
+    vec = []
+    for j, con in enumerate(constraints):
+        if con == gr.TRIV:
+            vec.append(kn.ZERO)
+        elif con == gr.FULL:
+            vec.append(_ref_rat(rng, amb[j], magnitude, denominator))
+        elif con[0] == "idx":
+            vec.append(kn.rmake(con[1] * rng.randint(-magnitude, magnitude)))
+        else:  # graph
+            vec.append(kn.rmul(con[1], vec[con[2]]))
+    return tuple(vec)
+
+
+def _ref_elem(a, rng, magnitude=6, denominator=8, marker_p=0.25):
+    if a.is_leaf:
+        return tuple(_ref_rat(rng, k, magnitude, denominator)
+                     for k in a.group.kinds)
+    s = a._structure
+    if rng.random() < marker_p:
+        if a.family == "tb" and rng.random() < 0.5:
+            return (_ref_elem(a.x, rng, magnitude, denominator, marker_p),
+                    ch.BOT)
+        if a.family == "tb":
+            vec = _ref_gvec(a.x, s.zconstr, rng, magnitude, denominator)
+            return (ch._from_gvec_raw(a.x, vec), ch.TOP)
+        return (_ref_elem(a.x, rng, magnitude, denominator, marker_p), ch.TOP)
+    if a.is_sublex:
+        return ch._from_gvec_raw(a, _ref_gvec(a, s.entries[0].gconstr, rng,
+                                              magnitude, denominator))
+    first = ch._from_gvec_raw(
+        a.x, _ref_gvec(a.x, s.vconstr, rng, magnitude, denominator))
+    return (first, ch.mid(_ref_elem(a.y, rng, magnitude, denominator,
+                                    marker_p)))
+
+
+def _ref_group(a, rng, magnitude, denominator):
+    """The discreteness probe's draw: a vector of the group part, named
+    by the validating prefix builder."""
+    vec = _ref_gvec(a, a._structure.entries[0].gconstr, rng, magnitude,
+                    denominator)
+    return ch.elem_from_prefix(a, vec)
+
+
+# (magnitude, denominator, marker_p): the defaults, the marker rate the
+# property tests use, and non-default ranges
+SAMPLER_PARAMS = [(6, 8, 0.25), (6, 8, 0.6), (4, 5, 0.25), (1, 1, 0.6),
+                  (9, 16, 0.4)]
+
+
+def _assert_sampler_matches_definition(a, draws, seed):
+    for magnitude, denominator, marker_p in SAMPLER_PARAMS:
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            x = ch.sample_elem(a, got, magnitude, denominator, marker_p)
+            assert x == _ref_elem(a, want, magnitude, denominator, marker_p)
+        assert got.getstate() == want.getstate()
+    # the build's discreteness probe draws group elements at its own range
+    from plexalg.build import PROBE_MAGNITUDE as m
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        assert ch._sample_group(a, got, m, m) == _ref_group(a, want, m, m)
+    assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("name", DIFF_CASES)
+def test_sampler_matches_the_recursive_definition(name):
+    spec = _tower(int(name[5:])) if name.startswith("tower") else SPECS[name]
+    _assert_sampler_matches_definition(ps.parse_algebra(spec), 1000, 5)
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs), seed=st.integers(0, 999))
+def test_sampler_matches_the_recursive_definition_on_random_specs(spec, seed):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_sampler_matches_definition(a, 200, seed)
+

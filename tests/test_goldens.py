@@ -2,9 +2,12 @@
 
 perfbench/goldens/check-fixtures.json records, for each input set, the
 outcome of every law and table on every benchmark fixture: a digest of
-the report, or the error class it raised.  Replaying one input set here
+the report, or the error class it raised.  Replaying two input sets here
 makes any change to what a law draws, checks or reports fail the test
-suite, not only the benchmark.
+suite, not only the benchmark.  perfbench/goldens/tower-depth.json pins
+the same for the deep towers (depth 1-5): the `fle` report of one input
+set and the `embed-lex` homomorphism report, so the sampler is pinned on
+deep algebras too.
 
 perfbench/goldens/cli-verbs.json records the exit code and standard
 output of every short CLI call of every input set; they are replayed
@@ -17,16 +20,25 @@ import json
 from pathlib import Path
 
 import pytest
+from test_decompose import _tower
 
 from plexalg import cli
+from plexalg import decompose as dec
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.errors import PlexError
 
 GOLDENS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 GOLDENS = json.loads((GOLDENS_DIR / "check-fixtures.json").read_text())
-SLOT = 0  # the input set replayed
+SLOT, SECOND_SLOT = 0, 9  # the input sets replayed
 CLI_GOLDENS = json.loads((GOLDENS_DIR / "cli-verbs.json").read_text())
+TOWER_GOLDENS = json.loads((GOLDENS_DIR / "tower-depth.json").read_text())
+TOWER_SLOT = 3
+
+
+def _digest(r) -> str:
+    key = repr((r.law, r.samples, r.counts, r.violations))
+    return "report:" + hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
 def _outcome(a, law, budget, seed) -> str:
@@ -39,22 +51,49 @@ def _outcome(a, law, budget, seed) -> str:
             r = lc.check_named(a, law, budget=budget, seed=seed)
     except PlexError as e:
         return "raises:" + type(e).__name__
-    key = repr((r.law, r.samples, r.counts, r.violations))
-    return "report:" + hashlib.sha256(key.encode()).hexdigest()[:24]
+    return _digest(r)
 
 
-@pytest.mark.parametrize("fixture", list(GOLDENS["fixtures"]))
-def test_law_reports_match_the_goldens(fixture):
+def _assert_law_reports_match(fixture, slot):
     fi = list(GOLDENS["fixtures"]).index(fixture)
     a = ps.parse_algebra(GOLDENS["fixtures"][fixture])
-    expected = GOLDENS["expected"][SLOT]
+    expected = GOLDENS["expected"][slot]
     got, want = {}, {}
     for li, law in enumerate(GOLDENS["laws"]):
-        seed = (SLOT << 16) | (fi << 8) | li
+        seed = (slot << 16) | (fi << 8) | li
         key = f"{fixture}/{law}"
         got[key] = _outcome(a, law, GOLDENS["budget"], seed)
         want[key] = expected[key]
     assert got == want
+
+
+@pytest.mark.parametrize("fixture", list(GOLDENS["fixtures"]))
+def test_law_reports_match_the_goldens(fixture):
+    _assert_law_reports_match(fixture, SLOT)
+
+
+@pytest.mark.parametrize("fixture", list(GOLDENS["fixtures"]))
+def test_law_reports_of_a_second_input_set_match_the_goldens(fixture):
+    _assert_law_reports_match(fixture, SECOND_SLOT)
+
+
+@pytest.mark.parametrize("depth", TOWER_GOLDENS["depths"])
+def test_tower_reports_match_the_goldens(depth):
+    spec = TOWER_GOLDENS["specs"][str(depth)]
+    assert spec == _tower(depth)
+    a = ps.parse_algebra(spec)
+    monoid, lex = dec.lex_embedding(a)
+    got = {
+        # the embed-lex seed does not depend on the input set
+        "embed-lex": _digest(lc.check_hom(
+            lex, a, monoid, budget=TOWER_GOLDENS["hom_budget"],
+            seed=depth << 8, with_comp=False, law="embed-lex")),
+        "fle": _digest(lc.check_fle_laws(
+            a, budget=TOWER_GOLDENS["fle_budget"],
+            seed=(TOWER_SLOT << 16) | (depth << 8) | 1)),
+    }
+    expected = TOWER_GOLDENS["expected"][TOWER_SLOT]
+    assert got == {k: expected[f"d{depth}/{k}"] for k in got}
 
 
 @pytest.mark.parametrize("slot", range(CLI_GOLDENS["slots"]))

@@ -6,12 +6,16 @@ import re
 
 import pytest
 from conftest import SPECS
-from test_decompose import _peel_levels, case_spec
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from test_decompose import REGRESSION_SPECS, _peel_levels, _specs, case_spec
 
+from plexalg import chains as ch
 from plexalg import decompose as dec
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
-from plexalg.errors import OnlyUnitIdempotent, UnknownLaw, WrongBranch
+from plexalg.errors import (OnlyUnitIdempotent, PlexError, UnknownLaw,
+                            WrongBranch)
 
 
 def test_named_registry_order():
@@ -353,3 +357,93 @@ def test_arithmetic_laws_hold_on_a_peel_level(peel_level, law):
     r = lc.check_named(peel_level, law, budget=40, seed=1)
     assert r.verdict == "PASS", r.render()
     assert r.vacuous == ()
+
+
+# ---------------------------------------------------------------------------
+# kinds ruled out by structure
+
+
+def _kinds_in_window(c, u):
+    """PSEUDO_TOP and NON_TOP, as far as they occur among x*u for x in a
+    window of the view c."""
+    kind = dec.classifier(c, u)
+    found = set()
+    for x in lc.window_elems(c, 2, 2):
+        k = kind(c.mul(x, u))
+        if k == dec.TOP_PS:
+            found.add(ch.PSEUDO_TOP)
+        elif k != dec.TOP_C:
+            found.add(ch.NON_TOP)
+    return found
+
+
+def _assert_ruled_out_kinds_are_absent(a):
+    c = ch.BaseChain(a)
+    u = dec.smallest_pos_idem(c)
+    found = _kinds_in_window(c, u)
+    for kind in (ch.PSEUDO_TOP, ch.NON_TOP):
+        assert not (c.lacks(u, kind) and kind in found), kind
+
+
+ABSENCE_CASES = [SPECS[n] for n in sorted(SPECS)
+                 if n not in ("Z", "Q", "LZZ", "LZQ")] + REGRESSION_SPECS
+
+
+@pytest.mark.parametrize("spec", ABSENCE_CASES)
+def test_ruled_out_kinds_are_absent(spec):
+    _assert_ruled_out_kinds_are_absent(ps.parse_algebra(spec))
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs))
+def test_ruled_out_kinds_are_absent_on_random_specs(spec):
+    try:
+        a = ps.parse_algebra(spec[0])
+        dec.smallest_pos_idem(a)
+    except PlexError:
+        reject()
+    _assert_ruled_out_kinds_are_absent(a)
+
+
+def test_an_answer_of_always_absent_fails_the_soundness_check(monkeypatch):
+    # caught on every case where the structure leaves a kind possible:
+    # there the window holds one
+    algs = [ps.parse_algebra(spec) for spec in ABSENCE_CASES]
+    possible = [a for a in algs if len(ch._ruled_out(a)) < 2]
+    monkeypatch.setattr(ch.BaseChain, "lacks", lambda self, u, kind: True)
+    failed = 0
+    for a in algs:
+        try:
+            _assert_ruled_out_kinds_are_absent(a)
+        except AssertionError:
+            failed += 1
+    assert failed == len(possible) > 0
+
+
+def test_structure_rules_out_the_kinds_the_fixtures_lack(alg):
+    got = {name: sorted(ch._ruled_out(alg[name]))
+           for name in ("A", "B", "C", "G", "E", "V3", "V3b", "V4", "V4b")}
+    both = [ch.NON_TOP, ch.PSEUDO_TOP]
+    assert got == {"A": both, "B": [ch.PSEUDO_TOP], "C": both, "G": both,
+                   "E": [ch.PSEUDO_TOP], "V3": [], "V3b": [],
+                   "V4": [ch.NON_TOP], "V4b": [ch.NON_TOP]}
+
+
+def _outcome(a, law, seed):
+    try:
+        return _check(a, law, budget=30, seed=seed)
+    except PlexError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_reports_do_not_depend_on_structural_absence(name, monkeypatch):
+    # a kind ruled out by structure is one no probe would have found, so
+    # every report equals the one made by probing alone
+    a = ps.parse_algebra(SPECS[name])
+    seeds = (0, 7, 1 << 20)
+    fast = {(law, s): _outcome(a, law, s) for law in ALL_LAWS for s in seeds}
+    monkeypatch.setattr(ch.BaseChain, "lacks", ch.ChainView.lacks)
+    probed = {(law, s): _outcome(a, law, s) for law in ALL_LAWS
+              for s in seeds}
+    assert fast == probed
