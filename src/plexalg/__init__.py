@@ -25,35 +25,46 @@ cli
     Command-line front end over all of the above.
 """
 
-from .build import Algebra, build_sublex, build_type, group_leaf, leaf
-from .chains import (comp, le, lt, mul, positive_idempotents, res,
-                     sample_elem, tau, unit, validate_elem, x_down, x_up)
-from .decompose import (RepTree, branch, gamma, group_representation,
-                        lex_embedding, phi_nucleus, rebuild,
-                        representation_embedding, smallest_pos_idem)
-from .errors import (DiscretenessViolated, InvalidElement, InvalidSubgroup,
-                     OnlyUnitIdempotent, ParseError, PlexError,
-                     PreconditionFailed, StructuralMismatch,
-                     SubgroupChainViolated, UnknownLaw, WrongBranch)
-from .groups import GroupDesc, lex_group, split_convex_tail
-from .lawcheck import (check_fle_laws, check_hom, check_named, check_table,
-                       named_law_ids)
-from .parsing import (parse_algebra, parse_elem, parse_expr, parse_reptree,
-                      print_algebra, print_elem, print_reptree)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra", "DiscretenessViolated", "GroupDesc", "InvalidElement",
-    "InvalidSubgroup", "OnlyUnitIdempotent", "ParseError", "PlexError",
-    "PreconditionFailed", "RepTree", "StructuralMismatch",
-    "SubgroupChainViolated", "UnknownLaw", "WrongBranch", "branch",
-    "build_sublex", "build_type", "check_fle_laws", "check_hom",
-    "check_named", "check_table", "comp", "gamma", "group_leaf",
-    "group_representation", "le", "leaf", "lex_embedding", "lex_group",
-    "lt", "mul", "named_law_ids", "parse_algebra", "parse_elem",
-    "parse_expr", "parse_reptree", "phi_nucleus", "positive_idempotents",
-    "print_algebra", "print_elem", "print_reptree", "rebuild",
-    "representation_embedding", "res", "sample_elem", "smallest_pos_idem",
-    "split_convex_tail", "tau", "unit", "validate_elem", "x_down", "x_up",
-]
+# Every exported name and the module it is read from.  Nothing is imported
+# until a name or a submodule is first used (PEP 562), so a CLI verb loads
+# only the modules it runs.
+_EXPORTS = {
+    "build": ("build_sublex", "build_type", "group_leaf"),
+    "chains": ("Algebra", "comp", "le", "leaf", "lt", "mul",
+               "positive_idempotents", "res", "sample_elem", "tau", "unit",
+               "validate_elem", "x_down", "x_up"),
+    "decompose": ("RepTree", "branch", "gamma", "group_representation",
+                  "lex_embedding", "phi_nucleus", "rebuild",
+                  "representation_embedding", "smallest_pos_idem"),
+    "errors": ("DiscretenessViolated", "InvalidElement", "InvalidSubgroup",
+               "OnlyUnitIdempotent", "ParseError", "PlexError",
+               "PreconditionFailed", "StructuralMismatch",
+               "SubgroupChainViolated", "UnknownLaw", "WrongBranch"),
+    "groups": ("GroupDesc", "lex_group", "split_convex_tail"),
+    "lawcheck": ("check_fle_laws", "check_hom", "check_named", "check_table",
+                 "named_law_ids"),
+    "parsing": ("parse_algebra", "parse_elem", "parse_expr", "parse_reptree",
+                "print_algebra", "print_elem", "print_reptree"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "kernel"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF) | _SUBMODULES)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import chains, decompose, lawcheck, parsing
+# a verb imports the peeling (decompose) and law (lawcheck) modules in its
+# own body, so build and eval start without them
+from . import chains, parsing
 from .errors import (OnlyUnitIdempotent, ParseError, PlexError, UnknownLaw,
                      WrongBranch)
 
@@ -71,8 +73,14 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        head = e.object[:e.start]
+        raise ParseError(f"invalid UTF-8 in {path}: {e.reason}",
+                         head.count(b"\n") + 1,
+                         e.start - head.rfind(b"\n")) from None
 
 
 def _load(path: str):
@@ -125,6 +133,8 @@ def _skip_rows(law: str, fmt: str, reason: str) -> list[str]:
 
 
 def _run_one(a, law: str, budget: int, seed: int):
+    from . import lawcheck
+
     if law == "fle":
         return lawcheck.check_fle_laws(a, budget=budget, seed=seed)
     if law in _TABLES:
@@ -133,6 +143,8 @@ def _run_one(a, law: str, budget: int, seed: int):
 
 
 def _do_check(args) -> int:
+    from . import lawcheck
+
     a = _load(args.spec)
     fmt = args.fmt
     lines: list[str] = []
@@ -158,6 +170,8 @@ def _do_check(args) -> int:
 
 
 def _do_decompose(args) -> int:
+    from . import decompose
+
     a = _load(args.spec)
     u = decompose.smallest_pos_idem(a)
     b = decompose.branch(a, u)
@@ -172,18 +186,24 @@ def _do_decompose(args) -> int:
 
 
 def _do_represent(args) -> int:
+    from . import decompose
+
     tree = decompose.group_representation(_load(args.spec))
     print(parsing.print_reptree(tree))
     return EXIT_OK
 
 
 def _do_rebuild(args) -> int:
+    from . import decompose
+
     tree = parsing.parse_reptree(_read(args.spec))
     print(parsing.print_algebra(decompose.rebuild(tree)))
     return EXIT_OK
 
 
 def _do_embed_lex(args) -> int:
+    from . import decompose, lawcheck
+
     a = _load(args.spec)
     monoid, emb = decompose.lex_embedding(a)
     print(f"target: {monoid.describe()}")

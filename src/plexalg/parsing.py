@@ -98,7 +98,7 @@ class _Stream:
     def expect(self, kind: str, what: str | None = None) -> Token:
         t = self.peek()
         if t.kind != kind:
-            want = what or kind
+            want = what or repr(kind)
             raise ParseError(f"expected {want}, got {t.text or 'end of input'!r}",
                              t.line, t.col)
         return self.next()
@@ -154,11 +154,21 @@ def print_rat(r) -> str:
 _LEAF_NAMES = {"Z": Z_GROUP, "Q": Q_GROUP}
 
 
-def parse_algebra(text: str) -> Algebra:
+def _parse_all(text: str, parse):
+    """parse(stream) over the whole text.  Nesting deeper than the
+    interpreter's stack is a parse error, not a crash."""
     s = _Stream(text)
-    a = _parse_alg(s)
+    try:
+        out = parse(s)
+    except RecursionError:
+        t = s.peek()
+        raise ParseError("nesting too deep", t.line, t.col) from None
     s.done()
-    return a
+    return out
+
+
+def parse_algebra(text: str) -> Algebra:
+    return _parse_all(text, _parse_alg)
 
 
 def _parse_alg(s: _Stream) -> Algebra:
@@ -445,9 +455,12 @@ def print_reptree(tree) -> str:
 
 
 def parse_reptree(text: str):
+    return _parse_all(text, _parse_tree)
+
+
+def _parse_tree(s: _Stream):
     from .decompose import RepLevel, RepTree
 
-    s = _Stream(text)
     if not s.take_ident("base"):
         s.fail("expected 'base:'")
     s.expect(":")
@@ -475,7 +488,6 @@ def parse_reptree(text: str):
         z = zast if zast == "gr" else _expand_sub(s, zast, child_rank)
         levels.append(RepLevel(iota=iota, z=z, g=g, h=h))
         child_rank += g.rank
-    s.done()
     return RepTree(base=base, levels=tuple(levels))
 
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from plexalg import parsing
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # deterministic property tests: the same examples on every run, no
 # wall-clock deadline (peeling deep towers through the view-stack oracle is
@@ -39,3 +46,17 @@ def el():
         return parsing.parse_elem(a, text)
 
     return parse
+
+
+@pytest.fixture()
+def fresh_python():
+    """Run code in a new interpreter that imports the package from this
+    checkout's src and nothing else yet; return what it prints."""
+    def run(code, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

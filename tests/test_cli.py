@@ -1,5 +1,7 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
+import json
+
 import pytest
 
 from plexalg import cli, lawcheck, parsing
@@ -43,6 +45,31 @@ def test_build_precondition_exits_2(capsys, spec_file):
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "build", "-f", "/nonexistent/x.alg")
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("verb", ["build", "rebuild"])
+def test_non_utf8_input_is_an_error_line(capsys, tmp_path, verb):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfeII(Z, Q)\n")
+    code, out, err = run(capsys, verb, "-f", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: 1:1: invalid UTF-8 in {path}: invalid start byte\n"
+
+
+DEEP_SPEC = "I(" * 1000 + "Z" + ", full, Q)" * 1000
+DEEP_TREE = "base: Z\nlevel 2: iota=II Z=" + "(" * 1000
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("build",), DEEP_SPEC),
+    (("eval", "-e", "unit"), DEEP_SPEC),
+    (("represent",), DEEP_SPEC),
+    (("rebuild",), DEEP_TREE),
+], ids=["build", "eval", "represent", "rebuild"])
+def test_over_deep_nesting_is_a_parse_error(capsys, spec_file, argv, text):
+    code, out, err = run(capsys, argv[0], "-f", spec_file(text), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(": nesting too deep\n")
 
 
 def test_bad_usage_exits_1(capsys, spec_file):
@@ -89,6 +116,13 @@ def test_eval_bad_expression_exits_1(capsys, spec_file):
     path = spec_file("II(Z, Q)")
     code, _, _ = run(capsys, "eval", "-f", path, "-e", "mul (0, T)")
     assert code == 1
+
+
+def test_parse_error_quotes_the_expected_token(capsys, spec_file):
+    path = spec_file("II(Z, Q)")
+    code, _, err = run(capsys, "eval", "-f", path, "-e", "comp (0)")
+    assert code == 1
+    assert err == "error: 1:8: expected ',', got ')'\n"
 
 
 def test_check_single_law(capsys, spec_file):
@@ -230,3 +264,39 @@ def test_embed_lex_reports_target(capsys, spec_file):
     lines = out.splitlines()
     assert lines[0] == "target: Z lex Q^TB"
     assert lines[1].startswith("LAW embed-lex PASS")
+
+
+# runs in a fresh interpreter: which of the peeling and law modules are
+# loaded after the import and after each call
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from plexalg import cli
+
+def loaded():
+    return [m for m in ("plexalg.decompose", "plexalg.lawcheck")
+            if m in sys.modules]
+
+steps = [["import", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
+    spec = spec_file("II(Z, Q)")
+    tree = spec_file("base: Z\nlevel 2: iota=II Z=gr G=Q H=fullH", "tree")
+    calls = [["build", "-f", spec], ["eval", "-f", spec, "-e", "idems"],
+             ["represent", "-f", spec], ["decompose", "-f", spec],
+             ["rebuild", "-f", tree]]
+    steps = json.loads(fresh_python(_FOOTPRINT, json.dumps(calls)))
+    assert steps == [
+        ["import", []],
+        ["build", 0, []],
+        ["eval", 0, []],
+        ["represent", 0, ["plexalg.decompose"]],
+        ["decompose", 0, ["plexalg.decompose"]],
+        ["rebuild", 0, ["plexalg.decompose"]],
+    ]

@@ -1,0 +1,48 @@
+"""The package namespace: exports load on first use and resolve to the
+objects of the modules that define them."""
+
+import json
+
+# runs in a fresh interpreter, so that nothing but the package is loaded
+_NAMESPACE = """
+import json, pkgutil, sys
+import plexalg
+
+out = {"loaded": sorted(m for m in sys.modules if m.startswith("plexalg."))}
+from plexalg import lawcheck
+out["from_import"] = lawcheck is sys.modules["plexalg.lawcheck"]
+subs = sorted(m.name for m in pkgutil.iter_modules(plexalg.__path__))
+out["submodules"] = {m: getattr(plexalg, m) is sys.modules["plexalg." + m]
+                     for m in subs}
+out["mismatched"] = [
+    name for name in plexalg.__all__
+    if getattr(plexalg, name) is not getattr(
+        sys.modules[getattr(plexalg, name).__module__], name)]
+star = {}
+exec("from plexalg import *", star)
+out["star_missing"] = sorted(set(plexalg.__all__) - set(star))
+out["dir_missing"] = sorted(set(plexalg.__all__) - set(dir(plexalg)))
+try:
+    plexalg.nope
+    out["nope"] = "resolved"
+except AttributeError:
+    out["nope"] = "AttributeError"
+out["hasattr_nope"] = hasattr(plexalg, "nope")
+print(json.dumps(out))
+"""
+
+
+def test_exports_load_on_first_use(fresh_python):
+    out = json.loads(fresh_python(_NAMESPACE))
+    assert out == {
+        "loaded": [],
+        "from_import": True,
+        "submodules": {m: True for m in (
+            "build", "chains", "cli", "decompose", "errors", "groups",
+            "kernel", "lawcheck", "parsing")},
+        "mismatched": [],
+        "star_missing": [],
+        "dir_missing": [],
+        "nope": "AttributeError",
+        "hasattr_nope": False,
+    }
