@@ -208,6 +208,10 @@ class Algebra:
         """Compiled samplers by (magnitude, denominator, marker_p)."""
         return {}
 
+    @cached_property
+    def _pos_idems(self) -> tuple:
+        return _lift_idems(self)
+
     def __repr__(self):  # pragma: no cover - debugging aid
         from .parsing import print_algebra
 
@@ -737,31 +741,41 @@ def x_up(a: Algebra, p):
 # idempotents
 
 
-def positive_idempotents(a: Algebra):
-    """All idempotents >= unit, ascending.  One per tree level plus one
-    per group leaf; each candidate is verified by multiplication."""
-    out = _pos_idems(a)
-    u = unit(a)
-    prev = None
-    for e in out:
-        if mul(a, e, e) != e or lt(a, e, u):
-            raise StructuralMismatch("bad idempotent candidate")
-        if prev is not None and not lt(a, prev, e):
-            raise StructuralMismatch("idempotents out of order")
-        prev = e
-    return out
+def positive_idempotents(a: Algebra) -> tuple:
+    """All idempotents >= unit, ascending: one per tree level plus one
+    per group leaf.  Verified once per algebra and cached on it."""
+    return a._pos_idems
 
 
-def _pos_idems(a: Algebra):
+def _lift_idems(a: Algebra) -> tuple:
+    """The positive idempotents of a, lifted from the cached (so already
+    verified) lists of its factors; only what the node adds is verified.
+
+    The list is built in pieces: Y's idempotents as middle columns over
+    the unit of X, then for 't' X's idempotents as top columns, for 'tb'
+    the top column over the unit of X and X's other idempotents as
+    bottom columns.  mul takes one branch of the node on a whole piece
+    and hands the rest to the factor, whose list is idempotent and
+    ascending, so one product per piece verifies the node's branch, and
+    one comparison per junction the order.  The first element is the
+    unit, lifted from the factors' units."""
     if a.is_leaf:
-        return [unit(a)]
-    tx = unit(a.x)
-    out = [(tx, mid(e)) for e in _pos_idems(a.y)]
+        return (unit(a),)
+    xs = a.x._pos_idems
+    tx = xs[0]  # the unit of X
+    pieces = [tuple((tx, mid(e)) for e in a.y._pos_idems)]
     if a.family == "t":
-        out.extend((e, TOP) for e in _pos_idems(a.x))
+        pieces.append(tuple((e, TOP) for e in xs))
     else:
-        out.append((tx, TOP))
-        out.extend((e, BOT) for e in _pos_idems(a.x) if e != tx)
+        pieces += [((tx, TOP),), tuple((e, BOT) for e in xs[1:])]
+    out = ()
+    for piece in filter(None, pieces):
+        e = piece[0]
+        if mul(a, e, e) != e:
+            raise StructuralMismatch("bad idempotent candidate")
+        if out and not lt(a, out[-1], e):
+            raise StructuralMismatch("idempotents out of order")
+        out += piece
     return out
 
 
@@ -939,13 +953,6 @@ def sample_elem(a: Algebra, rng, magnitude: int = 6, denominator: int = 8,
     return draw(rng.random, rng.getrandbits)
 
 
-def _sample_group(a: Algebra, rng, magnitude: int, denominator: int):
-    """Random element of the group part of a, drawn as a sublex middle
-    column draws one."""
-    return _group_sampler(a, a._structure.entries[0].gconstr, magnitude,
-                          denominator)(rng.random, rng.getrandbits)
-
-
 # ---------------------------------------------------------------------------
 # discreteness of the group part (build precondition for 't' nodes)
 
@@ -953,7 +960,10 @@ def _sample_group(a: Algebra, rng, magnitude: int, denominator: int):
 def discretely_embedded(a: Algebra) -> bool:
     """True when every group-part element has covers inside the group part.
 
-    Structural test; 't' builders additionally sample-check it.
+    Exact, by structure: a group leaf is discrete iff it ends in Z (the
+    covers step its last coordinate), a non-sublex node iff its Y is (a
+    group element's covers move only its middle column inside Y), and a
+    sublex node iff its slices have a step (the covers move along one).
     """
     if a.is_leaf:
         k = a.group.kinds
@@ -1111,7 +1121,7 @@ class BaseChain(ChainView):
         return x_up(self.a, p)
 
     def pos_idems(self) -> tuple:
-        return tuple(positive_idempotents(self.a))
+        return positive_idempotents(self.a)
 
     def partial_vec(self, p) -> tuple:
         return partial_vec(self.a, p)

@@ -561,7 +561,7 @@ def _walk(a: Algebra):
     T or B as x does or does not absorb the complement of the step
     idempotent."""
     ambient, entries = ladder(a)
-    idems = tuple(positive_idempotents(a))
+    idems = positive_idempotents(a)
     if len(idems) != len(entries):
         raise StructuralMismatch(
             "idempotent count disagrees with the coordinate ladder")

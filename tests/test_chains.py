@@ -1,7 +1,7 @@
 """Element operations on built chains, against hand-computed values."""
 
 import random
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from itertools import product
 from unittest import mock
 
@@ -10,15 +10,17 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import SPECS
+from plexalg import build
 from plexalg import chains as ch
 from plexalg import decompose as dec
 from plexalg import groups as gr
 from plexalg import kernel as kn
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
-from plexalg.errors import InvalidElement, PlexError
-from test_decompose import (PEELABLE_CASES, _element_draws, _specs, _tower,
-                            case_spec)
+from plexalg.errors import (DiscretenessViolated, InvalidElement, PlexError,
+                            StructuralMismatch)
+from test_decompose import (PEELABLE_CASES, REGRESSION_SPECS, _element_draws,
+                            _specs, _tower, case_spec)
 
 
 def val(a, text):
@@ -196,7 +198,7 @@ def _assert_trusted_checks_agree(a, x):
 
 
 def _assert_absorber_matches_product(a, xs):
-    idems = ch._pos_idems(a)
+    idems = list(ch.positive_idempotents(a))
     es = idems + [ch.comp(a, u) for u in idems] + xs[:3]
     for e in es:
         absorbs = ch.absorber(a, e)
@@ -461,12 +463,6 @@ def _assert_sampler_matches_definition(a, draws, seed):
             x = ch.sample_elem(a, got, magnitude, denominator, marker_p)
             assert x == _ref_elem(a, want, magnitude, denominator, marker_p)
         assert got.getstate() == want.getstate()
-    # the build's discreteness probe draws group elements at its own range
-    from plexalg.build import PROBE_MAGNITUDE as m
-    got, want = random.Random(seed), random.Random(seed)
-    for _ in range(draws):
-        assert ch._sample_group(a, got, m, m) == _ref_group(a, want, m, m)
-    assert got.getstate() == want.getstate()
 
 
 @pytest.mark.parametrize("name", DIFF_CASES)
@@ -484,3 +480,166 @@ def test_sampler_matches_the_recursive_definition_on_random_specs(spec, seed):
         reject()
     _assert_sampler_matches_definition(a, 200, seed)
 
+
+# ---------------------------------------------------------------------------
+# builder acceptance against the discreteness probe
+#
+# The builders decide discreteness of a child's group part from its
+# structure alone.  They once re-checked it on 100 group elements drawn at
+# seed 0 with coordinates and denominators up to 3: every draw naming an
+# element needed both covers, inside the group part.  That probe stays
+# here as the oracle for the structural verdict.
+
+
+def _probe_check_discrete(x, kind):
+    """The builders' discreteness check with the sampled probe behind
+    the structural test."""
+    if not ch.discretely_embedded(x):
+        raise DiscretenessViolated(
+            f"kind {kind} needs the group part of the child discretely embedded")
+    if ch.gr_ambient(x).rank == 0:
+        raise DiscretenessViolated("trivial group part is not discretely embedded")
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(100):
+        try:
+            el = _ref_group(x, rng, 3, 3)
+        except InvalidElement:
+            continue
+        for nb in (ch.x_down(x, el), ch.x_up(x, el)):
+            if nb == el or not ch.in_group_part(x, nb):
+                raise DiscretenessViolated(
+                    "sampled group element has no cover inside the group part")
+        checked += 1
+    if checked == 0:
+        raise DiscretenessViolated("could not sample the group part")
+
+
+def _verdict(spec):
+    try:
+        ps.parse_algebra(spec)
+    except PlexError as exc:
+        return type(exc).__name__, str(exc)
+    return "accepted"
+
+
+def _verdicts_disagreeing_with_the_probe(specs):
+    out = []
+    for spec in specs:
+        got = _verdict(spec)
+        with mock.patch.object(build, "_check_discrete", _probe_check_discrete):
+            want = _verdict(spec)
+        if got != want:
+            out.append((spec, got, want))
+    return out
+
+
+# 't' nodes over children that exercise each clause of the structural test
+DISCRETENESS_CASES = [
+    "II(Lex(Q, Z), Q)", "II(Lex(Z, Q), Q)", "II(1, Z)",
+    "II(II(Z, Q), Z)", "IV(I(Q, full, Z), idx 2, Q)",
+    "II(SLII(Z, Z, fullH), Z)", "II(SLII(Z, Q, fullH), Z)",
+    "SLII(SLI(Z, idx 2, Z, prodH(full, idx 3)), Q, fullH)",
+    "II(SLII(Z, Q, graphH(1/2)), Z)", "IV(SLII(Z, Q, prodH(full, triv)), triv, Z)",
+]
+ACCEPTANCE_CASES = ([case_spec(n) for n in DIFF_CASES] + REGRESSION_SPECS
+                    + DISCRETENESS_CASES)
+
+
+def test_builder_verdict_matches_the_probe():
+    assert _verdicts_disagreeing_with_the_probe(ACCEPTANCE_CASES) == []
+
+
+@given(spec=st.integers(1, 4).flatmap(_specs))
+def test_builder_verdict_matches_the_probe_on_random_specs(spec):
+    assert _verdicts_disagreeing_with_the_probe([spec[0]]) == []
+
+
+def _leaves_always_discrete(real, a):
+    return a.is_leaf and bool(a.group.kinds) or real(a)
+
+
+def _discreteness_from_x(real, a):
+    return real(a.x) if a.family == "t" and not a.is_sublex else real(a)
+
+
+def _sublex_always_discrete(real, a):
+    return a.is_sublex or real(a)
+
+
+@pytest.mark.parametrize("wrong", [_leaves_always_discrete,
+                                   _discreteness_from_x,
+                                   _sublex_always_discrete])
+def test_probe_oracle_catches_a_wrong_structural_test(wrong):
+    # the builders and the oracle's structural stage both read the wrong
+    # test, so only the probe can tell
+    bad = partial(wrong, ch.discretely_embedded)
+    with mock.patch.object(ch, "discretely_embedded", bad), \
+            mock.patch.object(build, "discretely_embedded", bad):
+        assert _verdicts_disagreeing_with_the_probe(ACCEPTANCE_CASES)
+
+
+# ---------------------------------------------------------------------------
+# positive idempotents: verified once per node, cached on the algebra
+
+
+def _counted_calls(monkeypatch, names=("mul", "cmp_elems")):
+    """Counter of calls to the named chains functions, recursive calls
+    included."""
+    calls = [0]
+    for name in names:
+        def wrapper(*args, _fn=getattr(ch, name)):
+            calls[0] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ch, name, wrapper)
+    return calls
+
+
+def _deep_tb(depth):
+    return "I(" * depth + "Z" + ", full, Q)" * depth
+
+
+def test_build_calls_per_node_grow_linearly_in_depth(monkeypatch):
+    per_node = {}
+    for d in (20, 40):
+        with monkeypatch.context() as mp:
+            calls = _counted_calls(mp)
+            ps.parse_algebra(_deep_tb(d))
+        per_node[d] = calls[0] / d
+    assert per_node[40] * 20 <= per_node[20] * 40, per_node
+
+
+@pytest.mark.parametrize("kind,x,y,sub", [
+    ("I", "II(Z, Q)", "Lex(Z, Q)", (gr.FULL, gr.idx(3))),
+    ("II", "I(Z, full, Z)", "II(Z, Q)", None),
+    ("IV", "II(Z, Z)", "Q", (gr.idx(2), gr.FULL)),
+])
+def test_idempotent_verification_bites_on_the_new_node(monkeypatch, kind, x,
+                                                      y, sub):
+    x, y = ps.parse_algebra(x), ps.parse_algebra(y)
+    args = {"I": {"zsub": sub}, "IV": {"vsub": sub}}.get(kind, {})
+    node = build.build_type(kind, x, y, **args)
+    # all but the unit, whose wrong square the local-unit law catches first
+    wrong = set(ch.positive_idempotents(node)[1:])
+    real = ch.mul
+
+    def mul(a, p, q):
+        if p == q and p in wrong and a == node:
+            return ch.unit(a)
+        return real(a, p, q)
+
+    monkeypatch.setattr(ch, "mul", mul)
+    with pytest.raises(StructuralMismatch, match="bad idempotent"):
+        build.build_type(kind, x, y, **args)
+
+
+def test_positive_idempotents_are_verified_once(monkeypatch):
+    e = ps.parse_algebra(SPECS["E"])
+    a = ch.Algebra(kind="I", x=e, y=e, zsub=(gr.FULL,) * 3)  # not yet built
+    with monkeypatch.context() as mp:
+        calls = _counted_calls(mp)
+        first = ch.positive_idempotents(a)
+    assert calls[0] > 0
+    calls = _counted_calls(monkeypatch)
+    assert ch.positive_idempotents(a) is first
+    assert calls[0] == 0

@@ -72,6 +72,14 @@ def test_over_deep_nesting_is_a_parse_error(capsys, spec_file, argv, text):
     assert err.startswith("error: ") and err.endswith(": nesting too deep\n")
 
 
+def test_deep_spec_under_the_nesting_limit_builds(capsys, spec_file):
+    # what each node costs is bounded in
+    # test_chains.test_build_calls_per_node_grow_linearly_in_depth
+    text = "I(" * 200 + "Z" + ", full, Q)" * 200
+    code, out, _ = run(capsys, "build", "-f", spec_file(text))
+    assert (code, out) == (0, text + "\n")
+
+
 def test_bad_usage_exits_1(capsys, spec_file):
     code, _, err = run(capsys, "check", "-f", spec_file("Z"), "--format", "xml")
     assert code == 1
