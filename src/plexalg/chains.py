@@ -424,10 +424,11 @@ def partial_vec(a: Algebra, x) -> tuple:
 def elem_from_prefix(a: Algebra, h: tuple):
     """Canonical element with group prefix h, markers below (validated).
 
-    A full-length h gives a group-part element.  Shorter prefixes are
-    completed with the family's default marker: bottom for 'tb' nodes,
-    top for 't' nodes.  Coordinates determined by a graph restriction and
-    pinned coordinates must match, else InvalidElement.
+    A full-length h gives a group-part element, except where a second
+    factor of rank 0 has no middle column over it.  Such a prefix, and a
+    shorter one, is completed with the family's default marker: bottom
+    for 'tb' nodes, top for 't' nodes.  Coordinates determined by a graph
+    restriction and pinned coordinates must match, else InvalidElement.
     """
     el = _elem_from_prefix_raw(a, h)
     if not validate_elem(a, el):
@@ -443,13 +444,16 @@ def _elem_from_prefix_raw(a: Algebra, h: tuple):
             raise InvalidElement("prefix arity %d, expected %d" % (len(h), a.group.rank))
         return h
     xlen = a.xlen
-    # a prefix as long as the group part is full-length, also when Y has rank 0
-    if len(h) < xlen or len(h) == xlen < len(a._structure.ambient):
-        first = (_elem_from_prefix_raw(a.x, h) if len(h) < xlen
-                 else _from_gvec_raw(a.x, h))
-        return (first, BOT if a.family == "tb" else TOP)
-    return (_from_gvec_raw(a.x, h[:xlen]),
-            mid(_elem_from_prefix_raw(a.y, h[xlen:])))
+    if len(h) > xlen:
+        return (_from_gvec_raw(a.x, h[:xlen]),
+                mid(_elem_from_prefix_raw(a.y, h[xlen:])))
+    first = (_elem_from_prefix_raw(a.x, h) if len(h) < xlen
+             else _from_gvec_raw(a.x, h))
+    # a prefix as long as the group part is full-length when Y has rank 0,
+    # and names a group element where a middle column sits over first
+    if len(h) == xlen == len(a._structure.ambient) and mid_capable(a, first):
+        return (first, mid(_elem_from_prefix_raw(a.y, ())))
+    return (first, BOT if a.family == "tb" else TOP)
 
 
 # ---------------------------------------------------------------------------

@@ -550,7 +550,10 @@ def _level_record(ambient, entries, idem_branch: bool):
 
 
 def _walk(a: Algebra):
-    """(representation tree, rebuilt algebra, lex coordinates of elements).
+    """(representation tree, lex coordinates of elements), in one pass
+    that reads each step's constants once.  The tree alone names the
+    rebuilt algebra; representation_embedding, the only caller that needs
+    it, stacks it with rebuild.
 
     Step k works at the positive idempotent idems[k + 1] and splits
     ladder entry k from entry k + 1.  An element x whose local unit is
@@ -570,10 +573,9 @@ def _walk(a: Algebra):
     base = GroupDesc(tuple(ambient[: entries[-1].prefix]))
     nus = [comp(a, u) for u in idems[1:]]
     idem_b = [mul(a, nu, nu) == nu for nu in nus]
-    levels, steps, target = [], [], leaf(base)
+    levels, steps = [], []
     for k in range(len(nus) - 1, -1, -1):  # innermost step first
         level, free = _level_record(ambient, entries[k:], idem_b[k])
-        target = _stack_level(target, level)
         levels.append(level)
         steps.append((k, idem_b[k], absorber(a, nus[k]), free))
     head = entries[-1].prefix
@@ -594,7 +596,7 @@ def _walk(a: Algebra):
                 out.append(TOP)
         return tuple(out)
 
-    return RepTree(base=base, levels=tuple(levels)), target, lex
+    return RepTree(base=base, levels=tuple(levels)), lex
 
 
 def _nest(p):
@@ -606,7 +608,7 @@ def _nest(p):
 
 
 def group_representation(a: Algebra) -> RepTree:
-    tree, _, _ = _walk(a)
+    tree, _ = _walk(a)
     return tree
 
 
@@ -616,8 +618,8 @@ def representation_embedding(a: Algebra):
     Returns (tree, rebuilt, fn) where rebuilt is the algebra assembled
     from the tree and fn maps elements of a onto it in one pass over the
     levels."""
-    tree, target, lex = _walk(a)
-    return tree, target, lambda x: _nest(lex(x))
+    tree, lex = _walk(a)
+    return tree, rebuild(tree), lambda x: _nest(lex(x))
 
 
 def _stack_level(node: Algebra, level: RepLevel) -> Algebra:
@@ -702,7 +704,7 @@ class LexMonoid:
 
 def lex_embedding(a: Algebra):
     """(LexMonoid, map) embedding the chain for product and order only."""
-    tree, _, lex = _walk(a)
+    tree, lex = _walk(a)
     monoid = LexMonoid(base=tree.base,
                        parts=tuple(level.g for level in tree.levels))
     return monoid, lex

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel as kn
-from .errors import InvalidElement, InvalidSubgroup
+from .errors import InvalidSubgroup
 
 INT = "Z"
 RAT = "Q"
@@ -35,10 +35,6 @@ class GroupDesc:
     @property
     def rank(self) -> int:
         return len(self.kinds)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.kinds
 
 
 Z_GROUP = GroupDesc((INT,))
@@ -76,22 +72,8 @@ def g_member(desc: GroupDesc, elem) -> bool:
     return True
 
 
-def g_check(desc: GroupDesc, elem):
-    if not g_member(desc, elem):
-        raise InvalidElement(f"{elem!r} is not an element of {desc.kinds}")
-    return elem
-
-
 def g_add(desc: GroupDesc, a, b):
     return kn.vadd(a, b)
-
-
-def g_neg(desc: GroupDesc, a):
-    return kn.vneg(a)
-
-
-def g_sub(desc: GroupDesc, a, b):
-    return kn.vsub(a, b)
 
 
 def g_cmp(desc: GroupDesc, a, b) -> int:
@@ -138,12 +120,6 @@ def coord_in_sub(entry, coord) -> bool:
         return coord[0] == 0
     m = entry[1]
     return coord[1] == 1 and coord[0] % m == 0
-
-
-def sub_member(desc: GroupDesc, sub, elem) -> bool:
-    return g_member(desc, elem) and all(
-        coord_in_sub(entry, coord) for entry, coord in zip(sub, elem)
-    )
 
 
 def _entry_norm(kind: str, entry):

@@ -31,6 +31,13 @@ of one.  Sampling predicates, classification and windows read the view's
 corrupts one operation on a deterministic subset of calls: a mutation
 corrupts only the arithmetic under test, and a mutated run must produce
 violations.
+
+Every entry point starts its report the same way: the view, a
+SampleStream over it and a run that accumulates the report.  A named law
+or product table is a function (view, stream, run, budget) that hands
+each instance to `run.check`; the run prints its own witness, the first
+violation, with print_elem on the algebra below the view, so no law
+carries a printer.
 """
 
 from __future__ import annotations
@@ -180,28 +187,13 @@ class Report:
         return line
 
 
-def merge_reports(r1, r2):
-    """Associative merge of two reports for the same law."""
-    if r1.law != r2.law:
-        raise ValueError("cannot merge reports for different laws")
-    counts = dict(r1.counts)
-    for lab, n in r2.counts:
-        counts[lab] = counts.get(lab, 0) + n
-    return Report(
-        law=r1.law,
-        samples=r1.samples + r2.samples,
-        violations=r1.violations + r2.violations,
-        counts=tuple(sorted(counts.items())),
-        witness=r1.witness or r2.witness,
-        elapsed=r1.elapsed + r2.elapsed,
-    )
-
-
 class _Run:
-    """Mutable accumulator behind one Report."""
+    """Mutable accumulator behind one Report.  The run prints its own
+    witness, its first violation, through the printer of its view."""
 
-    def __init__(self, law):
+    def __init__(self, law, view):
         self.law = law
+        self._print = _printer(view)
         self.t0 = time.perf_counter()
         self.samples = 0
         self.violations = []
@@ -217,13 +209,26 @@ class _Run:
         if label is not None:
             self.counts[label] = self.counts.get(label, 0) + 1
 
-    def check(self, ok, inputs, lhs, rhs, fmt, label=None):
+    def check(self, ok, inputs, lhs, rhs, label=None):
         if label is not None:
             self.hit(label)
         if not ok:
             self.violations.append((inputs, lhs, rhs))
             if not self.witness:
-                self.witness = fmt(inputs, lhs, rhs)
+                ins = "; ".join(self._show(v) for v in inputs)
+                self.witness = (f"inputs=({ins}) lhs={self._show(lhs)} "
+                                f"rhs={self._show(rhs)}")
+
+    def equal(self, label, inputs, lhs, rhs):
+        """A cell whose two sides are the same element."""
+        self.check(lhs == rhs, inputs, lhs, rhs, label=label)
+
+    def _show(self, v):
+        # a value the printer cannot print shows by its repr
+        try:
+            return self._print(v)
+        except Exception:
+            return repr(v)
 
     def report(self):
         return Report(
@@ -246,22 +251,10 @@ def _printer(view):
     return partial(print_elem, view.a)
 
 
-def _fmt_for(view):
-    """Witness formatter: print through _printer, and show a value it
-    cannot print by its repr."""
-    shown = _printer(view)
-
-    def one(v):
-        try:
-            return shown(v)
-        except Exception:
-            return repr(v)
-
-    def fmt(inputs, lhs, rhs):
-        ins = "; ".join(one(v) for v in inputs)
-        return f"inputs=({ins}) lhs={one(lhs)} rhs={one(rhs)}"
-
-    return fmt
+def _start(a, law, seed):
+    """(view, stream, run) of one report on an algebra or a view."""
+    ops = _as_view(a)
+    return ops, SampleStream(ops, seed), _Run(law, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +268,25 @@ def check_fle_laws(a, budget=1000, seed=0):
     probe triples around each residual), involution of the complement,
     and the unit/falsum coincidence.
     """
-    ops = _as_view(a)
-    st = SampleStream(ops, seed)
-    run = _Run("fle")
-    fmt = _fmt_for(ops)
+    ops, st, run = _start(a, "fle", seed)
     run.cell("comm", "assoc", "unit", "adjoint", "involution", "oddness")
     t = ops.unit()
     run.check(ops.comp(t) == t and ops.fconst() == t, (t,), ops.comp(t), t,
-              fmt, label="oddness")
+              label="oddness")
     for _ in range(budget):
         x = st.draw()
         y = st.draw()
         z = st.draw()
         xy = ops.mul(x, y)
-        run.check(xy == ops.mul(y, x), (x, y), xy, ops.mul(y, x), fmt,
+        run.check(xy == ops.mul(y, x), (x, y), xy, ops.mul(y, x),
                   label="comm")
         l = ops.mul(xy, z)
         r = ops.mul(x, ops.mul(y, z))
-        run.check(l == r, (x, y, z), l, r, fmt, label="assoc")
-        run.check(ops.mul(x, t) == x, (x,), ops.mul(x, t), x, fmt,
+        run.check(l == r, (x, y, z), l, r, label="assoc")
+        run.check(ops.mul(x, t) == x, (x,), ops.mul(x, t), x,
                   label="unit")
         cc = ops.comp(ops.comp(x))
-        run.check(cc == x, (x,), cc, x, fmt, label="involution")
+        run.check(cc == x, (x,), cc, x, label="involution")
         r0 = ops.res(x, z)
         probes = [r0, ops.x_up(r0), ops.x_down(r0)]
         probes.extend(st.draw() for _ in range(8))
@@ -304,7 +294,7 @@ def check_fle_laws(a, budget=1000, seed=0):
         for p in probes:
             below = ops.le(ops.mul(x, p), z)
             under = ops.le(p, r0)
-            run.check(below == under, (x, z, p), below, under, fmt)
+            run.check(below == under, (x, z, p), below, under)
     return run.report()
 
 
@@ -333,71 +323,78 @@ def check_named(a, law, budget=1000, seed=0):
         fn = _NAMED[law]
     except KeyError:
         raise UnknownLaw(f"unknown law id {law!r}") from None
-    ops = _as_view(a)
-    st = SampleStream(ops, seed)
-    run = _Run(law)
-    fn(ops, st, run, budget, _fmt_for(ops))
+    ops, st, run = _start(a, law, seed)
+    fn(ops, st, run, budget)
     return run.report()
 
 
 @_named("eq2.2")
-def _law_reflect_upper(ops, st, run, budget, fmt):
+def _law_reflect_upper(ops, st, run, budget):
     # the product is below the complement of the product of complements
     run.cell("eq2.2")
     for _ in range(budget):
         x, y = st.draw(), st.draw()
         l = ops.mul(x, y)
         r = ops.comp(ops.mul(ops.comp(x), ops.comp(y)))
-        run.check(ops.le(l, r), (x, y), l, r, fmt, label="eq2.2")
+        run.check(ops.le(l, r), (x, y), l, r, label="eq2.2")
 
 
 @_named("eq2.3")
-def _law_reflect_strict(ops, st, run, budget, fmt):
+def _law_reflect_strict(ops, st, run, budget):
     # strictly enlarging one factor jumps over the reflected product
     run.cell("eq2.3")
     for _ in range(budget):
         x = st.draw()
-        p, q = st.draw(), st.draw()
-        if p == q:
-            q = ops.x_up(p)
-            if q == p:
-                continue
-        y, y1 = (p, q) if ops.lt(p, q) else (q, p)
+        pair = _strict_pair(ops, st)
+        if pair is None:
+            continue
+        y, y1 = pair
         l = ops.comp(ops.mul(ops.comp(x), ops.comp(y)))
         r = ops.mul(x, y1)
-        run.check(ops.le(l, r), (x, y, y1), l, r, fmt, label="eq2.3")
+        run.check(ops.le(l, r), (x, y, y1), l, r, label="eq2.3")
+
+
+def _strict_pair(ops, st):
+    """Two draws in strict order; a repeated draw is paired with its cover
+    above, and None when it has none."""
+    p, q = st.draw(), st.draw()
+    if p == q:
+        q = ops.x_up(p)
+        if q == p:
+            return None
+    return (p, q) if ops.lt(p, q) else (q, p)
 
 
 @_named("prop2.3.1")
-def _law_tau_comp(ops, st, run, budget, fmt):
+def _law_tau_comp(ops, st, run, budget):
     run.cell("prop2.3.1")
     for _ in range(budget):
         x = st.draw()
         l, r = ops.tau(ops.comp(x)), ops.tau(x)
-        run.check(l == r, (x,), l, r, fmt, label="prop2.3.1")
+        run.check(l == r, (x,), l, r, label="prop2.3.1")
 
 
 @_named("prop2.3.2")
-def _law_tau_idem(ops, st, run, budget, fmt):
+def _law_tau_idem(ops, st, run, budget):
     run.cell("prop2.3.2")
     for _ in range(budget):
         x = st.draw()
         l, r = ops.tau(ops.tau(x)), ops.tau(x)
-        run.check(l == r, (x,), l, r, fmt, label="prop2.3.2")
+        run.check(l == r, (x,), l, r, label="prop2.3.2")
 
 
 @_named("prop2.3.3")
-def _law_tau_monotone(ops, st, run, budget, fmt):
+def _law_tau_monotone(ops, st, run, budget):
     # stabilizers only grow under multiplication
     run.cell("prop2.3.3")
     for _ in range(budget):
         x, y = st.draw(), st.draw()
         l, r = ops.tau(ops.mul(x, y)), ops.tau(x)
-        run.check(ops.le(r, l), (x, y), l, r, fmt, label="prop2.3.3")
+        run.check(ops.le(r, l), (x, y), l, r, label="prop2.3.3")
 
 
 @_named("prop2.3.4")
-def _law_tau_fixes_idems(ops, st, run, budget, fmt):
+def _law_tau_fixes_idems(ops, st, run, budget):
     # a positive element is idempotent exactly when tau fixes it
     run.cell("prop2.3.4")
     t = ops.unit()
@@ -407,41 +404,40 @@ def _law_tau_fixes_idems(ops, st, run, budget, fmt):
             x = ops.comp(x)
         idem = ops.mul(x, x) == x
         fixed = ops.tau(x) == x
-        run.check(idem == fixed, (x,), ops.mul(x, x), ops.tau(x), fmt,
+        run.check(idem == fixed, (x,), ops.mul(x, x), ops.tau(x),
                   label="prop2.3.4")
 
 
 @_named("prop2.3.5")
-def _law_tau_range(ops, st, run, budget, fmt):
+def _law_tau_range(ops, st, run, budget):
     # tau lands on positive idempotents, and every listed positive
     # idempotent is a tau-value
     run.cell("lands-on-idems", "idems-in-range")
     t = ops.unit()
-    fmt_ = fmt
     for p in ops.pos_idems():
-        run.check(ops.tau(p) == p, (p,), ops.tau(p), p, fmt_,
+        run.check(ops.tau(p) == p, (p,), ops.tau(p), p,
                   label="idems-in-range")
     for _ in range(budget):
         x = st.draw()
         v = ops.tau(x)
         ok = ops.le(t, v) and ops.mul(v, v) == v
-        run.check(ok, (x,), ops.mul(v, v), v, fmt_, label="lands-on-idems")
+        run.check(ok, (x,), ops.mul(v, v), v, label="lands-on-idems")
 
 
 @_named("prop2.3.6")
-def _law_tau_below(ops, st, run, budget, fmt):
+def _law_tau_below(ops, st, run, budget):
     run.cell("prop2.3.6")
     t = ops.unit()
     for _ in range(budget):
         x = st.draw()
         if ops.lt(x, t):
             x = ops.comp(x)
-        run.check(ops.le(ops.tau(x), x), (x,), ops.tau(x), x, fmt,
+        run.check(ops.le(ops.tau(x), x), (x,), ops.tau(x), x,
                   label="prop2.3.6")
 
 
 @_named("prop4.3")
-def _law_dualizing(ops, st, run, budget, fmt):
+def _law_dualizing(ops, st, run, budget):
     # the falsum constant is dualizing: double residuation by it is the
     # identity, and residuals reduce to it
     run.cell("double-res", "reduce")
@@ -449,49 +445,43 @@ def _law_dualizing(ops, st, run, budget, fmt):
     for _ in range(budget):
         x, y = st.draw(), st.draw()
         d = ops.res(ops.res(x, c), c)
-        run.check(d == x, (x,), d, x, fmt, label="double-res")
+        run.check(d == x, (x,), d, x, label="double-res")
         l = ops.res(x, y)
         r = ops.res(ops.mul(x, ops.res(y, c)), c)
-        run.check(l == r, (x, y), l, r, fmt, label="reduce")
+        run.check(l == r, (x, y), l, r, label="reduce")
 
 
 @_named("prop5.3")
-def _law_diag_strict(ops, st, run, budget, fmt):
+def _law_diag_strict(ops, st, run, budget):
     # strictly increasing both factors strictly increases the product
     run.cell("prop5.3")
     for _ in range(budget):
-        p, q = st.draw(), st.draw()
-        if p == q:
-            q = ops.x_up(p)
-            if q == p:
-                continue
-        x, x1 = (p, q) if ops.lt(p, q) else (q, p)
-        p, q = st.draw(), st.draw()
-        if p == q:
-            q = ops.x_up(p)
-            if q == p:
-                continue
-        y, y1 = (p, q) if ops.lt(p, q) else (q, p)
+        xs = _strict_pair(ops, st)
+        if xs is None:
+            continue
+        ys = _strict_pair(ops, st)
+        if ys is None:
+            continue
+        (x, x1), (y, y1) = xs, ys
         l, r = ops.mul(x1, y1), ops.mul(x, y)
-        run.check(ops.lt(r, l), (x, x1, y, y1), l, r, fmt, label="prop5.3")
+        run.check(ops.lt(r, l), (x, x1, y, y1), l, r, label="prop5.3")
 
 
 @_named("lemma5.4")
-def _law_tau_of_terms(ops, st, run, budget, fmt):
+def _law_tau_of_terms(ops, st, run, budget):
     # tau of any term built from mul, res and comp equals the largest
     # tau-value among its leaves
     run.cell("lemma5.4")
     for _ in range(budget):
         leaves = [st.draw() for _ in range(st.randint(2, 4))]
         val = _random_term(ops, st, leaves)
-        mx = leaves[0]
-        mx = ops.tau(mx)
+        mx = ops.tau(leaves[0])
         for e in leaves[1:]:
             te = ops.tau(e)
             if ops.lt(mx, te):
                 mx = te
         l = ops.tau(val)
-        run.check(l == mx, tuple(leaves), l, mx, fmt, label="lemma5.4")
+        run.check(l == mx, tuple(leaves), l, mx, label="lemma5.4")
 
 
 def _random_term(ops, st, leaves):
@@ -507,7 +497,7 @@ def _random_term(ops, st, leaves):
 
 
 @_named("thm2.4")
-def _law_group_part(ops, st, run, budget, fmt):
+def _law_group_part(ops, st, run, budget):
     # an element is invertible exactly when its stabilizer is the unit,
     # and multiplication by invertibles is cancellative
     run.cell("inverse-vs-tau", "cancel")
@@ -517,10 +507,10 @@ def _law_group_part(ops, st, run, budget, fmt):
         inv = ops.mul(x, ops.comp(x)) == t
         fixed = ops.tau(x) == t
         run.check(inv == fixed, (x,), ops.mul(x, ops.comp(x)), ops.tau(x),
-                  fmt, label="inverse-vs-tau")
+                  label="inverse-vs-tau")
         if inv and y != z:
             l, r = ops.mul(x, y), ops.mul(x, z)
-            run.check(l != r, (x, y, z), l, r, fmt, label="cancel")
+            run.check(l != r, (x, y, z), l, r, label="cancel")
 
 
 def _at_u(ops):
@@ -532,7 +522,7 @@ def _at_u(ops):
 
 
 @_named("prop7.2.eqs")
-def _law_extremals(ops, st, run, budget, fmt):
+def _law_extremals(ops, st, run, budget):
     # v*u and v*comp(u) are the top and bottom extremals of v's
     # component: they sandwich it, mirror each other through comp, and
     # separate it from the upper stabilizer part on the right sides
@@ -547,26 +537,26 @@ def _law_extremals(ops, st, run, budget, fmt):
         top = ops.mul(v, u)
         bot = ops.mul(v, nu)
         m = ops.comp(ops.mul(ops.comp(v), u))
-        run.check(bot == m, (v,), bot, m, fmt, label="mirror")
+        run.check(bot == m, (v,), bot, m, label="mirror")
         ok = ops.le(bot, v) and ops.le(v, top) and \
             ops.le(u, c.tau(top)) and ops.le(u, c.tau(bot))
-        run.check(ok, (v,), bot, top, fmt, label="order")
+        run.check(ok, (v,), bot, top, label="order")
         # multiplying by u projects onto the upper stabilizer part
         s = c.mul(st.draw(), u)
         if ops.le(v, s):
-            run.check(ops.le(top, s), (v, s), top, s, fmt,
+            run.check(ops.le(top, s), (v, s), top, s,
                       label="least-above")
         else:
-            run.check(ops.le(s, bot), (v, s), s, bot, fmt,
+            run.check(ops.le(s, bot), (v, s), s, bot,
                       label="greatest-below")
         w = st.draw_where(lambda e: grp(e) and c.mul(e, u) == top)
         if w is not None:
             l = ops.mul(w, nu)
-            run.check(l == bot, (v, w), l, bot, fmt, label="same-component")
+            run.check(l == bot, (v, w), l, bot, label="same-component")
 
 
 @_named("prop8.2.1")
-def _law_gap_disjoint(ops, st, run, budget, fmt):
+def _law_gap_disjoint(ops, st, run, budget):
     # gap kinds do not overlap: pseudo-bottoms stay in the upper part,
     # pseudo-extremals are not component extremals, and second-kind gap
     # elements are not component tops
@@ -580,22 +570,22 @@ def _law_gap_disjoint(ops, st, run, budget, fmt):
         v = st.draw_where(grp)
         if k == dec.TOP_PS:
             d = c.x_down(x)
-            run.check(ops.le(u, c.tau(d)), (x,), c.tau(d), u, fmt,
+            run.check(ops.le(u, c.tau(d)), (x,), c.tau(d), u,
                       label="bps-in-restriction")
             if v is not None:
                 l = ops.mul(v, u)
-                run.check(l != x, (x, v), l, x, fmt, label="tps-not-tc")
+                run.check(l != x, (x, v), l, x, label="tps-not-tc")
         elif k == dec.BOT_PS and v is not None:
             l = ops.mul(v, nu)
-            run.check(l != x, (x, v), l, x, fmt, label="bps-not-bc")
+            run.check(l != x, (x, v), l, x, label="bps-not-bc")
         elif k == dec.G2 and v is not None:
             l = ops.mul(v, u)
-            run.check(l != x and c.mul(x, u) == x, (x, v), l, x, fmt,
+            run.check(l != x and c.mul(x, u) == x, (x, v), l, x,
                       label="g2-not-tc")
 
 
 @_named("prop8.2.2")
-def _law_gap_partition(ops, st, run, budget, fmt):
+def _law_gap_partition(ops, st, run, budget):
     # upper ends of gaps in the upper stabilizer part are exactly the
     # component tops, pseudo-tops and second-kind gap elements, plus the
     # component bottoms where adjacent components touch (over a discrete
@@ -608,18 +598,18 @@ def _law_gap_partition(ops, st, run, budget, fmt):
         d = c.x_down(x)
         k = kind(x)
         if d == x:
-            run.check(k not in (dec.TOP_PS, dec.G2), (x,), k, "no-gap", fmt,
+            run.check(k not in (dec.TOP_PS, dec.G2), (x,), k, "no-gap",
                       label="no-gap")
         elif k == dec.BOT_C:
             l = ops.mul(d, u)
-            run.check(l == d, (x, d), l, d, fmt, label="gap-kinds")
+            run.check(l == d, (x, d), l, d, label="gap-kinds")
         elif k != dec.TOP_C:
-            run.check(k in (dec.TOP_PS, dec.G2), (x,), k, "gap-kind", fmt,
+            run.check(k in (dec.TOP_PS, dec.G2), (x,), k, "gap-kind",
                       label="gap-kinds")
 
 
 @_named("prop8.2.3")
-def _law_bottom_absorption(ops, st, run, budget, fmt):
+def _law_bottom_absorption(ops, st, run, budget):
     # multiplying by a bottom extremal lands on the floor of the
     # product's component, or on the gap floor for pseudo-tops, and is
     # plain multiplication for everything below the tops
@@ -639,14 +629,14 @@ def _law_bottom_absorption(ops, st, run, budget, fmt):
         if k == dec.TOP_C:
             ok = p == ops.mul(q, nu) and ops.lt(p, q) and \
                 kind(q) == dec.TOP_C
-            run.check(ok, (x, v), p, q, fmt, label="tc-case")
+            run.check(ok, (x, v), p, q, label="tc-case")
         elif k == dec.TOP_PS:
             d = c.x_down(q)
             ok = p == d and ops.lt(p, q) and \
                 kind(q) == dec.TOP_PS
-            run.check(ok, (x, v), p, d, fmt, label="tps-case")
+            run.check(ok, (x, v), p, d, label="tps-case")
         else:
-            run.check(p == q, (x, v), p, q, fmt, label="other-case")
+            run.check(p == q, (x, v), p, q, label="other-case")
 
 
 def _pseudo_top_source(st, c, u, kind):
@@ -666,7 +656,7 @@ def _pseudo_top_source(st, c, u, kind):
 
 
 @_named("prop8.2.4")
-def _law_pseudo_mirror(ops, st, run, budget, fmt):
+def _law_pseudo_mirror(ops, st, run, budget):
     # the complement of a pseudo-top's gap floor is again a pseudo-top
     c, u, _ = _at_u(ops)
     run.cell("prop8.2.4")
@@ -680,12 +670,12 @@ def _law_pseudo_mirror(ops, st, run, budget, fmt):
             continue
         m = ops.comp(c.x_down(x))
         k = kind(m)
-        run.check(k == dec.TOP_PS, (x,), k, dec.TOP_PS, fmt,
+        run.check(k == dec.TOP_PS, (x,), k, dec.TOP_PS,
                   label="prop8.2.4")
 
 
 @_named("prop8.2.5")
-def _law_pseudo_product_drops(ops, st, run, budget, fmt):
+def _law_pseudo_product_drops(ops, st, run, budget):
     # products of pseudo-tops are moved by the complement of u
     c, u, nu = _at_u(ops)
     run.cell("prop8.2.5")
@@ -699,11 +689,11 @@ def _law_pseudo_product_drops(ops, st, run, budget, fmt):
             continue
         p = ops.mul(x, y)
         l = ops.mul(p, nu)
-        run.check(l != p, (x, y), l, p, fmt, label="prop8.2.5")
+        run.check(l != p, (x, y), l, p, label="prop8.2.5")
 
 
 @_named("prop8.2.6")
-def _law_pseudo_tau(ops, st, run, budget, fmt):
+def _law_pseudo_tau(ops, st, run, budget):
     # pseudo-tops have stabilizer exactly u
     c, u, _ = _at_u(ops)
     run.cell("prop8.2.6")
@@ -716,11 +706,11 @@ def _law_pseudo_tau(ops, st, run, budget, fmt):
         if x is None:
             continue
         l = ops.tau(x)
-        run.check(l == u, (x,), l, u, fmt, label="prop8.2.6")
+        run.check(l == u, (x,), l, u, label="prop8.2.6")
 
 
 @_named("prop9.2")
-def _law_class_disjoint(ops, st, run, budget, fmt):
+def _law_class_disjoint(ops, st, run, budget):
     # the collapse classes of the component-and-gap quotient partition
     # an exhaustive window: intervals are disjoint and cover their own
     # members (budget is ignored; the window is enumerated)
@@ -735,17 +725,17 @@ def _law_class_disjoint(ops, st, run, budget, fmt):
         if k not in spans:
             spans[k] = (q.class_min(k), q.class_max(k))
         lo, hi = spans[k]
-        run.check(ops.le(lo, x) and ops.le(x, hi), (x,), lo, hi, fmt,
+        run.check(ops.le(lo, x) and ops.le(x, hi), (x,), lo, hi,
                   label="member-in-interval")
     order = sorted(spans.values(),
                    key=cmp_to_key(lambda p, r: c.cmp(p[0], r[0])))
     for (lo1, hi1), (lo2, hi2) in zip(order, order[1:]):
-        run.check(ops.lt(hi1, lo2), (hi1, lo2), hi1, lo2, fmt,
+        run.check(ops.lt(hi1, lo2), (hi1, lo2), hi1, lo2,
                   label="intervals-disjoint")
 
 
 @_named("prop10.1.3")
-def _law_tops_discrete(ops, st, run, budget, fmt):
+def _law_tops_discrete(ops, st, run, budget):
     # in the non-idempotent branch the tops sit discretely inside the
     # upper stabilizer part: strict covers exist on both sides and no
     # sampled member falls in between
@@ -760,16 +750,16 @@ def _law_tops_discrete(ops, st, run, budget, fmt):
         if kind(x) not in (dec.TOP_C, dec.TOP_PS):
             continue
         d, e = rc.x_down(x), rc.x_up(x)
-        run.check(ops.lt(d, x) and ops.lt(x, e), (x,), d, e, fmt,
+        run.check(ops.lt(d, x) and ops.lt(x, e), (x,), d, e,
                   label="covers")
         s = c.mul(st.draw(), u)
         between = (ops.lt(d, s) and ops.lt(s, x)) or \
                   (ops.lt(x, s) and ops.lt(s, e))
-        run.check(not between, (x, s), d, e, fmt, label="nothing-between")
+        run.check(not between, (x, s), d, e, label="nothing-between")
 
 
 @_named("remark11.4")
-def _law_nucleus(ops, st, run, budget, fmt):
+def _law_nucleus(ops, st, run, budget):
     # the double-reflection retraction is a nucleus whose image is the
     # branch codomain: class ceilings in the idempotent branch, the
     # upper stabilizer part otherwise
@@ -784,22 +774,22 @@ def _law_nucleus(ops, st, run, budget, fmt):
     for _ in range(budget):
         x, y = st.draw(), st.draw()
         px, py = phi(x), phi(y)
-        run.check(ops.le(x, px), (x,), x, px, fmt, label="extensive")
+        run.check(ops.le(x, px), (x,), x, px, label="extensive")
         if ops.le(x, y):
-            run.check(ops.le(px, py), (x, y), px, py, fmt, label="monotone")
+            run.check(ops.le(px, py), (x, y), px, py, label="monotone")
         else:
-            run.check(ops.le(py, px), (x, y), py, px, fmt, label="monotone")
-        run.check(phi(px) == px, (x,), phi(px), px, fmt, label="idempotent")
+            run.check(ops.le(py, px), (x, y), py, px, label="monotone")
+        run.check(phi(px) == px, (x,), phi(px), px, label="idempotent")
         l = phi(ops.mul(px, py))
         r = phi(ops.mul(x, y))
-        run.check(l == r, (x, y), l, r, fmt, label="nucleus")
+        run.check(l == r, (x, y), l, r, label="nucleus")
         if idem:
             want = q.class_max(q.to_class(x))
-            run.check(px == want, (x,), px, want, fmt, label="retract")
+            run.check(px == want, (x,), px, want, label="retract")
         else:
             ok = ops.le(u, c.tau(px)) and \
                 (not ops.le(u, c.tau(x)) or px == x)
-            run.check(ok, (x,), px, x, fmt, label="retract")
+            run.check(ok, (x,), px, x, label="retract")
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +853,8 @@ class _Kinds:
     so the affected cells go vacuous instead of burning draws.  Where the
     view rules a kind out by structure (pseudo-tops, non-tops), its probe
     still makes its draws, so every later draw stays where it was, but
-    skips lifting and classifying them."""
+    skips lifting and classifying them.  Every kind but the group
+    elements is returned lifted into the upper stabilizer part."""
 
     def __init__(self, ops, st, u):
         self.st = st
@@ -887,6 +878,10 @@ class _Kinds:
             self._dead.add(name)
         return x
 
+    def _find_lifted(self, name, pred):
+        x = self._find(name, pred, tries=400)
+        return None if x is None else self.lift(x)
+
     def group(self):
         return self._find("group", self._grp, tries=400)
 
@@ -894,21 +889,19 @@ class _Kinds:
         return self.lift(self.st.draw())
 
     def pseudo_top(self):
-        return self._find(
-            "tps", lambda e: self.kind(self.lift(e)) == dec.TOP_PS,
-            tries=400)
+        return self._find_lifted(
+            "tps", lambda e: self.kind(self.lift(e)) == dec.TOP_PS)
 
     def non_top(self):
-        return self._find(
+        return self._find_lifted(
             "nontop",
-            lambda e: self.kind(self.lift(e)) not in (dec.TOP_C, dec.TOP_PS),
-            tries=400)
+            lambda e: self.kind(self.lift(e)) not in (dec.TOP_C, dec.TOP_PS))
 
     def dense_below(self):
         def pred(e):
             s = self.lift(e)
             return self.clean.x_down(s) == s and self.kind(s) != dec.TOP_C
-        return self._find("dense", pred, tries=400)
+        return self._find_lifted("dense", pred)
 
     def lift(self, e):
         # multiplying by u projects onto the upper stabilizer part
@@ -921,30 +914,18 @@ def check_table(a, table, budget=200, seed=0):
     tables 2 and 4 the non-idempotent one."""
     if table not in (1, 2, 3, 4):
         raise UnknownLaw(f"no table {table!r}")
-    ops = _as_view(a)
+    ops, st, run = _start(a, f"table{table}", seed)
     u = dec.smallest_pos_idem(ops.clean)
     br = dec.branch(ops.clean, u)
     need = dec.IDEM_BRANCH if table in (1, 3) else dec.NONIDEM_BRANCH
     if br != need:
         raise WrongBranch(f"table {table} needs {need}, algebra is {br}")
-    st = SampleStream(ops, seed)
-    kinds = _Kinds(ops, st, u)
-    run = _Run(f"table{table}")
-    fmt = _fmt_for(ops)
     fn = (_table1, _table2, _table3, _table4)[table - 1]
-    fn(ops, kinds, run, fmt, budget)
+    fn(ops, _Kinds(ops, st, u), run, budget)
     return run.report()
 
 
-def _cell(run, fmt, label, inputs, lhs, rhs):
-    run.check(lhs == rhs, inputs, lhs, rhs, fmt, label=label)
-
-
-def _cell_ok(run, fmt, label, inputs, ok, lhs, rhs):
-    run.check(ok, inputs, lhs, rhs, fmt, label=label)
-
-
-def _component_cells(ops, kinds, run, fmt, v, w):
+def _component_cells(ops, kinds, run, v, w):
     """The seven cells multiplying two group elements v, w and their
     component extremes; returns (bot[v], top[v], bot[w], top[w])."""
     u, nu = kinds.u, kinds.nu
@@ -952,17 +933,17 @@ def _component_cells(ops, kinds, run, fmt, v, w):
     bw, tw = ops.mul(w, nu), ops.mul(w, u)
     vw = ops.mul(v, w)
     bvw, tvw = ops.mul(vw, nu), ops.mul(vw, u)
-    _cell(run, fmt, "bot[v]*w", (v, w), ops.mul(bv, w), bvw)
-    _cell(run, fmt, "bot[v]*top[w]", (v, w), ops.mul(bv, tw), bvw)
-    _cell(run, fmt, "v*bot[w]", (v, w), ops.mul(v, bw), bvw)
-    _cell(run, fmt, "v*top[w]", (v, w), ops.mul(v, tw), tvw)
-    _cell(run, fmt, "top[v]*bot[w]", (v, w), ops.mul(tv, bw), bvw)
-    _cell(run, fmt, "top[v]*w", (v, w), ops.mul(tv, w), tvw)
-    _cell(run, fmt, "top[v]*top[w]", (v, w), ops.mul(tv, tw), tvw)
+    run.equal("bot[v]*w", (v, w), ops.mul(bv, w), bvw)
+    run.equal("bot[v]*top[w]", (v, w), ops.mul(bv, tw), bvw)
+    run.equal("v*bot[w]", (v, w), ops.mul(v, bw), bvw)
+    run.equal("v*top[w]", (v, w), ops.mul(v, tw), tvw)
+    run.equal("top[v]*bot[w]", (v, w), ops.mul(tv, bw), bvw)
+    run.equal("top[v]*w", (v, w), ops.mul(tv, w), tvw)
+    run.equal("top[v]*top[w]", (v, w), ops.mul(tv, tw), tvw)
     return bv, tv, bw, tw
 
 
-def _table1(ops, kinds, run, fmt, budget):
+def _table1(ops, kinds, run, budget):
     run.cell("bot[v]*w", "bot[v]*top[w]", "v*bot[w]", "v*top[w]",
              "top[v]*bot[w]", "top[v]*w", "top[v]*top[w]", "top[v]*y",
              "a*bot[w]", "a*top[w]")
@@ -970,101 +951,93 @@ def _table1(ops, kinds, run, fmt, budget):
         v, w = kinds.group(), kinds.group()
         if v is None or w is None:
             return
-        _, tv, bw, tw = _component_cells(ops, kinds, run, fmt, v, w)
+        _, tv, bw, tw = _component_cells(ops, kinds, run, v, w)
         y = kinds.restriction()
-        _cell(run, fmt, "top[v]*y", (v, y), ops.mul(tv, y), ops.mul(v, y))
+        run.equal("top[v]*y", (v, y), ops.mul(tv, y), ops.mul(v, y))
         aa = kinds.dense_below()
         if aa is not None:
-            aa = kinds.lift(aa)
             aw = ops.mul(aa, w)
-            _cell(run, fmt, "a*bot[w]", (aa, w), ops.mul(aa, bw), aw)
-            _cell(run, fmt, "a*top[w]", (aa, w), ops.mul(aa, tw), aw)
+            run.equal("a*bot[w]", (aa, w), ops.mul(aa, bw), aw)
+            run.equal("a*top[w]", (aa, w), ops.mul(aa, tw), aw)
 
 
-def _member_nontop(kinds, e):
+def _non_top_cell(kinds, run, label, inputs, p):
+    """Cell label: the product p of the inputs is a non-top of the upper
+    stabilizer part."""
     c = kinds.clean
-    return c.le(kinds.u, c.tau(e)) and \
-        kinds.kind(e) not in (dec.TOP_C, dec.TOP_PS)
+    ok = c.le(kinds.u, c.tau(p)) and \
+        kinds.kind(p) not in (dec.TOP_C, dec.TOP_PS)
+    run.check(ok, inputs, p, "non-top", label=label)
 
 
-def _gap_rows(ops, kinds, run, fmt):
+def _gap_rows(ops, kinds, run):
     """Cells shared by the two six-by-six tables (rows bot,v,top,z)."""
     c = kinds.clean
     v, w = kinds.group(), kinds.group()
     if v is None or w is None:
         return None
-    bv, tv, bw, tw = _component_cells(ops, kinds, run, fmt, v, w)
+    bv, tv, bw, tw = _component_cells(ops, kinds, run, v, w)
     s = kinds.non_top()
     if s is not None:
-        s = kinds.lift(s)
-        _cell(run, fmt, "bot[v]*s", (v, s), ops.mul(bv, s), ops.mul(v, s))
-        for lab, e in (("v*s", v), ("top[v]*s", tv)):
-            p = ops.mul(e, s)
-            _cell_ok(run, fmt, lab, (e, s), _member_nontop(kinds, p), p,
-                     "non-top")
+        run.equal("bot[v]*s", (v, s), ops.mul(bv, s), ops.mul(v, s))
+        _non_top_cell(kinds, run, "v*s", (v, s), ops.mul(v, s))
+        _non_top_cell(kinds, run, "top[v]*s", (tv, s), ops.mul(tv, s))
         z = kinds.non_top()
         if z is not None:
-            z = kinds.lift(z)
             zw = ops.mul(z, w)
-            _cell(run, fmt, "z*bot[w]", (z, w), ops.mul(z, bw), zw)
-            _cell(run, fmt, "z*top[w]", (z, w), ops.mul(z, tw), zw)
-            p = ops.mul(z, s)
-            _cell_ok(run, fmt, "z*s", (z, s), _member_nontop(kinds, p), p,
-                     "non-top")
+            run.equal("z*bot[w]", (z, w), ops.mul(z, bw), zw)
+            run.equal("z*top[w]", (z, w), ops.mul(z, tw), zw)
+            _non_top_cell(kinds, run, "z*s", (z, s), ops.mul(z, s))
     y = kinds.pseudo_top()
     if y is not None:
-        y = kinds.lift(y)
         yd = c.x_down(y)
         q = ops.mul(v, y)
         d = c.x_down(q)
-        _cell_ok(run, fmt, "bot[v]*y", (v, y),
-                 ops.mul(bv, y) == d and ops.lt(d, q) and
-                 kinds.kind(q) == dec.TOP_PS,
-                 ops.mul(bv, y), d)
-        _cell_ok(run, fmt, "v*y", (v, y),
-                 kinds.kind(q) == dec.TOP_PS, q, dec.TOP_PS)
-        _cell(run, fmt, "top[v]*y", (v, y), ops.mul(tv, y), q)
+        run.check(ops.mul(bv, y) == d and ops.lt(d, q) and
+                  kinds.kind(q) == dec.TOP_PS,
+                  (v, y), ops.mul(bv, y), d, label="bot[v]*y")
+        run.check(kinds.kind(q) == dec.TOP_PS, (v, y), q, dec.TOP_PS,
+                  label="v*y")
+        run.equal("top[v]*y", (v, y), ops.mul(tv, y), q)
         z = kinds.non_top()
         if z is not None:
-            z = kinds.lift(z)
-            _cell(run, fmt, "z*ydown", (z, y), ops.mul(z, yd),
-                  ops.mul(z, y))
+            run.equal("z*ydown", (z, y), ops.mul(z, yd), ops.mul(z, y))
     return v, w, bv, tv, bw, tw, y
 
 
-def _table2(ops, kinds, run, fmt, budget):
+def _pseudo_top_rows(ops, kinds, run, x, w, bw, tw):
+    """Cells of the pseudo-top x shared by the two six-by-six tables:
+    x times w's component, then x and its cover below times a drawn
+    non-top."""
+    c = kinds.clean
+    q = ops.mul(x, w)
+    d = c.x_down(q)
+    run.check(ops.mul(x, bw) == d and ops.lt(d, q), (x, w), ops.mul(x, bw),
+              d, label="x*bot[w]")
+    run.check(kinds.kind(q) == dec.TOP_PS, (x, w), q, dec.TOP_PS,
+              label="x*w")
+    run.equal("x*top[w]", (x, w), ops.mul(x, tw), q)
+    s = kinds.non_top()
+    if s is not None:
+        xs = ops.mul(x, s)
+        run.equal("xdown*s", (x, s), ops.mul(c.x_down(x), s), xs)
+        _non_top_cell(kinds, run, "x*s", (x, s), xs)
+
+
+def _table2(ops, kinds, run, budget):
     run.cell("bot[v]*w", "bot[v]*top[w]", "bot[v]*s", "bot[v]*y",
              "v*bot[w]", "v*top[w]", "v*s", "v*y",
              "top[v]*bot[w]", "top[v]*w", "top[v]*top[w]", "top[v]*s",
              "top[v]*y", "z*bot[w]", "z*top[w]", "z*s", "z*ydown",
              "xdown*s", "x*bot[w]", "x*w", "x*top[w]", "x*s")
-    c = kinds.clean
     for _ in range(budget):
-        got = _gap_rows(ops, kinds, run, fmt)
+        got = _gap_rows(ops, kinds, run)
         if got is None:
             return
-        v, w, bv, tv, bw, tw, y = got
+        _, w, _, _, bw, tw, _ = got
         x = kinds.pseudo_top()
-        if x is None:
-            continue
-        x = kinds.lift(x)
-        xd = c.x_down(x)
-        q = ops.mul(x, w)
-        d = c.x_down(q)
-        _cell_ok(run, fmt, "x*bot[w]", (x, w),
-                 ops.mul(x, bw) == d and ops.lt(d, q),
-                 ops.mul(x, bw), d)
-        _cell_ok(run, fmt, "x*w", (x, w),
-                 kinds.kind(q) == dec.TOP_PS, q, dec.TOP_PS)
-        _cell(run, fmt, "x*top[w]", (x, w), ops.mul(x, tw), q)
-        s = kinds.non_top()
-        if s is not None:
-            s = kinds.lift(s)
-            _cell(run, fmt, "xdown*s", (x, s), ops.mul(xd, s),
-                  ops.mul(x, s))
-            p = ops.mul(x, s)
-            _cell_ok(run, fmt, "x*s", (x, s), _member_nontop(kinds, p), p,
-                     "non-top")
+        if x is not None:
+            _pseudo_top_rows(ops, kinds, run, x, w, bw, tw)
 
 
 def _split_sides(c, u, q):
@@ -1073,7 +1046,7 @@ def _split_sides(c, u, q):
     return d, left
 
 
-def _table3(ops, kinds, run, fmt, budget):
+def _table3(ops, kinds, run, budget):
     run.cell("bot[v]*bot[w]", "bot[v]*w", "bot[v]*top[w]", "bot[v]*s",
              "bot[v]*ydown", "bot[v]*y",
              "v*bot[w]", "v*top[w]", "v*s", "v*ydown", "v*y",
@@ -1085,42 +1058,27 @@ def _table3(ops, kinds, run, fmt, budget):
              "xy-left", "xy-right")
     c, u, nu = kinds.clean, kinds.u, kinds.nu
     for _ in range(budget):
-        got = _gap_rows(ops, kinds, run, fmt)
+        got = _gap_rows(ops, kinds, run)
         if got is None:
             return
         v, w, bv, tv, bw, tw, y = got
-        vw = ops.mul(v, w)
-        _cell(run, fmt, "bot[v]*bot[w]", (v, w), ops.mul(bv, bw),
-              ops.mul(vw, nu))
+        run.equal("bot[v]*bot[w]", (v, w), ops.mul(bv, bw),
+                  ops.mul(ops.mul(v, w), nu))
         if y is not None:
             yd = c.x_down(y)
             d = c.x_down(ops.mul(v, y))
-            _cell(run, fmt, "bot[v]*ydown", (v, y), ops.mul(bv, yd), d)
-            _cell(run, fmt, "v*ydown", (v, y), ops.mul(v, yd), d)
-            _cell(run, fmt, "top[v]*ydown", (v, y), ops.mul(tv, yd), d)
+            run.equal("bot[v]*ydown", (v, y), ops.mul(bv, yd), d)
+            run.equal("v*ydown", (v, y), ops.mul(v, yd), d)
+            run.equal("top[v]*ydown", (v, y), ops.mul(tv, yd), d)
         x = kinds.pseudo_top()
         if x is None:
             continue
-        x = kinds.lift(x)
         xd = c.x_down(x)
-        q = ops.mul(x, w)
-        d = c.x_down(q)
+        d = c.x_down(ops.mul(x, w))
         for lab, e in (("xdown*bot[w]", bw), ("xdown*w", w),
                        ("xdown*top[w]", tw)):
-            _cell(run, fmt, lab, (x, w), ops.mul(xd, e), d)
-        _cell_ok(run, fmt, "x*bot[w]", (x, w),
-                 ops.mul(x, bw) == d and ops.lt(d, q), ops.mul(x, bw), d)
-        _cell_ok(run, fmt, "x*w", (x, w),
-                 kinds.kind(q) == dec.TOP_PS, q, dec.TOP_PS)
-        _cell(run, fmt, "x*top[w]", (x, w), ops.mul(x, tw), q)
-        s = kinds.non_top()
-        if s is not None:
-            s = kinds.lift(s)
-            _cell(run, fmt, "xdown*s", (x, s), ops.mul(xd, s),
-                  ops.mul(x, s))
-            p = ops.mul(x, s)
-            _cell_ok(run, fmt, "x*s", (x, s), _member_nontop(kinds, p), p,
-                     "non-top")
+            run.equal(lab, (x, w), ops.mul(xd, e), d)
+        _pseudo_top_rows(ops, kinds, run, x, w, bw, tw)
         if y is None:
             continue
         yd = c.x_down(y)
@@ -1130,16 +1088,16 @@ def _table3(ops, kinds, run, fmt, budget):
         if left:
             ok = all(p == d for p in drops) and \
                 kinds.kind(q) == dec.TOP_PS
-            _cell_ok(run, fmt, "xy-left", (x, y), ok, drops[0], d)
+            run.check(ok, (x, y), drops[0], d, label="xy-left")
         else:
             floor = ops.mul(q, nu)
             ok = all(p == floor for p in drops) and \
                 kinds.kind(q) == dec.TOP_C and \
                 kinds.kind(floor) == dec.BOT_C
-            _cell_ok(run, fmt, "xy-right", (x, y), ok, drops[0], floor)
+            run.check(ok, (x, y), drops[0], floor, label="xy-right")
 
 
-def _table4(ops, kinds, run, fmt, budget):
+def _table4(ops, kinds, run, budget):
     run.cell("top[v]*top[w]", "top[v]*y", "x*top[w]", "xy-left", "xy-right")
     c, u = kinds.clean, kinds.u
     for _ in range(budget):
@@ -1147,35 +1105,31 @@ def _table4(ops, kinds, run, fmt, budget):
         if v is None or w is None:
             return
         tv, tw = ops.mul(v, u), ops.mul(w, u)
-        _cell(run, fmt, "top[v]*top[w]", (v, w), ops.mul(tv, tw),
-              ops.mul(ops.mul(v, w), u))
+        run.equal("top[v]*top[w]", (v, w), ops.mul(tv, tw),
+                  ops.mul(ops.mul(v, w), u))
         y = kinds.pseudo_top()
         if y is None:
             continue
-        y = kinds.lift(y)
         q = ops.mul(v, y)
-        _cell_ok(run, fmt, "top[v]*y", (v, y),
-                 ops.mul(tv, y) == q and
-                 kinds.kind(q) == dec.TOP_PS,
-                 ops.mul(tv, y), q)
+        run.check(ops.mul(tv, y) == q and
+                  kinds.kind(q) == dec.TOP_PS,
+                  (v, y), ops.mul(tv, y), q, label="top[v]*y")
         x = kinds.pseudo_top()
         if x is None:
             continue
-        x = kinds.lift(x)
         q = ops.mul(x, w)
-        _cell_ok(run, fmt, "x*top[w]", (x, w),
-                 ops.mul(x, tw) == q and
-                 kinds.kind(q) == dec.TOP_PS,
-                 ops.mul(x, tw), q)
+        run.check(ops.mul(x, tw) == q and
+                  kinds.kind(q) == dec.TOP_PS,
+                  (x, w), ops.mul(x, tw), q, label="x*top[w]")
         q = ops.mul(x, y)
         _, left = _split_sides(c, u, q)
         k = kinds.kind(q)
         if left:
-            _cell_ok(run, fmt, "xy-left", (x, y), k == dec.TOP_PS, k,
-                     dec.TOP_PS)
+            run.check(k == dec.TOP_PS, (x, y), k, dec.TOP_PS,
+                      label="xy-left")
         else:
-            _cell_ok(run, fmt, "xy-right", (x, y), k == dec.TOP_C, k,
-                     dec.TOP_C)
+            run.check(k == dec.TOP_C, (x, y), k, dec.TOP_C,
+                      label="xy-right")
 
 
 # ---------------------------------------------------------------------------
@@ -1189,10 +1143,7 @@ def check_hom(fn, a, b, budget=1000, seed=0, with_comp=True, injective=True,
     order reflection) are checked when claimed.  Quotient maps pass
     with injective=False.  b is an algebra or a view; a target without a
     complement (a LexMonoid) skips the comp cell."""
-    ops = _as_view(a)
-    st = SampleStream(ops, seed)
-    run = _Run(law)
-    fmt = _fmt_for(ops)
+    ops, st, run = _start(a, law, seed)
     tgt = _as_view(b)
     bunit = tgt.unit()
     with_comp = with_comp and hasattr(tgt, "comp")
@@ -1202,24 +1153,24 @@ def check_hom(fn, a, b, budget=1000, seed=0, with_comp=True, injective=True,
     if with_comp:
         run.cell("comp")
     run.check(fn(ops.unit()) == bunit, (ops.unit(),), fn(ops.unit()), bunit,
-              fmt, label="unit")
+              label="unit")
     for _ in range(budget):
         x, y = st.draw(), st.draw()
         l = fn(ops.mul(x, y))
         r = tgt.mul(fn(x), fn(y))
-        run.check(l == r, (x, y), l, r, fmt, label="mul")
+        run.check(l == r, (x, y), l, r, label="mul")
         if with_comp:
             l = fn(ops.comp(x))
             r = tgt.comp(fn(x))
-            run.check(l == r, (x,), l, r, fmt, label="comp")
+            run.check(l == r, (x,), l, r, label="comp")
         sa = ops.cmp(x, y)
         sb = tgt.cmp(fn(x), fn(y))
         if injective:
             ok = (sa > 0) == (sb > 0) and (sa < 0) == (sb < 0)
         else:
             ok = not (sa < 0 and sb > 0) and not (sa > 0 and sb < 0)
-        run.check(ok, (x, y), sa, sb, fmt, label="order")
+        run.check(ok, (x, y), sa, sb, label="order")
         if injective and x != y:
-            run.check(fn(x) != fn(y), (x, y), fn(x), fn(y), fmt,
+            run.check(fn(x) != fn(y), (x, y), fn(x), fn(y),
                       label="injective")
     return run.report()

@@ -349,6 +349,18 @@ def test_full_length_prefix_names_a_group_element(spec):
         assert r.verdict != "FAIL", r.render()
 
 
+def test_full_length_prefix_without_a_middle_column_names_a_marker():
+    # the middle columns of I(X, (triv, full), 1) sit over the first
+    # coordinates (0, y) only
+    a = ps.parse_algebra("I(I(Z, full, Z), (triv, full), 1)")
+    off = (kn.rmake(-1), kn.rmake(2))
+    el = ch.elem_from_prefix(a, off)
+    assert ps.print_elem(a, el) == "((-1, 2), B)"
+    assert ch.partial_vec(a, el) == off
+    on = ch.elem_from_prefix(a, (kn.rmake(0), kn.rmake(2)))
+    assert ch._marker_free(a, on), ps.print_elem(a, on)
+
+
 def _window_oracle(a, bound, max_den):
     """The window as first written: every candidate, markers included,
     filtered by validate_elem and sorted by cmp_elems."""

@@ -291,6 +291,25 @@ def test_lex_monoid_marker_order(alg):
     assert monoid.mul(top, top) == top
 
 
+def test_only_the_embedding_into_the_rebuilt_algebra_builds_it(monkeypatch):
+    # the tree and the lex map need no rebuilt algebra, so neither
+    # group_representation nor lex_embedding stacks one
+    a = ps.parse_algebra(_tower(3))
+    built = []
+
+    def counted(*args, **kw):
+        built.append(args[0])
+        return build_sublex(*args, **kw)
+
+    monkeypatch.setattr(dec, "build_sublex", counted)
+    dec.group_representation(a)
+    dec.lex_embedding(a)
+    assert built == []
+    tree, rebuilt, _ = dec.representation_embedding(a)
+    assert built == ["SLII", "SLI", "SLI"]
+    assert ps.print_algebra(rebuilt) == ps.print_algebra(dec.rebuild(tree))
+
+
 # ---------------------------------------------------------------------------
 # the one-pass peel against the view stack
 #
@@ -692,7 +711,14 @@ def _assert_covers_mutual_everywhere(a, rngs):
         _assert_covers_mutual(level, xs)
 
 
-COVER_CASES = sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+# a second factor of rank 0 whose middle columns sit over part of the
+# first factor's group only: a canonical class member over the rest of it
+# is a marker element (these peels once raised InvalidElement)
+PARTIAL_MIDDLE_RANK0 = ["I(I(Z, full, Z), (triv, full), 1)",
+                        "III(I(Q, full, 1), full, idx 2, 1)"]
+
+COVER_CASES = (sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+               + PARTIAL_MIDDLE_RANK0)
 
 
 @pytest.mark.parametrize("name", COVER_CASES)
@@ -743,7 +769,8 @@ def _assert_levels_keep_input_elements(a, rngs):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS)
-                         + [f"tower{d}" for d in range(1, 5)])
+                         + [f"tower{d}" for d in range(1, 5)]
+                         + PARTIAL_MIDDLE_RANK0)
 def test_peel_levels_keep_input_elements(name):
     a = ps.parse_algebra(case_spec(name))
     _assert_levels_keep_input_elements(a, [random.Random(s) for s in range(20)])

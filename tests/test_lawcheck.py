@@ -45,16 +45,6 @@ def test_reports_are_deterministic(alg):
     assert r3 == r4
 
 
-def test_merge_reports(alg):
-    a = alg["A"]
-    r1 = lc.check_named(a, "eq2.2", budget=50, seed=0)
-    r2 = lc.check_named(a, "eq2.2", budget=70, seed=1)
-    m = lc.merge_reports(r1, r2)
-    assert m.samples == r1.samples + r2.samples
-    assert dict(m.counts)["eq2.2"] == 120
-    assert m.passed
-
-
 def test_unknown_law_and_table(alg):
     with pytest.raises(UnknownLaw):
         lc.check_named(alg["A"], "prop99", budget=10, seed=0)
