@@ -17,6 +17,14 @@ Elements are nested pairs (first, second) with second one of 'T', 'B' or
 takes the algebra as explicit first argument.  Comparison is
 lexicographic with B < M(...) < T in the second slot.
 
+The operations mul, comp, cmp_elems and the marker test _marker_free are
+compiled once per node into closures over its children's closures and
+cached on the node, so a call reads no node kind.  Compilation runs
+bottom-up, in one iterative pass over the nodes not yet compiled, as do
+the ladder and the positive idempotents (_cache_below): a lazy lookup at
+every level would stack several frames per level and overflow on
+nestings the parser accepts.
+
 Validation happens at the boundary only: parsing (elem_check),
 sampling (sample_elem), building (build), validate_elem and
 elem_from_prefix check every coordinate and column constraint.  The
@@ -59,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import lcm
+from typing import Callable, NamedTuple
 
 from . import kernel as kn
 from .errors import InvalidElement, InvalidSubgroup, StructuralMismatch
@@ -201,6 +210,7 @@ class Algebra:
 
     @cached_property
     def _structure(self):
+        _cache_below(self, "_structure")
         return _build_structure(self)
 
     @cached_property
@@ -210,7 +220,13 @@ class Algebra:
 
     @cached_property
     def _pos_idems(self) -> tuple:
+        _cache_below(self, "_pos_idems")
         return _lift_idems(self)
+
+    @cached_property
+    def _ops(self) -> "_Ops":
+        _cache_below(self, "_ops")
+        return _compile_ops(self)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         from .parsing import print_algebra
@@ -220,6 +236,24 @@ class Algebra:
 
 def leaf(desc: GroupDesc) -> Algebra:
     return Algebra(kind="grp", group=desc)
+
+
+def _cache_below(a: Algebra, attr: str):
+    """Compute the cached property attr on every node below a that lacks
+    it, children first, in one iterative pass.  Each node's value is
+    built from its children's, so each computation then finds those
+    cached: reaching them through a lazy lookup at every level instead
+    would stack several frames per level and overflow the interpreter's
+    stack on nestings the parser accepts."""
+    below, stack = [], [a]
+    while stack:
+        n = stack.pop()
+        if not n.is_leaf:
+            fresh = [c for c in (n.x, n.y) if attr not in vars(c)]
+            below += fresh
+            stack += fresh
+    for n in reversed(below):
+        getattr(n, attr)
 
 
 @dataclass(frozen=True)
@@ -307,6 +341,120 @@ def gr_ambient(a: Algebra) -> GroupDesc:
 
 
 # ---------------------------------------------------------------------------
+# compiled operations
+#
+# Algebra._ops holds a node's closures: they decide its family once, here,
+# and call its children's closures directly.  A closure reaches the kernel
+# through kn.* at call time, so all rational arithmetic stays in
+# plexalg.kernel and a patched kernel sees every call.
+
+
+class _Ops(NamedTuple):
+    mul: Callable
+    comp: Callable
+    cmp: Callable
+    free: Callable  # the marker test _marker_free
+
+
+def _leaf_free(x) -> bool:
+    return True
+
+
+# a rank-1 leaf works on its one coordinate, any other leaf on the vector
+_SCALAR_OPS = _Ops(lambda p, q: (kn.radd(p[0], q[0]),),
+                   lambda p: (kn.rneg(p[0]),),
+                   lambda p, q: kn.rcmp(p[0], q[0]), _leaf_free)
+_VEC_OPS = _Ops(lambda p, q: kn.vadd(p, q), lambda p: kn.vneg(p),
+                lambda p, q: kn.vcmp(p, q), _leaf_free)
+
+
+def _compile_ops(a: Algebra) -> _Ops:
+    """a's closures, from its children's (already compiled)."""
+    if a.is_leaf:
+        return _SCALAR_OPS if a.group.rank == 1 else _VEC_OPS
+    xo, yo = a.x._ops, a.y._ops
+    mx, my, nx, ny, cx, cy = xo.mul, yo.mul, xo.comp, yo.comp, xo.cmp, yo.cmp
+    fx, fy = xo.free, yo.free
+    ax = a.x
+
+    if a.family == "tb":
+        def mul(p, q):
+            first = mx(p[0], q[0])
+            sp, sq = p[1], q[1]
+            if sp == BOT or sq == BOT:
+                return (first, BOT)
+            if sp == TOP or sq == TOP:
+                return (first, TOP)
+            return (first, ("M", my(sp[1], sq[1])))
+
+        def comp(p):
+            first, second = p
+            nf = nx(first)
+            # p is valid, so a top or middle column already lies over Z
+            if second == TOP:
+                return (nf, BOT)
+            if second == BOT:
+                return (nf, TOP if zset_member(a, first) else BOT)
+            return (nf, ("M", ny(second[1])))
+
+        def cmp(p, q) -> int:
+            c = cx(p[0], q[0])
+            if c:
+                return c
+            sp, sq = p[1], q[1]
+            if sp == BOT:
+                return 0 if sq == BOT else -1
+            if sq == BOT:
+                return 1
+            if sp == TOP:
+                return 0 if sq == TOP else 1
+            if sq == TOP:
+                return -1
+            return cy(sp[1], sq[1])
+    else:
+        def mul(p, q):
+            first = mx(p[0], q[0])
+            sp, sq = p[1], q[1]
+            if sp == TOP or sq == TOP:
+                return (first, TOP)
+            return (first, ("M", my(sp[1], sq[1])))
+
+        def comp(p):
+            first, second = p
+            nf = nx(first)
+            if second == TOP:
+                if fx(first):
+                    below = x_down(ax, nf)
+                    if below == nf:
+                        raise StructuralMismatch(
+                            "group part of the child is not discrete")
+                    return (below, TOP)
+                return (nf, TOP)
+            return (nf, ("M", ny(second[1])))
+
+        def cmp(p, q) -> int:
+            c = cx(p[0], q[0])
+            if c:
+                return c
+            sp, sq = p[1], q[1]
+            if sp == TOP:
+                return 0 if sq == TOP else 1
+            if sq == TOP:
+                return -1
+            return cy(sp[1], sq[1])
+
+    if fx is _leaf_free and fy is _leaf_free:
+        def free(x) -> bool:
+            return isinstance(x[1], tuple)
+    else:
+        def free(x) -> bool:
+            second = x[1]
+            return isinstance(second, tuple) and fx(x[0]) and fy(second[1])
+
+    return _Ops(mul, comp, cmp, free)
+
+
+# ---------------------------------------------------------------------------
 # membership
 
 
@@ -359,11 +507,7 @@ def _marker_free(a: Algebra, x) -> bool:
     Precondition: x is a valid element of a.  Then this is membership in
     the group part, because validate_elem has already checked every
     coordinate and every column constraint of a marker-free element."""
-    if a.is_leaf:
-        return True
-    first, second = x
-    return (isinstance(second, tuple) and _marker_free(a.x, first)
-            and _marker_free(a.y, second[1]))
+    return a._ops.free(x)
 
 
 def zset_member(a: Algebra, first) -> bool:
@@ -461,19 +605,8 @@ def _elem_from_prefix_raw(a: Algebra, h: tuple):
 
 
 def cmp_elems(a: Algebra, p, q) -> int:
-    if a.is_leaf:
-        return kn.vcmp(p, q)
-    c = cmp_elems(a.x, p[0], q[0])
-    if c != 0:
-        return c
-    sp, sq = p[1], q[1]
-    rp = 0 if sp == BOT else 2 if sp == TOP else 1
-    rq = 0 if sq == BOT else 2 if sq == TOP else 1
-    if rp != rq:
-        return -1 if rp < rq else 1
-    if rp == 1:
-        return cmp_elems(a.y, sp[1], sq[1])
-    return 0
+    """Lexicographic order, B < M(...) < T in the second slot."""
+    return a._ops.cmp(p, q)
 
 
 def le(a: Algebra, p, q) -> bool:
@@ -500,41 +633,11 @@ def fconst(a: Algebra):
 
 
 def mul(a: Algebra, p, q):
-    if a.is_leaf:
-        return kn.vadd(p, q)
-    first = mul(a.x, p[0], q[0])
-    sp, sq = p[1], q[1]
-    if a.family == "tb":
-        if sp == BOT or sq == BOT:
-            return (first, BOT)
-        if sp == TOP or sq == TOP:
-            return (first, TOP)
-    else:
-        if sp == TOP or sq == TOP:
-            return (first, TOP)
-    return (first, mid(mul(a.y, sp[1], sq[1])))
+    return a._ops.mul(p, q)
 
 
 def comp(a: Algebra, p):
-    if a.is_leaf:
-        return kn.vneg(p)
-    first, second = p
-    nf = comp(a.x, first)
-    if a.family == "tb":
-        # p is valid, so a top or middle column already lies over Z
-        if second == TOP:
-            return (nf, BOT)
-        if second == BOT:
-            return (nf, TOP if zset_member(a, first) else BOT)
-        return (nf, mid(comp(a.y, second[1])))
-    if second == TOP:
-        if _marker_free(a.x, first):
-            below = x_down(a.x, nf)
-            if below == nf:
-                raise StructuralMismatch("group part of the child is not discrete")
-            return (below, TOP)
-        return (nf, TOP)
-    return (nf, mid(comp(a.y, second[1])))
+    return a._ops.comp(p)
 
 
 def _always(x) -> bool:

@@ -4,7 +4,8 @@ Verbs: build, eval, check, decompose, represent, rebuild, embed-lex.
 Exit codes: 0 success, 1 parse error, 2 precondition failure, 3 law
 failure.  A law that found no instance to check prints VACUOUS instead
 of PASS and still exits 0, since nothing was violated.  Identical
-command lines produce byte-identical output.
+command lines produce byte-identical output; check --stats adds one line
+per report on stderr (law, elapsed ms, samples, vacuous cells).
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ def _build_parser() -> _Parser:
                            help="law id, table1..table4, or 'all'")
             v.add_argument("--format", dest="fmt", default="text",
                            choices=("text", "tsv"))
+            v.add_argument("--stats", action="store_true",
+                           help="print each report's law, time, samples "
+                           "and vacuous cells to stderr")
         if budget is not None:
             v.add_argument("--budget", type=int, default=budget)
             v.add_argument("--seed", type=int, default=0)
@@ -132,14 +136,26 @@ def _skip_rows(law: str, fmt: str, reason: str) -> list[str]:
     return [f"{law}\tSKIP\t0\t-\t0"]
 
 
-def _run_one(a, law: str, budget: int, seed: int):
+def _stats_line(report) -> str:
+    vac = ",".join(report.vacuous) or "none"
+    return (f"stats law={report.law} elapsed_ms={report.elapsed * 1e3:.3f} "
+            f"samples={report.samples} vacuous={vac}")
+
+
+def _run_one(args, a, law: str):
     from . import lawcheck
 
+    budget, seed = args.budget, args.seed
     if law == "fle":
-        return lawcheck.check_fle_laws(a, budget=budget, seed=seed)
-    if law in _TABLES:
-        return lawcheck.check_table(a, _TABLES[law], budget=budget, seed=seed)
-    return lawcheck.check_named(a, law, budget=budget, seed=seed)
+        report = lawcheck.check_fle_laws(a, budget=budget, seed=seed)
+    elif law in _TABLES:
+        report = lawcheck.check_table(a, _TABLES[law], budget=budget,
+                                      seed=seed)
+    else:
+        report = lawcheck.check_named(a, law, budget=budget, seed=seed)
+    if args.stats:
+        print(_stats_line(report), file=sys.stderr)
+    return report
 
 
 def _do_check(args) -> int:
@@ -155,14 +171,14 @@ def _do_check(args) -> int:
         # fixed ordering: structural laws first, then the named registry
         for law in ("fle",) + tuple(lawcheck.named_law_ids()):
             try:
-                report = _run_one(a, law, args.budget, args.seed)
+                report = _run_one(args, a, law)
             except tuple(_SKIPS) as e:
                 lines += _skip_rows(law, fmt, _SKIPS[type(e)])
                 continue
             failed = failed or not report.passed
             lines += _report_rows(report, fmt)
     else:
-        report = _run_one(a, args.laws, args.budget, args.seed)
+        report = _run_one(args, a, args.laws)
         failed = not report.passed
         lines += _report_rows(report, fmt)
     print("\n".join(lines))

@@ -189,11 +189,14 @@ class Report:
 
 class _Run:
     """Mutable accumulator behind one Report.  The run prints its own
-    witness, its first violation, through the printer of its view."""
+    witness, its first violation: the inputs through the printer of its
+    view, the two sides through the printer of target, the view they
+    live in (the target of a homomorphism; by default the view)."""
 
-    def __init__(self, law, view):
+    def __init__(self, law, view, target=None):
         self.law = law
         self._print = _printer(view)
+        self._print_side = _printer(view if target is None else target)
         self.t0 = time.perf_counter()
         self.samples = 0
         self.violations = []
@@ -215,20 +218,14 @@ class _Run:
         if not ok:
             self.violations.append((inputs, lhs, rhs))
             if not self.witness:
-                ins = "; ".join(self._show(v) for v in inputs)
-                self.witness = (f"inputs=({ins}) lhs={self._show(lhs)} "
-                                f"rhs={self._show(rhs)}")
+                ins = "; ".join(_shown(self._print, v) for v in inputs)
+                side = self._print_side
+                self.witness = (f"inputs=({ins}) lhs={_shown(side, lhs)} "
+                                f"rhs={_shown(side, rhs)}")
 
     def equal(self, label, inputs, lhs, rhs):
         """A cell whose two sides are the same element."""
         self.check(lhs == rhs, inputs, lhs, rhs, label=label)
-
-    def _show(self, v):
-        # a value the printer cannot print shows by its repr
-        try:
-            return self._print(v)
-        except Exception:
-            return repr(v)
 
     def report(self):
         return Report(
@@ -241,6 +238,14 @@ class _Run:
         )
 
 
+def _shown(printer, v):
+    # a value the printer cannot print shows by its repr
+    try:
+        return printer(v)
+    except Exception:
+        return repr(v)
+
+
 def _printer(view):
     """Element printer of a view: print_elem on the algebra below its
     peel levels, whose elements are elements of that algebra."""
@@ -251,10 +256,11 @@ def _printer(view):
     return partial(print_elem, view.a)
 
 
-def _start(a, law, seed):
-    """(view, stream, run) of one report on an algebra or a view."""
+def _start(a, law, seed, target=None):
+    """(view, stream, run) of one report on an algebra or a view; the
+    run prints the sides of a violation as values of target, if given."""
     ops = _as_view(a)
-    return ops, SampleStream(ops, seed), _Run(law, ops)
+    return ops, SampleStream(ops, seed), _Run(law, ops, target)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,8 +1149,8 @@ def check_hom(fn, a, b, budget=1000, seed=0, with_comp=True, injective=True,
     order reflection) are checked when claimed.  Quotient maps pass
     with injective=False.  b is an algebra or a view; a target without a
     complement (a LexMonoid) skips the comp cell."""
-    ops, st, run = _start(a, law, seed)
     tgt = _as_view(b)
+    ops, st, run = _start(a, law, seed, tgt)
     bunit = tgt.unit()
     with_comp = with_comp and hasattr(tgt, "comp")
     run.cell("unit", "mul", "order")

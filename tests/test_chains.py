@@ -1,5 +1,6 @@
 """Element operations on built chains, against hand-computed values."""
 
+import dataclasses
 import random
 from functools import cmp_to_key, partial
 from itertools import product
@@ -655,3 +656,253 @@ def test_positive_idempotents_are_verified_once(monkeypatch):
     calls = _counted_calls(monkeypatch)
     assert ch.positive_idempotents(a) is first
     assert calls[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# compiled operations against the recursive definitions
+#
+# The oracle is mul, comp, cmp_elems and _marker_free as first written:
+# one recursion over the algebra tree that reads each node's family on
+# every call.  Only x_down, which comp calls on 't' nodes, is shared.
+
+
+def _ref_marker_free(a, x):
+    if a.is_leaf:
+        return True
+    first, second = x
+    return (isinstance(second, tuple) and _ref_marker_free(a.x, first)
+            and _ref_marker_free(a.y, second[1]))
+
+
+def _ref_cmp(a, p, q):
+    if a.is_leaf:
+        return kn.vcmp(p, q)
+    c = _ref_cmp(a.x, p[0], q[0])
+    if c != 0:
+        return c
+    sp, sq = p[1], q[1]
+    rp = 0 if sp == ch.BOT else 2 if sp == ch.TOP else 1
+    rq = 0 if sq == ch.BOT else 2 if sq == ch.TOP else 1
+    if rp != rq:
+        return -1 if rp < rq else 1
+    if rp == 1:
+        return _ref_cmp(a.y, sp[1], sq[1])
+    return 0
+
+
+def _ref_mul(a, p, q):
+    if a.is_leaf:
+        return kn.vadd(p, q)
+    first = _ref_mul(a.x, p[0], q[0])
+    sp, sq = p[1], q[1]
+    if a.family == "tb":
+        if sp == ch.BOT or sq == ch.BOT:
+            return (first, ch.BOT)
+        if sp == ch.TOP or sq == ch.TOP:
+            return (first, ch.TOP)
+    else:
+        if sp == ch.TOP or sq == ch.TOP:
+            return (first, ch.TOP)
+    return (first, ch.mid(_ref_mul(a.y, sp[1], sq[1])))
+
+
+def _ref_comp(a, p):
+    if a.is_leaf:
+        return kn.vneg(p)
+    first, second = p
+    nf = _ref_comp(a.x, first)
+    if a.family == "tb":
+        if second == ch.TOP:
+            return (nf, ch.BOT)
+        if second == ch.BOT:
+            top = _ref_marker_free(a.x, first) and ch.constr_ok(
+                a._structure.zconstr, ch.to_gvec(a.x, first))
+            return (nf, ch.TOP if top else ch.BOT)
+        return (nf, ch.mid(_ref_comp(a.y, second[1])))
+    if second == ch.TOP:
+        if _ref_marker_free(a.x, first):
+            below = ch.x_down(a.x, nf)
+            if below == nf:
+                raise StructuralMismatch("group part of the child is not discrete")
+            return (below, ch.TOP)
+        return (nf, ch.TOP)
+    return (nf, ch.mid(_ref_comp(a.y, second[1])))
+
+
+def _result(fn, *args):
+    """fn's value, or the class of the StructuralMismatch it raises."""
+    try:
+        return fn(*args)
+    except StructuralMismatch as exc:
+        return type(exc)
+
+
+def _op_pool(a, rngs):
+    """Samples of a with their covers and complements, the positive
+    idempotents and their complements, and the valid elements that put
+    one sample's second slot over another's first: pairs drawn from it
+    share first coordinates and meet every column kind."""
+    pool = list(ch.positive_idempotents(a))
+    pool += [ch.comp(a, e) for e in pool]
+    xs = [ch.sample_elem(a, rng, marker_p=p) for rng, p in rngs]
+    for x in xs:
+        pool += [x, ch.x_down(a, x), ch.x_up(a, x), ch.comp(a, x)]
+    if not a.is_leaf:
+        swaps = ((x[0], y[1]) for x, y in product(xs, xs))
+        pool += [z for z in swaps if ch.validate_elem(a, z)]
+    return pool
+
+
+def _assert_ops_match_reference(a, pool):
+    for x in pool:
+        assert ch._marker_free(a, x) == _ref_marker_free(a, x), x
+        assert _result(ch.comp, a, x) == _result(_ref_comp, a, x), x
+    for x, y in product(pool, pool):
+        assert ch.mul(a, x, y) == _ref_mul(a, x, y), (x, y)
+        assert ch.cmp_elems(a, x, y) == _ref_cmp(a, x, y), (x, y)
+
+
+def _op_rngs(n):
+    return [(random.Random(s), p) for s in range(n) for p in (0.25, 0.6)]
+
+
+OP_CASES = DIFF_CASES + REGRESSION_SPECS
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+def test_compiled_operations_match_the_recursive_definitions(name):
+    a = ps.parse_algebra(case_spec(name))
+    _assert_ops_match_reference(a, _op_pool(a, _op_rngs(6)))
+
+
+@settings(max_examples=60)
+@given(spec=st.integers(1, 4).flatmap(_specs), rngs=_element_draws(4))
+def test_compiled_operations_match_the_recursive_definitions_on_random_specs(
+        spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_ops_match_reference(a, _op_pool(a, rngs))
+
+
+# 't' nodes over a child whose group part is not discretely embedded: the
+# builders refuse them, so they are assembled by hand
+NOT_DISCRETE = [("II", "Q", "Q"), ("II", "Lex(Z, Q)", "Z"),
+                ("II", "I(Q, full, Q)", "Q")]
+
+
+@pytest.mark.parametrize("kind,x,y", NOT_DISCRETE)
+def test_compiled_comp_raises_where_the_definition_raises(kind, x, y):
+    a = ch.Algebra(kind=kind, x=ps.parse_algebra(x), y=ps.parse_algebra(y))
+    pool = [ch.sample_elem(a, rng, marker_p=p) for rng, p in _op_rngs(20)]
+    raised = [x for x in pool if _result(_ref_comp, a, x) is StructuralMismatch]
+    assert raised
+    _assert_ops_match_reference(a, pool)
+
+
+def _with_ops(a, **closures):
+    """A fresh node equal to a whose compiled closures are replaced."""
+    m = dataclasses.replace(a)
+    vars(m)["_ops"] = a._ops._replace(**closures)
+    return m
+
+
+def _tb_mul_top_first(a):
+    """A 'tb' product that tests TOP before BOT."""
+    mx, my = a.x._ops.mul, a.y._ops.mul
+
+    def mul(p, q):
+        first = mx(p[0], q[0])
+        sp, sq = p[1], q[1]
+        if sp == ch.TOP or sq == ch.TOP:
+            return (first, ch.TOP)
+        if sp == ch.BOT or sq == ch.BOT:
+            return (first, ch.BOT)
+        return (first, ch.mid(my(sp[1], sq[1])))
+
+    return {"mul": mul}
+
+
+def _tb_comp_swapped(a):
+    """A 'tb' complement that sends BOT to BOT and TOP up the Z test."""
+    real = a._ops.comp
+
+    def comp(p):
+        first, second = p
+        if second == ch.TOP:
+            return (real(p)[0], ch.TOP if ch.zset_member(a, first) else ch.BOT)
+        if second == ch.BOT:
+            return (real(p)[0], ch.BOT)
+        return real(p)
+
+    return {"comp": comp}
+
+
+def _cmp_without_y(a):
+    """An order that ties any two middle columns over one first
+    coordinate."""
+    cx, real = a.x._ops.cmp, a._ops.cmp
+
+    def cmp(p, q):
+        if ch.is_mid(p[1]) and ch.is_mid(q[1]):
+            return cx(p[0], q[0])
+        return real(p, q)
+
+    return {"cmp": cmp}
+
+
+@pytest.mark.parametrize("name", ["B", "E", "V3b", "tower3"])
+@pytest.mark.parametrize("mutant", [_tb_mul_top_first, _tb_comp_swapped,
+                                    _cmp_without_y])
+def test_reference_catches_a_wrong_closure(name, mutant):
+    a = ps.parse_algebra(case_spec(name))
+    assert a.family == "tb"
+    pool = _op_pool(a, _op_rngs(6))
+    _assert_ops_match_reference(a, pool)
+    with pytest.raises(AssertionError):
+        _assert_ops_match_reference(_with_ops(a, **mutant(a)), pool)
+
+
+def test_deep_hand_built_algebra_caches_bottom_up():
+    # no builder touched the nodes below, so every per-node cache (the
+    # closures, the ladder, the idempotents) is first filled from the root
+    a = ps.parse_algebra("Q")
+    z = ps.parse_algebra("Z")
+    for _ in range(400):
+        a = ch.Algebra(kind="II", x=z, y=a)
+    u = ch.unit(a)
+    assert ch.mul(a, u, u) == ch.comp(a, u) == u
+    assert ch.cmp_elems(a, u, u) == 0 and ch._marker_free(a, u)
+    assert ch.ladder(a)[1][0].prefix == 401
+    assert len(ch.positive_idempotents(a)) == 401
+
+
+KERNEL_OPS = ("vadd", "vneg", "vcmp", "radd", "rneg", "rcmp")
+
+
+@pytest.mark.parametrize("spec", ["I(II(Z, Q), full, Q)",
+                                  "II(Lex(Q, Z), Lex(Z, Q))", "Lex(Z, Q)",
+                                  "Q"])
+def test_compiled_operations_reach_the_kernel_at_call_time(monkeypatch, spec):
+    a = ps.parse_algebra(spec)
+    rng = random.Random(5)
+    xs = [ch.sample_elem(a, rng, marker_p=0.4) for _ in range(20)]
+    ch.mul(a, xs[0], xs[1])  # the closures exist before the kernel is patched
+    calls = {name: 0 for name in KERNEL_OPS}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in KERNEL_OPS:
+        monkeypatch.setattr(kn, name, counted(name, getattr(kn, name)))
+    for op, names, args in ((ch.mul, ("vadd", "radd"), 2),
+                            (ch.cmp_elems, ("vcmp", "rcmp"), 2),
+                            (ch.comp, ("vneg", "rneg"), 1)):
+        for x, y in zip(xs, reversed(xs)):
+            before = sum(calls[n] for n in names)
+            op(a, *(x, y)[:args])
+            assert sum(calls[n] for n in names) > before, op.__name__

@@ -1,8 +1,10 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
 import json
+import re
 
 import pytest
+from conftest import SPECS
 
 from plexalg import cli, lawcheck, parsing
 
@@ -78,6 +80,25 @@ def test_deep_spec_under_the_nesting_limit_builds(capsys, spec_file):
     text = "I(" * 200 + "Z" + ", full, Q)" * 200
     code, out, _ = run(capsys, "build", "-f", spec_file(text))
     assert (code, out) == (0, text + "\n")
+
+
+# depth 300 on the first factor and on the second: the chain operations
+# compile, and the ladder is built, without a deep chain of lazy lookups
+DEPTH_300 = ["I(" * 300 + "Z" + ", full, Q)" * 300,
+             "II(Z, " * 300 + "Q" + ")" * 300]
+EVAL_EXPRS = ["mul unit unit", "res unit unit", "comp unit", "tau unit",
+              "le unit unit", "down unit", "up unit", "unit", "idems"]
+
+
+@pytest.mark.parametrize("text,exprs", [(DEPTH_300[0], EVAL_EXPRS),
+                                        (DEPTH_300[1], ["comp unit"])],
+                         ids=["first", "second"])
+def test_depth_300_spec_evaluates_and_checks(capsys, spec_file, text, exprs):
+    path = spec_file(text)
+    for argv in ([("eval", "-f", path, "-e", e) for e in exprs]
+                 + [("check", "-f", path, "--laws", "fle", "--budget", "1")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 def test_bad_usage_exits_1(capsys, spec_file):
@@ -308,3 +329,25 @@ def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
         ["decompose", 0, ["plexalg.decompose"]],
         ["rebuild", 0, ["plexalg.decompose"]],
     ]
+
+
+STATS_LINE = re.compile(r"stats law=(\S+) elapsed_ms=\d+\.\d{3} "
+                        r"(samples=\d+ vacuous=\S+)")
+
+
+@pytest.mark.parametrize("laws", ["all", "prop8.2.2"])
+def test_check_stats_go_to_stderr_only(capsys, spec_file, laws):
+    argv = ("check", "-f", spec_file(SPECS["E"]), "--laws", laws,
+            "--budget", "20")
+    stats = []
+    for fmt in ("text", "tsv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert err == ""
+        code_s, out_s, err_s = run(capsys, *argv, "--format", fmt, "--stats")
+        assert (code_s, out_s) == (code, out)
+        stats.append([STATS_LINE.fullmatch(line).groups()
+                      for line in err_s.splitlines()])
+        if fmt == "text":  # one stats line per report, with its counts
+            reports = [line.split(" ", 3)[1::2] for line in out.splitlines()
+                       if line.startswith("LAW ") and " SKIP " not in line]
+    assert stats[0] == stats[1] == [tuple(r) for r in reports]

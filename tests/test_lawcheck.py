@@ -153,6 +153,23 @@ def test_hom_checker_modes(alg):
     assert lax.passed
 
 
+def test_hom_witness_prints_values_in_the_target(alg, monkeypatch):
+    E = alg["E"]
+    _, rebuilt, alpha = dec.representation_embedding(E)
+    printed = []
+
+    def print_elem(a, x):
+        printed.append((a, x))
+        return ps.print_elem(a, x)
+
+    monkeypatch.setattr(lc, "print_elem", print_elem)
+    r = lc.check_hom(alpha, E, lc.Mutant(rebuilt, "mul"), budget=200, seed=1)
+    inputs, lhs, rhs = r.violations[0]
+    assert printed == [(E, x) for x in inputs] + [(rebuilt, lhs),
+                                                   (rebuilt, rhs)]
+    assert f"lhs={ps.print_elem(rebuilt, lhs)} " in r.witness
+
+
 def test_report_is_frozen(alg):
     r = lc.check_fle_laws(alg["Z"], budget=20, seed=0)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -46,3 +46,11 @@ def test_exports_load_on_first_use(fresh_python):
         "nope": "AttributeError",
         "hasattr_nope": False,
     }
+
+
+def test_importing_the_cli_builds_and_compiles_no_algebra(fresh_python):
+    out = fresh_python(
+        "import gc, plexalg.cli\n"
+        "from plexalg.chains import Algebra\n"
+        "print(sum(isinstance(o, Algebra) for o in gc.get_objects()))\n")
+    assert out == "0\n"
