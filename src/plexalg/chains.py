@@ -360,7 +360,8 @@ def _leaf_free(x) -> bool:
     return True
 
 
-# a rank-1 leaf works on its one coordinate, any other leaf on the vector
+# a rank-1 leaf works on its one coordinate, any other leaf on the vector:
+# most leaves have rank 1, and there one radd costs far less than vadd
 _SCALAR_OPS = _Ops(lambda p, q: (kn.radd(p[0], q[0]),),
                    lambda p: (kn.rneg(p[0]),),
                    lambda p, q: kn.rcmp(p[0], q[0]), _leaf_free)
@@ -443,13 +444,9 @@ def _compile_ops(a: Algebra) -> _Ops:
                 return -1
             return cy(sp[1], sq[1])
 
-    if fx is _leaf_free and fy is _leaf_free:
-        def free(x) -> bool:
-            return isinstance(x[1], tuple)
-    else:
-        def free(x) -> bool:
-            second = x[1]
-            return isinstance(second, tuple) and fx(x[0]) and fy(second[1])
+    def free(x) -> bool:
+        second = x[1]
+        return isinstance(second, tuple) and fx(x[0]) and fy(second[1])
 
     return _Ops(mul, comp, cmp, free)
 

@@ -178,10 +178,14 @@ class Report:
             return "FAIL"
         return "VACUOUS" if self.samples == 0 else "PASS"
 
-    def render(self):
+    @property
+    def tally(self):
+        """samples=... vacuous=..., as render and check --stats print it."""
         vac = ",".join(self.vacuous) if self.vacuous else "none"
-        line = (f"LAW {self.law} {self.verdict} samples={self.samples} "
-                f"vacuous={vac}")
+        return f"samples={self.samples} vacuous={vac}"
+
+    def render(self):
+        line = f"LAW {self.law} {self.verdict} {self.tally}"
         if not self.passed and self.witness:
             line += "\n  witness " + self.witness
         return line
