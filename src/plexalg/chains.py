@@ -23,7 +23,13 @@ cached on the node, so a call reads no node kind.  Compilation runs
 bottom-up, in one iterative pass over the nodes not yet compiled, as do
 the ladder and the positive idempotents (_cache_below): a lazy lookup at
 every level would stack several frames per level and overflow on
-nestings the parser accepts.
+nestings the parser accepts.  The coordinate maps (to_gvec, partial_vec,
+_from_gvec_raw, _elem_from_prefix_raw) with the column tests
+(mid_capable, zset_member), and the cover x_down with the least element
+(universe_min), are compiled the same way, with the node's constraints,
+slice step and slice bounds folded in, but only on first use: builders
+and rebuild make fresh nodes on every call, most of which never step a
+cover.  Every module function stays the one entry point to its closure.
 
 Validation happens at the boundary only: parsing (elem_check),
 sampling (sample_elem), building (build), validate_elem and
@@ -36,7 +42,11 @@ predicates take valid elements and do not re-check them:
 * zset_member and mid_capable: the marker test plus one constraint check;
 * absorber(a, e): the test x -> x*e == x, read off x's marker slots;
 * _elem_from_prefix_raw and _from_gvec_raw: elem_from_prefix and its
-  full-length case without checks, for prefixes known to name an element.
+  full-length case without checks (but the arity), for prefixes known to
+  name an element;
+* cmp_elems on two elements with equal first coordinates: elements are
+  canonical and rationals normalized, so equal is equal in the order,
+  and only the second slots are compared.
 
 in_group_part stays the full check for raw values.  The complement is an
 order-reversing involution, so the upper side derives from the lower one,
@@ -144,10 +154,17 @@ def merge_constr_vec(a, b):
 
 def constr_ok(constraints, vec) -> bool:
     """Check a raw coordinate vector against per-coordinate constraints."""
-    for i, con in enumerate(constraints):
+    return _checks_ok(_checks(constraints), vec)
+
+
+def _checks(constraints) -> tuple:
+    """(index, constraint) of every coordinate that is not full."""
+    return tuple((i, con) for i, con in enumerate(constraints) if con != FULL)
+
+
+def _checks_ok(checks, vec) -> bool:
+    for i, con in checks:
         v = vec[i]
-        if con == FULL:
-            continue
         if con == TRIV:
             if v != kn.ZERO:
                 return False
@@ -227,6 +244,19 @@ class Algebra:
     def _ops(self) -> "_Ops":
         _cache_below(self, "_ops")
         return _compile_ops(self)
+
+    # compiled on first use, not on build: builders and rebuild make fresh
+    # nodes on every call, and most of them never map a coordinate or step
+    # a cover
+    @cached_property
+    def _coords(self) -> "_Coords":
+        _cache_below(self, "_coords")
+        return _compile_coords(self)
+
+    @cached_property
+    def _covers(self) -> "_Covers":
+        _cache_below(self, "_covers")
+        return _compile_covers(self)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         from .parsing import print_algebra
@@ -399,9 +429,8 @@ def _compile_ops(a: Algebra) -> _Ops:
             return (nf, ("M", ny(second[1])))
 
         def cmp(p, q) -> int:
-            c = cx(p[0], q[0])
-            if c:
-                return c
+            if p[0] != q[0]:  # canonical elements: unequal is unordered
+                return cx(p[0], q[0])
             sp, sq = p[1], q[1]
             if sp == BOT:
                 return 0 if sq == BOT else -1
@@ -434,9 +463,8 @@ def _compile_ops(a: Algebra) -> _Ops:
             return (nf, ("M", ny(second[1])))
 
         def cmp(p, q) -> int:
-            c = cx(p[0], q[0])
-            if c:
-                return c
+            if p[0] != q[0]:
+                return cx(p[0], q[0])
             sp, sq = p[1], q[1]
             if sp == TOP:
                 return 0 if sq == TOP else 1
@@ -449,6 +477,183 @@ def _compile_ops(a: Algebra) -> _Ops:
         return isinstance(second, tuple) and fx(x[0]) and fy(second[1])
 
     return _Ops(mul, comp, cmp, free)
+
+
+# Algebra._coords holds the coordinate maps and the two column tests that
+# read them, Algebra._covers the cover below and the least element.  Like
+# _ops they fold the node's constants in once (coordinate split, column
+# constraints, slice step and slice bounds) and call the children's
+# closures directly.
+
+
+class _Coords(NamedTuple):
+    gvec: Callable  # to_gvec
+    partial: Callable  # partial_vec
+    from_gvec: Callable  # _from_gvec_raw
+    from_prefix: Callable  # _elem_from_prefix_raw
+    mid: Callable | None  # mid_capable (inner nodes)
+    top: Callable | None  # zset_member (inner nodes)
+
+
+class _Covers(NamedTuple):
+    down: Callable  # x_down
+    least: object  # universe_min
+
+
+def _same(x):
+    return x
+
+
+def _arity_check(what: str, rank: int):
+    def check(h):
+        if len(h) != rank:
+            raise InvalidElement("%s arity %d, expected %d" % (what, len(h), rank))
+        return h
+    return check
+
+
+def _column_test(free, gvec, constraints):
+    """first -> the marker test on first and the constraints on its raw
+    vector; the marker test alone when every coordinate is full."""
+    checks = _checks(constraints)
+    if not checks:
+        return free
+    return lambda first: free(first) and _checks_ok(checks, gvec(first))
+
+
+def _compile_coords(a: Algebra) -> _Coords:
+    """a's coordinate maps and column tests, from its children's."""
+    if a.is_leaf:
+        rank = a.group.rank
+        return _Coords(_same, _same, _arity_check("vector", rank),
+                       _arity_check("prefix", rank), None, None)
+    xc, yc = a.x._coords, a.y._coords
+    gx, gy, px, py = xc.gvec, yc.gvec, xc.partial, yc.partial
+    fgx, fgy, fpx, fpy = xc.from_gvec, yc.from_gvec, xc.from_prefix, yc.from_prefix
+    s = a._structure
+    xlen = a.xlen
+    free = a.x._ops.free
+    mid_ok = _column_test(free, gx, s.vconstr)
+    top_ok = _column_test(free, gx, s.zconstr) if a.family == "tb" else free
+    marker = BOT if a.family == "tb" else TOP
+    # Y adds no coordinate: a prefix as long as X's is full-length
+    y_rank0 = xlen == len(s.ambient)
+
+    def gvec(x):
+        return gx(x[0]) + gy(x[1][1])
+
+    def partial(x):
+        second = x[1]
+        if isinstance(second, tuple):
+            return gx(x[0]) + py(second[1])
+        return px(x[0])
+
+    def from_gvec(vec):
+        return (fgx(vec[:xlen]), ("M", fgy(vec[xlen:])))
+
+    def from_prefix(h):
+        n = len(h)
+        if n > xlen:
+            return (fgx(h[:xlen]), ("M", fpy(h[xlen:])))
+        first = fpx(h) if n < xlen else fgx(h)
+        # a full-length prefix names a group element where a middle column
+        # sits over first
+        if y_rank0 and n == xlen and mid_ok(first):
+            return (first, ("M", fpy(())))
+        return (first, marker)
+
+    return _Coords(gvec, partial, from_gvec, from_prefix, mid_ok, top_ok)
+
+
+def _compile_covers(a: Algebra) -> _Covers:
+    """a's cover below and least element, from its children's."""
+    if a.is_leaf:
+        k = a.group.kinds
+        if k and k[-1] == "Z":
+            down = lambda p: p[:-1] + (kn.rsub(p[-1], kn.ONE),)
+        else:
+            down = _same
+        return _Covers(down, () if a.group.rank == 0 else None)
+    dx, dy = a.x._covers.down, a.y._covers.down
+    co = a._coords
+    mid_ok, top_ok = co.mid, co.top
+    tb = a.family == "tb"
+
+    # the slice over first (the middle columns there): pin(first) is its
+    # only element when it has one, else ymin and ymax are its bounds
+    pin = ymin = ymax = None
+    if a.is_sublex:
+        step = _slice_step(a)
+        cons = _y_constraints(a)
+        if all(c == TRIV or c[0] == "graph" for c in cons):
+            gx = a.x._coords.gvec
+
+            def pin(first):
+                vec = gx(first)
+                return tuple(kn.ZERO if c == TRIV else kn.rmul(c[1], vec[c[2]])
+                             for c in cons)
+    else:
+        ymin = a.y._covers.least
+        ymax = universe_max(a.y)
+
+    # the element right below the lowest column over first, or p
+    if tb:
+        under = lambda p, first: (first, BOT)
+    else:
+        def under(p, first):
+            xd = dx(first)
+            return p if xd == first else (xd, TOP)
+
+    # the cover of a middle column, inside its slice or right below it
+    if not a.is_sublex:
+        def mid_down(p, first, yv):
+            below = dy(yv)
+            if below != yv:
+                return (first, ("M", below))
+            return under(p, first) if yv == ymin else p
+    elif step is not None:
+        i, m = step
+
+        def mid_down(p, first, yv):
+            out = list(yv)
+            out[i] = kn.rsub(out[i], m)
+            return (first, ("M", tuple(out)))
+    elif pin is not None:
+        mid_down = lambda p, first, yv: under(p, first)  # a one-point slice
+    else:
+        mid_down = lambda p, first, yv: p  # dense, unbounded below
+
+    # the cover of a top column: the top of the slice, if any
+    if pin is not None:
+        top_down = lambda p, first: (first, ("M", pin(first)))
+    elif ymax is not None:
+        top_mid = ("M", ymax)
+        top_down = lambda p, first: (first, top_mid)
+    else:
+        top_down = lambda p, first: p
+
+    def down(p):
+        first, second = p
+        if second == TOP:
+            return top_down(p, first) if mid_ok(first) else under(p, first)
+        if second == BOT:
+            xd = dx(first)
+            if xd == first:
+                return p
+            return (xd, TOP) if top_ok(xd) else (xd, BOT)
+        return mid_down(p, first, second[1])
+
+    xmin = a.x._covers.least
+    if xmin is None:
+        least = None
+    elif tb:
+        least = (xmin, BOT)
+    elif mid_ok(xmin):
+        m = pin(xmin) if pin is not None else ymin
+        least = None if m is None else (xmin, ("M", m))
+    else:
+        least = (xmin, TOP)
+    return _Covers(down, least)
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +716,14 @@ def zset_member(a: Algebra, first) -> bool:
     """first coordinate admits a top column ('tb': the Z subgroup).
 
     Precondition: first is a valid element of a.x."""
-    if not _marker_free(a.x, first):
-        return False
-    if a.family == "t":
-        return True
-    return constr_ok(a._structure.zconstr, to_gvec(a.x, first))
+    return a._coords.top(first)
 
 
 def mid_capable(a: Algebra, first) -> bool:
     """first coordinate admits middle columns (the V side, or H's shadow).
 
     Precondition: first is a valid element of a.x."""
-    return (_marker_free(a.x, first)
-            and constr_ok(a._structure.vconstr, to_gvec(a.x, first)))
+    return a._coords.mid(first)
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +732,12 @@ def mid_capable(a: Algebra, first) -> bool:
 
 def to_gvec(a: Algebra, x) -> tuple:
     """Flat rational vector of a group-part element."""
-    if a.is_leaf:
-        return x
-    first, second = x
-    return to_gvec(a.x, first) + to_gvec(a.y, second[1])
+    return a._coords.gvec(x)
 
 
 def _from_gvec_raw(a: Algebra, vec: tuple):
-    if a.is_leaf:
-        if len(vec) != a.group.rank:
-            raise InvalidElement("vector arity %d, expected %d" % (len(vec), a.group.rank))
-        return vec
-    xlen = a.xlen
-    return (_from_gvec_raw(a.x, vec[:xlen]), mid(_from_gvec_raw(a.y, vec[xlen:])))
+    """Group-part element with raw vector vec (only the arity is checked)."""
+    return a._coords.from_gvec(vec)
 
 
 def partial_vec(a: Algebra, x) -> tuple:
@@ -554,12 +747,7 @@ def partial_vec(a: Algebra, x) -> tuple:
     slot is a marker at depth k yields the length-k prefix that fixes its
     reduction class at every level above the marker.
     """
-    if a.is_leaf:
-        return x
-    first, second = x
-    if is_mid(second):
-        return to_gvec(a.x, first) + partial_vec(a.y, second[1])
-    return partial_vec(a.x, first)
+    return a._coords.partial(x)
 
 
 def elem_from_prefix(a: Algebra, h: tuple):
@@ -580,21 +768,7 @@ def elem_from_prefix(a: Algebra, h: tuple):
 def _elem_from_prefix_raw(a: Algebra, h: tuple):
     """elem_from_prefix without the membership checks, for a prefix known
     to name an element (only the arity is checked)."""
-    if a.is_leaf:
-        if len(h) != a.group.rank:
-            raise InvalidElement("prefix arity %d, expected %d" % (len(h), a.group.rank))
-        return h
-    xlen = a.xlen
-    if len(h) > xlen:
-        return (_from_gvec_raw(a.x, h[:xlen]),
-                mid(_elem_from_prefix_raw(a.y, h[xlen:])))
-    first = (_elem_from_prefix_raw(a.x, h) if len(h) < xlen
-             else _from_gvec_raw(a.x, h))
-    # a prefix as long as the group part is full-length when Y has rank 0,
-    # and names a group element where a middle column sits over first
-    if len(h) == xlen == len(a._structure.ambient) and mid_capable(a, first):
-        return (first, mid(_elem_from_prefix_raw(a.y, ())))
-    return (first, BOT if a.family == "tb" else TOP)
+    return a._coords.from_prefix(h)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +867,7 @@ def tau(a: Algebra, p):
 # The middle columns over a fixed first coordinate form one "slice":
 # the whole universe of Y for plain nodes, a coset pattern cut out by H
 # for sublex nodes, whose Y is a group leaf.  Cover steps inside a slice
-# drive cover steps of the algebra.
+# drive cover steps of the algebra (_compile_covers).
 
 
 def _y_constraints(a: Algebra):
@@ -714,20 +888,6 @@ def slice_member(a: Algebra, first, yv) -> bool:
         a._structure.entries[0].gconstr, to_gvec(a.x, first) + yv))
 
 
-def slice_step_down(a: Algebra, first, yv):
-    """Predecessor of yv inside the slice over first, or None."""
-    if not a.is_sublex:
-        below = x_down(a.y, yv)
-        return None if below == yv else below
-    step = _slice_step(a)
-    if step is None:
-        return None
-    i, m = step
-    out = list(yv)
-    out[i] = kn.rsub(out[i], m)
-    return tuple(out)
-
-
 def _slice_step(a: Algebra):
     """(coordinate, step) generating covers of a sublex slice, or None."""
     cons = _y_constraints(a)
@@ -742,46 +902,13 @@ def _slice_step(a: Algebra):
     return None
 
 
-def slice_min(a: Algebra, first):
-    """Least element of the slice over first, or None."""
-    if not a.is_sublex:
-        return universe_min(a.y)
-    return _slice_pinned_value(a, first)
-
-
-def slice_max(a: Algebra, first):
-    if not a.is_sublex:
-        return universe_max(a.y)
-    return _slice_pinned_value(a, first)
-
-
-def _slice_pinned_value(a: Algebra, first):
-    """A sublex slice is bounded only when every coordinate is pinned:
-    to 0, or by a graph to the first side."""
-    cons = _y_constraints(a)
-    if any(c != TRIV and c[0] != "graph" for c in cons):
-        return None
-    return tuple(kn.ZERO if c == TRIV
-                 else kn.rmul(c[1], to_gvec(a.x, first)[c[2]]) for c in cons)
-
-
 # ---------------------------------------------------------------------------
 # covers and universe bounds
 
 
 def universe_min(a: Algebra):
     """Least element of the universe, or None when unbounded below."""
-    if a.is_leaf:
-        return () if a.group.rank == 0 else None
-    xmin = universe_min(a.x)
-    if xmin is None:
-        return None
-    if a.family == "tb":
-        return (xmin, BOT)
-    if mid_capable(a, xmin):
-        m = slice_min(a, xmin)
-        return None if m is None else (xmin, mid(m))
-    return (xmin, TOP)
+    return a._covers.least
 
 
 def universe_max(a: Algebra):
@@ -791,41 +918,9 @@ def universe_max(a: Algebra):
     return None if m is None else comp(a, m)
 
 
-def _column_max(a: Algebra, first):
-    """Greatest element of the marker column over first ('tb' only)."""
-    return (first, TOP) if zset_member(a, first) else (first, BOT)
-
-
 def x_down(a: Algebra, p):
     """Greatest element strictly below p, or p itself when none exists."""
-    if a.is_leaf:
-        k = a.group.kinds
-        if k and k[-1] == "Z":
-            return p[:-1] + (kn.rsub(p[-1], kn.ONE),)
-        return p
-    first, second = p
-    if is_mid(second):
-        yv = second[1]
-        below = slice_step_down(a, first, yv)
-        if below is not None:
-            return (first, mid(below))
-        if slice_min(a, first) == yv:
-            if a.family == "tb":
-                return (first, BOT)
-            xd = x_down(a.x, first)
-            return (xd, TOP) if xd != first else p
-        return p
-    if second == TOP:
-        if mid_capable(a, first):
-            m = slice_max(a, first)
-            return p if m is None else (first, mid(m))
-        if a.family == "tb":
-            return (first, BOT)
-        xd = x_down(a.x, first)
-        return (xd, TOP) if xd != first else p
-    # second == BOT
-    xd = x_down(a.x, first)
-    return _column_max(a, xd) if xd != first else p
+    return a._covers.down(p)
 
 
 def x_up(a: Algebra, p):

@@ -14,7 +14,11 @@ Two shapes occur:
 
 Both step views keep elements of their base, ordered as there: a class
 is an interval of the base and is named by its canonical member, so every
-element of every peel level is an element of the input algebra.
+element of every peel level is an element of the input algebra.  The
+member of a component is the canonical fill of its elements' head (their
+raw coordinates above the step kernel), so a QuotientChain builds each
+head's fill once, in a bounded memo owned by that step: nothing carries
+over to another step or another report.
 
 Iterating the step yields a representation tree: a base group plus one
 level record per step, each holding the step shape, the distinguished
@@ -34,7 +38,7 @@ ladder, never by inspecting the construction tree of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import kernel as kn
 from .build import build_sublex
@@ -89,6 +93,11 @@ G2 = "G2"
 INTERIOR = "Interior"
 
 CLASS_KINDS = (GROUP_BELOW, TOP_C, BOT_C, TOP_PS, BOT_PS, G2, INTERIOR)
+
+# canonical members a QuotientChain keeps by head, the least recently used
+# dropped first; an exhaustive window ascends, so it meets each class (an
+# interval) in one run of elements
+FILL_MEMO = 1024
 
 # the two peeling steps at the least strictly positive idempotent
 IDEM_BRANCH = "IdemBranch"
@@ -234,9 +243,14 @@ def _canonical_fill(view: ChainView, head: tuple):
     return view.fill_prefix(tuple(vec))
 
 
+def _head(view: ChainView, x) -> tuple:
+    """Raw coordinates of x above the step kernel."""
+    return view.partial_vec(x)[: view.entries[1].prefix]
+
+
 def _rep_of(view: ChainView, x):
     """Canonical representative of the kernel coset of x, for x invertible."""
-    return _canonical_fill(view, view.partial_vec(x)[: view.entries[1].prefix])
+    return _canonical_fill(view, _head(view, x))
 
 
 def coset_rep(a, u, x):
@@ -253,10 +267,6 @@ def _free_tail(entries) -> tuple:
     e0 = entries[0]
     return tuple(j for j in range(entries[1].prefix, e0.prefix)
                  if e0.gconstr[j] != TRIV and e0.gconstr[j][0] != "graph")
-
-
-def _rep_of_top(view: ChainView, x):
-    return _canonical_fill(view, view.partial_vec(x))
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +339,26 @@ def gamma(a, u, b):
         raise WrongBranch(
             "gluing classes need an idempotent complement of u")
     _check_least(view, u)
-    return _gamma_of_elem(view, classifier(view, u), b)
+    return _gamma_of_elem(view, classifier(view, u),
+                          partial(_canonical_fill, view), b)
 
 
-def _gamma_of_elem(view: ChainView, kind_of, x):
+def _gamma_of_elem(view: ChainView, kind_of, fill, x):
     """Canonical member of the gamma class of x: the coset representative
     of the component x belongs to or closes, the upper end of the gap
     pair x closes, and x itself otherwise.  The kinds are disjoint
     (representatives are invertible, gap uppers are pseudo-tops), so the
-    member fixes the class."""
+    member fixes the class.  fill is _canonical_fill on view: the
+    representative is the fill of the head of an invertible x, and of
+    the whole prefix of a component top, which is as long."""
     kind = kind_of(x)
     if kind == GROUP_BELOW:
-        return _rep_of(view, x)
+        return fill(_head(view, x))
     if kind == TOP_C:
-        return _rep_of_top(view, x)
+        return fill(view.partial_vec(x))
     if kind == BOT_C:
-        return _rep_of(view, view.comp(_rep_of_top(view, view.comp(x))))
+        top_rep = fill(view.partial_vec(view.comp(x)))
+        return fill(_head(view, view.comp(top_rep)))
     if kind == BOT_PS:
         return view.x_up(x)
     return x
@@ -363,6 +377,11 @@ class QuotientChain(_ClassChain):
         self._idems = None
         self._invertible = self.base.invertible(u)
         self._kind = classifier(self.base, u)
+        # a class's canonical member depends only on the head of its
+        # elements: build it once per head, in a memo that lives and dies
+        # with this step
+        self._fill = lru_cache(maxsize=FILL_MEMO)(
+            partial(_canonical_fill, self.base))
         # a quotient of a quotient classifies the same few base elements
         # over and over: each class operation classifies one level down
         self.to_class = lru_cache(maxsize=64)(self.to_class)
@@ -371,7 +390,7 @@ class QuotientChain(_ClassChain):
         return "glued quotient of %s" % self.base.describe()
 
     def to_class(self, x):
-        return _gamma_of_elem(self.base, self._kind, x)
+        return _gamma_of_elem(self.base, self._kind, self._fill, x)
 
     def class_min(self, c):
         if self._invertible(c):

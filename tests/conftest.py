@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers as _providers
+from hypothesis.internal.constants_ast import Constants as _Constants
 
 from plexalg import parsing
 
@@ -16,6 +18,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 settings.register_profile("plexalg", derandomize=True, max_examples=100,
                           deadline=None, database=None)
 settings.load_profile("plexalg")
+
+# Hypothesis replaces about 5% of its primitive draws with literals taken
+# from every local module loaded so far, so the same derandomized test drew
+# different examples depending on which other files the run had imported
+# (perfbench/run.py, collected or not, moved them).  An empty pool makes the
+# examples depend on the test alone.
+_providers._get_local_constants = lambda: _Constants()
 
 # canonical spec text for every fixture used across the suite
 SPECS = {

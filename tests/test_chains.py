@@ -177,12 +177,12 @@ def _subelements(a, x):
 def _full_zset_member(a, first):
     return ch.in_group_part(a.x, first) and (
         a.family == "t"
-        or ch.constr_ok(a._structure.zconstr, ch.to_gvec(a.x, first)))
+        or ch.constr_ok(a._structure.zconstr, _ref_to_gvec(a.x, first)))
 
 
 def _full_mid_capable(a, first):
     return ch.in_group_part(a.x, first) and ch.constr_ok(
-        a._structure.vconstr, ch.to_gvec(a.x, first))
+        a._structure.vconstr, _ref_to_gvec(a.x, first))
 
 
 def _assert_trusted_checks_agree(a, x):
@@ -671,7 +671,7 @@ def test_positive_idempotents_are_verified_once(monkeypatch):
 #
 # The oracle is mul, comp, cmp_elems and _marker_free as first written:
 # one recursion over the algebra tree that reads each node's family on
-# every call.  Only x_down, which comp calls on 't' nodes, is shared.
+# every call.  Its covers and coordinate maps follow below.
 
 
 def _ref_marker_free(a, x):
@@ -723,13 +723,12 @@ def _ref_comp(a, p):
         if second == ch.TOP:
             return (nf, ch.BOT)
         if second == ch.BOT:
-            top = _ref_marker_free(a.x, first) and ch.constr_ok(
-                a._structure.zconstr, ch.to_gvec(a.x, first))
+            top = _ref_zset_member(a, first)
             return (nf, ch.TOP if top else ch.BOT)
         return (nf, ch.mid(_ref_comp(a.y, second[1])))
     if second == ch.TOP:
         if _ref_marker_free(a.x, first):
-            below = ch.x_down(a.x, nf)
+            below = _ref_x_down(a.x, nf)
             if below == nf:
                 raise StructuralMismatch("group part of the child is not discrete")
             return (below, ch.TOP)
@@ -809,10 +808,11 @@ def test_compiled_comp_raises_where_the_definition_raises(kind, x, y):
     _assert_ops_match_reference(a, pool)
 
 
-def _with_ops(a, **closures):
-    """A fresh node equal to a whose compiled closures are replaced."""
+def _with_ops(a, group="_ops", **closures):
+    """A fresh node equal to a whose compiled closures in group (_ops,
+    _coords or _covers) are replaced."""
     m = dataclasses.replace(a)
-    vars(m)["_ops"] = a._ops._replace(**closures)
+    vars(m)[group] = getattr(a, group)._replace(**closures)
     return m
 
 
@@ -848,13 +848,13 @@ def _tb_comp_swapped(a):
 
 
 def _cmp_without_y(a):
-    """An order that ties any two middle columns over one first
-    coordinate."""
-    cx, real = a.x._ops.cmp, a._ops.cmp
+    """An equal-head order that ties any two middle columns over one first
+    coordinate without comparing their Y parts."""
+    real = a._ops.cmp
 
     def cmp(p, q):
-        if ch.is_mid(p[1]) and ch.is_mid(q[1]):
-            return cx(p[0], q[0])
+        if p[0] == q[0] and ch.is_mid(p[1]) and ch.is_mid(q[1]):
+            return 0
         return real(p, q)
 
     return {"cmp": cmp}
@@ -870,6 +870,303 @@ def test_reference_catches_a_wrong_closure(name, mutant):
     _assert_ops_match_reference(a, pool)
     with pytest.raises(AssertionError):
         _assert_ops_match_reference(_with_ops(a, **mutant(a)), pool)
+
+
+# ---------------------------------------------------------------------------
+# compiled covers and coordinate maps against the recursive definitions
+#
+# x_down, to_gvec, partial_vec, _from_gvec_raw and _elem_from_prefix_raw as
+# first written: each call recurses through the tree, reads every node's
+# kind and recomputes the column tests and slice bounds from the ladder.
+
+
+def _ref_to_gvec(a, x):
+    if a.is_leaf:
+        return x
+    first, second = x
+    return _ref_to_gvec(a.x, first) + _ref_to_gvec(a.y, second[1])
+
+
+def _ref_from_gvec(a, vec):
+    if a.is_leaf:
+        if len(vec) != a.group.rank:
+            raise InvalidElement("vector arity %d, expected %d"
+                                 % (len(vec), a.group.rank))
+        return vec
+    xlen = a.xlen
+    return (_ref_from_gvec(a.x, vec[:xlen]),
+            ch.mid(_ref_from_gvec(a.y, vec[xlen:])))
+
+
+def _ref_partial_vec(a, x):
+    if a.is_leaf:
+        return x
+    first, second = x
+    if ch.is_mid(second):
+        return _ref_to_gvec(a.x, first) + _ref_partial_vec(a.y, second[1])
+    return _ref_partial_vec(a.x, first)
+
+
+def _ref_zset_member(a, first):
+    return _ref_marker_free(a.x, first) and (
+        a.family == "t"
+        or ch.constr_ok(a._structure.zconstr, _ref_to_gvec(a.x, first)))
+
+
+def _ref_mid_capable(a, first):
+    return _ref_marker_free(a.x, first) and ch.constr_ok(
+        a._structure.vconstr, _ref_to_gvec(a.x, first))
+
+
+def _ref_elem_from_prefix(a, h):
+    if a.is_leaf:
+        if len(h) != a.group.rank:
+            raise InvalidElement("prefix arity %d, expected %d"
+                                 % (len(h), a.group.rank))
+        return h
+    xlen = a.xlen
+    if len(h) > xlen:
+        return (_ref_from_gvec(a.x, h[:xlen]),
+                ch.mid(_ref_elem_from_prefix(a.y, h[xlen:])))
+    first = (_ref_elem_from_prefix(a.x, h) if len(h) < xlen
+             else _ref_from_gvec(a.x, h))
+    if len(h) == xlen == len(a._structure.ambient) and \
+            _ref_mid_capable(a, first):
+        return (first, ch.mid(_ref_elem_from_prefix(a.y, ())))
+    return (first, ch.BOT if a.family == "tb" else ch.TOP)
+
+
+def _ref_slice_pinned_value(a, first):
+    cons = ch._y_constraints(a)
+    if any(c != gr.TRIV and c[0] != "graph" for c in cons):
+        return None
+    vec = _ref_to_gvec(a.x, first)
+    return tuple(kn.ZERO if c == gr.TRIV else kn.rmul(c[1], vec[c[2]])
+                 for c in cons)
+
+
+def _ref_slice_step_down(a, first, yv):
+    if not a.is_sublex:
+        below = _ref_x_down(a.y, yv)
+        return None if below == yv else below
+    step = ch._slice_step(a)
+    if step is None:
+        return None
+    i, m = step
+    out = list(yv)
+    out[i] = kn.rsub(out[i], m)
+    return tuple(out)
+
+
+def _ref_universe_min(a):
+    if a.is_leaf:
+        return () if a.group.rank == 0 else None
+    xmin = _ref_universe_min(a.x)
+    if xmin is None:
+        return None
+    if a.family == "tb":
+        return (xmin, ch.BOT)
+    if _ref_mid_capable(a, xmin):
+        m = _ref_slice_min(a, xmin)
+        return None if m is None else (xmin, ch.mid(m))
+    return (xmin, ch.TOP)
+
+
+def _ref_slice_min(a, first):
+    if not a.is_sublex:
+        return _ref_universe_min(a.y)
+    return _ref_slice_pinned_value(a, first)
+
+
+def _ref_slice_max(a, first):
+    if not a.is_sublex:
+        m = _ref_universe_min(a.y)
+        return None if m is None else _ref_comp(a.y, m)
+    return _ref_slice_pinned_value(a, first)
+
+
+def _ref_x_down(a, p):
+    if a.is_leaf:
+        k = a.group.kinds
+        if k and k[-1] == "Z":
+            return p[:-1] + (kn.rsub(p[-1], kn.ONE),)
+        return p
+    first, second = p
+    if ch.is_mid(second):
+        yv = second[1]
+        below = _ref_slice_step_down(a, first, yv)
+        if below is not None:
+            return (first, ch.mid(below))
+        if _ref_slice_min(a, first) == yv:
+            if a.family == "tb":
+                return (first, ch.BOT)
+            xd = _ref_x_down(a.x, first)
+            return (xd, ch.TOP) if xd != first else p
+        return p
+    if second == ch.TOP:
+        if _ref_mid_capable(a, first):
+            m = _ref_slice_max(a, first)
+            return p if m is None else (first, ch.mid(m))
+        if a.family == "tb":
+            return (first, ch.BOT)
+        xd = _ref_x_down(a.x, first)
+        return (xd, ch.TOP) if xd != first else p
+    xd = _ref_x_down(a.x, first)
+    if xd == first:
+        return p
+    return (xd, ch.TOP) if _ref_zset_member(a, xd) else (xd, ch.BOT)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class and message of the PlexError it raises."""
+    try:
+        return fn(*args)
+    except PlexError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_covers_match_reference(a, pool):
+    assert ch.universe_min(a) == _ref_universe_min(a)
+    vecs = set()
+    for x in pool:
+        assert ch.x_down(a, x) == _ref_x_down(a, x), x
+        assert ch.partial_vec(a, x) == _ref_partial_vec(a, x), x
+        vecs.add(ch.partial_vec(a, x))
+        if ch._marker_free(a, x):
+            v = ch.to_gvec(a, x)
+            assert v == _ref_to_gvec(a, x), x
+            assert ch._from_gvec_raw(a, v) == _ref_from_gvec(a, v) == x
+            # one coordinate too many or too few: the leaves' arity errors
+            for w in (v + (kn.ZERO,), v[:-1]):
+                assert _outcome(ch._from_gvec_raw, a, w) == \
+                    _outcome(_ref_from_gvec, a, w), w
+    # every prefix length, and one coordinate beyond the ambient
+    for v in vecs:
+        for h in [v[:n] for n in range(len(v) + 1)] + [v + (kn.ZERO,)]:
+            assert _outcome(ch._elem_from_prefix_raw, a, h) == \
+                _outcome(_ref_elem_from_prefix, a, h), h
+    # the equal-head compare: pairs that share their first coordinate
+    if not a.is_leaf:
+        shared = [(p, q) for p, q in product(pool, pool) if p[0] == q[0]]
+        assert any(p != q for p, q in shared)
+        for p, q in shared:
+            assert ch.cmp_elems(a, p, q) == _ref_cmp(a, p, q), (p, q)
+
+
+COVER_CASES = OP_CASES + RANK0_SECOND + [
+    "I(Z, idx 2, Q)", "SLI(Z, idx 2, Z, prodH(idx 2, idx 3))",
+    "SLII(Z, Z, fullH)", "II(Z, I(1, full, 1))"]
+
+
+@pytest.mark.parametrize("name", COVER_CASES)
+def test_compiled_covers_match_the_recursive_definitions(name):
+    a = ps.parse_algebra(case_spec(name))
+    _assert_covers_match_reference(a, _op_pool(a, _op_rngs(6)))
+
+
+@settings(max_examples=60)
+@given(spec=st.integers(1, 4).flatmap(_specs), rngs=_element_draws(4))
+def test_compiled_covers_match_the_recursive_definitions_on_random_specs(
+        spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_covers_match_reference(a, _op_pool(a, rngs))
+
+
+def _nodes(a):
+    stack = [a]
+    while stack:
+        n = stack.pop()
+        yield n
+        if not n.is_leaf:
+            stack += [n.x, n.y]
+
+
+def test_building_compiles_no_covers_or_coordinate_maps():
+    # they compile on first use: builders and rebuild make fresh nodes on
+    # every call, and most of those never step a cover
+    built = [ps.parse_algebra(case_spec(name)) for name in COVER_CASES]
+    built += [dec.rebuild(dec.group_representation(ps.parse_algebra(_tower(d))))
+              for d in range(1, 6)]
+    for a in built:
+        assert not [n for n in _nodes(a)
+                    if "_coords" in vars(n) or "_covers" in vars(n)], a
+    a = built[0]
+    ch.x_down(a, ch.unit(a))
+    assert all("_covers" in vars(n) for n in _nodes(a))
+
+
+@pytest.mark.parametrize("spec,text", [("II(Z, Z)", "(0, 0)"),
+                                       ("SLII(Z, Z, fullH)", "(0, 0)"),
+                                       ("I(Z, idx 2, Q)", "(0, B)")])
+def test_compiled_covers_reach_the_kernel_at_call_time(monkeypatch, spec,
+                                                       text):
+    a = ps.parse_algebra(spec)
+    x = ps.parse_elem(a, text)
+    want = ch.x_down(a, x)  # the closures exist before the kernel is patched
+    calls = [0]
+    rsub = kn.rsub
+
+    def counted(*args):
+        calls[0] += 1
+        return rsub(*args)
+
+    monkeypatch.setattr(kn, "rsub", counted)
+    assert ch.x_down(a, x) == want != x
+    assert calls[0] == 1
+
+
+def _tb_bottom_skips_z(a):
+    """A 'tb' cover below a bottom column that always lands on a top
+    column, without the Z-set test."""
+    real = a._covers.down
+
+    def down(p):
+        got = real(p)
+        if p[1] == ch.BOT and got != p:
+            return (got[0], ch.TOP)
+        return got
+
+    return "_covers", {"down": down}
+
+
+def _slice_step_up(a):
+    """A sublex cover that steps its slice up instead of down."""
+    real = a._covers.down
+    i, m = ch._slice_step(a)
+
+    def down(p):
+        first, second = p
+        if not ch.is_mid(second):
+            return real(p)
+        out = list(second[1])
+        out[i] = kn.radd(out[i], m)
+        return (first, ch.mid(tuple(out)))
+
+    return "_covers", {"down": down}
+
+
+def _head_compare_ties(a):
+    return "_ops", _cmp_without_y(a)
+
+
+@pytest.mark.parametrize("spec,mutant", [
+    ("I(Z, idx 2, Q)", _tb_bottom_skips_z),
+    ("III(Z, idx 2, idx 4, Q)", _tb_bottom_skips_z),
+    ("SLI(Z, idx 2, Z, prodH(idx 2, idx 3))", _slice_step_up),
+    ("SLII(Z, Z, fullH)", _slice_step_up),
+    ("II(Z, Q)", _head_compare_ties),
+    ("I(II(Z, Q), full, Q)", _head_compare_ties),
+])
+def test_cover_reference_catches_a_wrong_closure(spec, mutant):
+    a = ps.parse_algebra(spec)
+    pool = _op_pool(a, _op_rngs(6))
+    _assert_covers_match_reference(a, pool)
+    group, closures = mutant(a)
+    with pytest.raises(AssertionError):
+        _assert_covers_match_reference(_with_ops(a, group, **closures), pool)
 
 
 def test_deep_hand_built_algebra_caches_bottom_up():

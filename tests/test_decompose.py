@@ -172,6 +172,36 @@ def test_gamma_glues_extremes_to_their_component(alg):
     assert q.to_class(lone) != q.to_class(mid)
 
 
+def test_quotient_builds_each_canonical_member_once_per_head(alg,
+                                                             monkeypatch):
+    # prop9.2 on E maps a window of 10,108 elements onto 266 classes;
+    # without the memo it builds a fill for every group element and
+    # component extreme among them (10,360)
+    E = alg["E"]
+    heads = []
+    real = ch._elem_from_prefix_raw
+
+    def recording(b, h):
+        if b is E:
+            heads.append(h)
+        return real(b, h)
+
+    monkeypatch.setattr(ch, "_elem_from_prefix_raw", recording)
+    for _ in range(2):  # the memo dies with its step: no carry-over
+        heads.clear()
+        r = lc.check_named(E, "prop9.2", budget=50, seed=1)
+        assert (r.samples, r.counts, r.violations) == (
+            10373, (("intervals-disjoint", 265),
+                    ("member-in-interval", 10108)), ())
+        assert len(heads) == len(set(heads)) <= 266
+        assert heads
+    # the memoized members are those of the unmemoized gamma map
+    u = dec.smallest_pos_idem(E)
+    q = dec.QuotientChain(E, u)
+    for x in lc.window_elems(E)[::37]:
+        assert q.to_class(x) == dec.gamma(E, u, x), x
+
+
 def test_restriction_behaves_like_a_unit_shift(alg):
     A = alg["A"]
     u = dec.smallest_pos_idem(A)
