@@ -74,7 +74,6 @@ predicates above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import lcm
 from typing import Callable, NamedTuple
@@ -102,23 +101,23 @@ def is_mid(second) -> bool:
 
 # ---------------------------------------------------------------------------
 # second-factor restrictions for sublex nodes
+#
+# Named tuples of three different lengths, so no two restrictions of
+# different shapes ever compare equal.
 
 
-@dataclass(frozen=True)
-class FullH:
+class FullH(NamedTuple):
     """No restriction: middle columns hold the whole second group."""
 
 
-@dataclass(frozen=True)
-class ProdH:
+class ProdH(NamedTuple):
     """Coordinatewise restriction: first side in zpart, second in ypart."""
 
     zpart: tuple
     ypart: tuple
 
 
-@dataclass(frozen=True)
-class GraphH:
+class GraphH(NamedTuple):
     """Graph restriction {(n, n*c)}: one integer first coordinate, the
     single second coordinate determined by it."""
 
@@ -177,8 +176,7 @@ def _checks_ok(checks, vec) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LevelView:
+class LevelView(NamedTuple):
     """Group view of one reduction level.
 
     prefix    number of ambient coordinates the level keeps
@@ -196,15 +194,43 @@ class LevelView:
 # the algebra tree
 
 
-@dataclass(frozen=True)
 class Algebra:
-    kind: str  # 'grp' or one of NODE_KINDS
-    group: GroupDesc | None = None
-    x: "Algebra | None" = None
-    y: "Algebra | None" = None
-    zsub: tuple | None = None  # 'tb' nodes: Z over the ambient of X's group part
-    vsub: tuple | None = None  # III/IV: V over the same ambient
-    h: FullH | ProdH | GraphH | None = None  # sublex nodes
+    """A node of the tree: immutable, equal and hashed by its fields.
+
+    kind   'grp' or one of NODE_KINDS
+    group  leaves: the GroupDesc
+    x, y   inner nodes: the two children
+    zsub   'tb' nodes: Z over the ambient of X's group part
+    vsub   III/IV: V over the same ambient
+    h      sublex nodes: FullH, ProdH or GraphH
+
+    Only the cached properties below write to a node, straight into its
+    instance dict."""
+
+    def __init__(self, kind: str, group: GroupDesc | None = None,
+                 x: Algebra | None = None, y: Algebra | None = None,
+                 zsub: tuple | None = None, vsub: tuple | None = None,
+                 h: FullH | ProdH | GraphH | None = None):
+        self.__dict__.update(kind=kind, group=group, x=x, y=y, zsub=zsub,
+                             vsub=vsub, h=h)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.group, self.x, self.y, self.zsub, self.vsub,
+                self.h)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # node kinds are read on every recursion step: compute them once
     @cached_property
@@ -286,8 +312,7 @@ def _cache_below(a: Algebra, attr: str):
         getattr(n, attr)
 
 
-@dataclass(frozen=True)
-class _NodeStructure:
+class _NodeStructure(NamedTuple):
     ambient: tuple  # coordinate kinds of the full group part
     entries: tuple  # LevelView tuple, outermost level first
     vconstr: tuple | None  # merged middle-column constraint over X's ambient

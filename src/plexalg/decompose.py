@@ -37,8 +37,8 @@ ladder, never by inspecting the construction tree of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import kernel as kn
 from .build import build_sublex
@@ -104,8 +104,7 @@ IDEM_BRANCH = "IdemBranch"
 NONIDEM_BRANCH = "NonIdemBranch"
 
 
-@dataclass(frozen=True)
-class RepLevel:
+class RepLevel(NamedTuple):
     """One peeling step: shape, distinguished subgroup, kernel hull and
     middle-column restriction, all over the rebuilt child coordinates."""
 
@@ -115,8 +114,7 @@ class RepLevel:
     h: FullH | ProdH
 
 
-@dataclass(frozen=True)
-class RepTree:
+class RepTree(NamedTuple):
     base: GroupDesc
     levels: tuple  # RepLevel, innermost step first
 
@@ -665,8 +663,7 @@ def rebuild(tree: RepTree) -> Algebra:
 # flattening into a lex product of groups with adjoined bounds
 
 
-@dataclass(frozen=True)
-class LexMonoid:
+class LexMonoid(NamedTuple):
     """Lex product of the base group with bound-adjoined kernel hulls.
 
     Elements are tuples (h, e_2, ..., e_n): h in the base group, each e_i

@@ -14,7 +14,7 @@ get rebuilt one block at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel as kn
 from .errors import InvalidSubgroup
@@ -23,14 +23,31 @@ INT = "Z"
 RAT = "Q"
 
 
-@dataclass(frozen=True)
 class GroupDesc:
-    kinds: tuple[str, ...]
+    """A group's coordinate kinds: immutable, equal and hashed by them."""
 
-    def __post_init__(self):
-        for k in self.kinds:
+    def __init__(self, kinds: tuple[str, ...]):
+        for k in kinds:
             if k not in (INT, RAT):
                 raise InvalidSubgroup(f"unknown coordinate kind {k!r}")
+        self.__dict__["kinds"] = kinds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kinds == other.kinds
+
+    def __hash__(self):
+        return hash((self.kinds,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"GroupDesc(kinds={self.kinds!r})"
 
     @property
     def rank(self) -> int:
@@ -180,8 +197,7 @@ def divisible_hull(desc: GroupDesc) -> GroupDesc:
     return GroupDesc((RAT,) * desc.rank)
 
 
-@dataclass(frozen=True)
-class TailSplit:
+class TailSplit(NamedTuple):
     """Split along a convex tail: head quotient plus divisible-hull tail."""
 
     desc: GroupDesc

@@ -20,7 +20,7 @@ canonical and print(parse(s)) is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel as kn
 from .build import build_sublex, build_type, group_leaf
@@ -32,8 +32,7 @@ from .groups import FULL, TRIV, GroupDesc, Q_GROUP, TRIV_GROUP, Z_GROUP
 _SYMBOLS = "(),/:=-"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident', 'int', one of _SYMBOLS, 'eof'
     text: str
     line: int

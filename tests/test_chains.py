@@ -1,6 +1,5 @@
 """Element operations on built chains, against hand-computed values."""
 
-import dataclasses
 import random
 from functools import cmp_to_key, partial
 from itertools import product
@@ -550,9 +549,9 @@ def _verdicts_disagreeing_with_the_probe(specs):
 # 't' nodes over children that exercise each clause of the structural test
 DISCRETENESS_CASES = [
     "II(Lex(Q, Z), Q)", "II(Lex(Z, Q), Q)", "II(1, Z)",
-    "II(II(Z, Q), Z)", "IV(I(Q, full, Z), idx 2, Q)",
+    "II(II(Z, Q), Z)", "IV(I(Q, full, Z), (full, idx 2), Q)",
     "II(SLII(Z, Z, fullH), Z)", "II(SLII(Z, Q, fullH), Z)",
-    "SLII(SLI(Z, idx 2, Z, prodH(full, idx 3)), Q, fullH)",
+    "SLII(SLI(Z, idx 2, Z, prodH(idx 2, idx 3)), Q, fullH)",
     "II(SLII(Z, Q, graphH(1/2)), Z)", "IV(SLII(Z, Q, prodH(full, triv)), triv, Z)",
 ]
 ACCEPTANCE_CASES = ([case_spec(n) for n in DIFF_CASES] + REGRESSION_SPECS
@@ -561,6 +560,14 @@ ACCEPTANCE_CASES = ([case_spec(n) for n in DIFF_CASES] + REGRESSION_SPECS
 
 def test_builder_verdict_matches_the_probe():
     assert _verdicts_disagreeing_with_the_probe(ACCEPTANCE_CASES) == []
+
+
+@pytest.mark.parametrize("spec", DISCRETENESS_CASES)
+def test_discreteness_cases_reach_the_discreteness_clause(spec):
+    # a case refused for any other reason never exercises its clause
+    verdict = _verdict(spec)
+    assert verdict == "accepted" or verdict[0] == "DiscretenessViolated", \
+        verdict
 
 
 @given(spec=st.integers(1, 4).flatmap(_specs))
@@ -590,6 +597,54 @@ def test_probe_oracle_catches_a_wrong_structural_test(wrong):
     with mock.patch.object(ch, "discretely_embedded", bad), \
             mock.patch.object(build, "discretely_embedded", bad):
         assert _verdicts_disagreeing_with_the_probe(ACCEPTANCE_CASES)
+
+
+# ---------------------------------------------------------------------------
+# algebras and sublex restrictions are immutable values
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_parses_of_one_spec_are_equal_values(alg, name):
+    a = ps.parse_algebra(SPECS[name])
+    assert a is not alg[name]
+    assert a == alg[name] and hash(a) == hash(alg[name])
+    assert [b for b in alg.values() if b == a] == [alg[name]]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_algebra_attributes_cannot_be_assigned_or_deleted(alg, name):
+    a = alg[name]
+    for attr in ("kind", "group", "x", "y", "zsub", "vsub", "h", "_ops",
+                 "is_leaf", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert a == ps.parse_algebra(SPECS[name])
+
+
+def test_ops_are_compiled_once_per_node(monkeypatch):
+    compiled = []
+
+    def compile_ops(a, _real=ch._compile_ops):
+        compiled.append(a)
+        return _real(a)
+
+    monkeypatch.setattr(ch, "_compile_ops", compile_ops)
+    a = ps.parse_algebra(SPECS["E"])
+    nodes = [a, a.x, a.x.x, a.x.y, a.y]
+    for n in nodes:
+        assert n._ops is n._ops
+    assert sorted(map(id, compiled)) == sorted(map(id, nodes))
+
+
+def test_sublex_restrictions_of_different_shapes_are_unequal():
+    c = kn.rmake(1, 2)
+    hs = [ch.FullH(), ch.ProdH((gr.FULL,), (gr.TRIV,)), ch.GraphH(c)]
+    assert [[g == h for g in hs] for h in hs] == \
+        [[True, False, False], [False, True, False], [False, False, True]]
+    assert ch.ProdH((gr.FULL,), (gr.TRIV,)) == ch.ProdH((gr.FULL,), (gr.TRIV,))
+    assert ch.GraphH(c) != ch.GraphH(kn.rmake(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +866,7 @@ def test_compiled_comp_raises_where_the_definition_raises(kind, x, y):
 def _with_ops(a, group="_ops", **closures):
     """A fresh node equal to a whose compiled closures in group (_ops,
     _coords or _covers) are replaced."""
-    m = dataclasses.replace(a)
+    m = ch.Algebra(a.kind, a.group, a.x, a.y, a.zsub, a.vsub, a.h)
     vars(m)[group] = getattr(a, group)._replace(**closures)
     return m
 

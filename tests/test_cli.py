@@ -301,7 +301,8 @@ import contextlib, io, json, sys
 from plexalg import cli
 
 def loaded():
-    return [m for m in ("plexalg.decompose", "plexalg.lawcheck")
+    return [m for m in ("plexalg.decompose", "plexalg.lawcheck",
+                        "dataclasses", "inspect")
             if m in sys.modules]
 
 steps = [["import", loaded()]]
@@ -314,12 +315,16 @@ print(json.dumps(steps))
 
 
 def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
+    # the values of the start-up path are declared without dataclasses,
+    # whose import loads inspect, ast, dis and tokenize
     spec = spec_file("II(Z, Q)")
     tree = spec_file("base: Z\nlevel 2: iota=II Z=gr G=Q H=fullH", "tree")
     calls = [["build", "-f", spec], ["eval", "-f", spec, "-e", "idems"],
              ["represent", "-f", spec], ["decompose", "-f", spec],
-             ["rebuild", "-f", tree]]
+             ["rebuild", "-f", tree],
+             ["check", "-f", spec, "--laws", "fle", "--budget", "5"]]
     steps = json.loads(fresh_python(_FOOTPRINT, json.dumps(calls)))
+    *steps, check = steps
     assert steps == [
         ["import", []],
         ["build", 0, []],
@@ -328,6 +333,8 @@ def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
         ["decompose", 0, ["plexalg.decompose"]],
         ["rebuild", 0, ["plexalg.decompose"]],
     ]
+    # check may load them, through lawcheck
+    assert check[:2] == ["check", 0] and "plexalg.lawcheck" in check[2]
 
 
 STATS_LINE = re.compile(r"stats law=(\S+) elapsed_ms=\d+\.\d{3} "

@@ -248,6 +248,8 @@ def test_representation_trees(alg, name):
     tree = dec.group_representation(alg[name])
     assert ps.print_reptree(tree) == REPTREES[name]
     assert ps.print_algebra(dec.rebuild(tree)) == REBUILT[name]
+    again = dec.group_representation(ps.parse_algebra(SPECS[name]))
+    assert again == tree and hash(again) == hash(tree)
 
 
 def test_rebuild_rejects_malformed_levels():

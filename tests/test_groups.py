@@ -25,6 +25,21 @@ def test_descriptors():
         gr.GroupDesc(("R",))
 
 
+def test_descriptors_are_immutable_values():
+    assert gr.GroupDesc(("Z", "Q")) == LZQ
+    assert hash(gr.GroupDesc(("Z", "Q"))) == hash(LZQ)
+    assert LZQ != LZZ and LZQ != ("Z", "Q") and gr.TRIV_GROUP != ()
+    for attr in ("kinds", "rank", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(LZQ, attr, ())
+        with pytest.raises(AttributeError):
+            delattr(LZQ, attr)
+    assert LZQ.kinds == ("Z", "Q")
+    assert repr(gr.split_convex_tail(LZQ, 1)) == (
+        "TailSplit(desc=GroupDesc(kinds=('Z', 'Q')), k=1, "
+        "head=GroupDesc(kinds=('Z',)), tail_hull=GroupDesc(kinds=('Q',)))")
+
+
 def test_membership():
     assert gr.g_member(LZQ, (kn.rmake(2), kn.rmake(1, 3)))
     assert not gr.g_member(LZQ, (kn.rmake(1, 2), kn.rmake(0)))  # Z coord
