@@ -580,6 +580,20 @@ def test_one_pass_peel_regressions(spec):
     assert _assert_random_spec_peels_agree(spec, rngs) == "the view stack peels"
 
 
+# the representation as a normal form: represent∘rebuild fixes every tree
+
+
+@pytest.mark.parametrize("name", sorted(SPECS)
+                         + [f"tower{d}" for d in range(1, 6)]
+                         + REGRESSION_SPECS)
+def test_represent_rebuild_fixed_point(name):
+    t = dec.group_representation(ps.parse_algebra(case_spec(name)))
+    rebuilt = dec.rebuild(t)
+    again = dec.group_representation(rebuilt)
+    assert again == t
+    assert ps.print_algebra(dec.rebuild(again)) == ps.print_algebra(rebuilt)
+
+
 # ---------------------------------------------------------------------------
 # the structural classifier against the arithmetic one
 #
