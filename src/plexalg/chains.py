@@ -66,7 +66,8 @@ this module: ChainView derives le, lt, res, tau, fconst and x_up from
 the primitives a subclass provides, and BaseChain binds them to an algebra.
 Law suites, homomorphism checks and peeling steps all use it, so each
 runs unchanged on an algebra, a peel level or a mutated algebra (whose
-`clean` view is the uncorrupted one).  The
+`clean` view is the uncorrupted one).  A view's sampler(rng) is a
+zero-argument draw bound to rng, which a sample stream binds once.  The
 view's invertibility and absorption tests and its fill_prefix builder
 are arithmetic by default; BaseChain answers them with the trusted
 predicates above.
@@ -1172,9 +1173,8 @@ def sample_elem(a: Algebra, rng, magnitude: int = 6, denominator: int = 8,
                 marker_p: float = 0.25):
     """Random valid element; markers injected with probability marker_p
     per level, group-part directions otherwise (see the notes above)."""
-    draw = (a._samplers.get((magnitude, denominator, marker_p))
-            or _sampler(a, magnitude, denominator, marker_p))
-    return draw(rng.random, rng.getrandbits)
+    return _sampler(a, magnitude, denominator, marker_p)(rng.random,
+                                                         rng.getrandbits)
 
 
 # ---------------------------------------------------------------------------
@@ -1356,7 +1356,7 @@ class BaseChain(ChainView):
     def invertible(self, u):
         # tau(x) is a positive idempotent, so it is below the least strictly
         # positive one exactly when it is the unit: x is marker-free
-        return partial(_marker_free, self.a)
+        return self.a._ops.free
 
     def absorber(self, e):
         return absorber(self.a, e)
@@ -1370,8 +1370,10 @@ class BaseChain(ChainView):
     def lacks(self, u, kind: str) -> bool:
         return kind in _ruled_out(self.a)
 
-    def sample(self, rng):
-        return sample_elem(self.a, rng)
+    def sampler(self, rng):
+        """Zero-argument draw bound to rng: sample_elem with its defaults."""
+        return partial(_sampler(self.a, 6, 8, 0.25), rng.random,
+                       rng.getrandbits)
 
 
 def _as_view(a):

@@ -296,8 +296,9 @@ class _ClassChain(_Step):
     def unit(self):
         return self.to_class(self.base.unit())
 
-    def sample(self, rng):
-        return self.to_class(self.base.sample(rng))
+    def sampler(self, rng):
+        draw, to_class = self.base.sampler(rng), self.to_class
+        return lambda: to_class(draw())
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +376,7 @@ class QuotientChain(_ClassChain):
         self._idems = None
         self._invertible = self.base.invertible(u)
         self._kind = classifier(self.base, u)
+        self._head_len = self.base.entries[1].prefix
         # a class's canonical member depends only on the head of its
         # elements: build it once per head, in a memo that lives and dies
         # with this step
@@ -388,6 +390,10 @@ class QuotientChain(_ClassChain):
         return "glued quotient of %s" % self.base.describe()
 
     def to_class(self, x):
+        # an invertible x is _gamma_of_elem's GROUP_BELOW case: the member
+        # of its head, with no classification
+        if self._invertible(x):
+            return self._fill(self.base.partial_vec(x)[:self._head_len])
         return _gamma_of_elem(self.base, self._kind, self._fill, x)
 
     def class_min(self, c):
@@ -480,10 +486,11 @@ class RestrictionChain(_Step):
     def validate(self, p) -> bool:
         return self.base.validate(p) and self.contains(p)
 
-    def sample(self, rng):
+    def sampler(self, rng):
         # multiplying by u projects any sample onto the restriction and
         # fixes elements already inside it
-        return self.base.mul(self.base.sample(rng), self.u)
+        draw, mul, u = self.base.sampler(rng), self.base.mul, self.u
+        return lambda: mul(draw(), u)
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,10 @@ class SampleStream:
         self.view = _as_view(a)
         self.seed = seed & _SEED_MASK
         self._rng = random.Random(self.seed)
+        self._draw = self.view.sampler(self._rng)
 
     def draw(self):
-        return self.view.sample(self._rng)
+        return self._draw()
 
     def draw_where(self, pred, tries=64):
         for _ in range(tries):
@@ -217,8 +218,9 @@ class _Run:
             self.counts[label] = self.counts.get(label, 0) + 1
 
     def check(self, ok, inputs, lhs, rhs, label=None):
-        if label is not None:
-            self.hit(label)
+        if label is not None:  # hit(label), inline on this hot path
+            self.samples += 1
+            self.counts[label] = self.counts.get(label, 0) + 1
         if not ok:
             self.violations.append((inputs, lhs, rhs))
             if not self.witness:
@@ -837,6 +839,7 @@ def _window(a, rats, ints):
         return list(product(*[ints if k == "Z" else rats
                               for k in a.group.kinds]))
     ys = _window(a.y, rats, ints)
+    mids = [mid(y) for y in ys]
     tb = a.family == "tb"
     out = []
     for h in _window(a.x, rats, ints):
@@ -844,9 +847,10 @@ def _window(a, rats, ints):
             out.append((h, BOT))
         if mid_capable(a, h):
             if a.is_sublex:
-                out.extend((h, mid(y)) for y in ys if slice_member(a, h, y))
+                out.extend((h, m) for y, m in zip(ys, mids)
+                           if slice_member(a, h, y))
             else:
-                out.extend((h, mid(y)) for y in ys)
+                out.extend((h, m) for m in mids)
         if not tb or zset_member(a, h):
             out.append((h, TOP))
     return out

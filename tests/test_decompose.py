@@ -18,6 +18,7 @@ from conftest import SPECS
 from plexalg import chains as ch
 from plexalg import decompose as dec
 from plexalg import groups as gr
+from plexalg import kernel as kn
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.build import build_sublex
@@ -207,9 +208,9 @@ def test_restriction_behaves_like_a_unit_shift(alg):
     u = dec.smallest_pos_idem(A)
     rc = dec.RestrictionChain(A, u)
     assert rc.unit() == u
-    rng = random.Random(4)
+    draw = rc.sampler(random.Random(4))
     for _ in range(200):
-        p, q = rc.sample(rng), rc.sample(rng)
+        p, q = draw(), draw()
         assert rc.contains(p)
         assert rc.mul(p, rc.unit()) == p
         assert rc.comp(rc.comp(p)) == p
@@ -794,7 +795,7 @@ def test_covers_are_mutual_on_random_specs(spec, rngs):
 
 def _assert_levels_keep_input_elements(a, rngs):
     for level in _peel_levels(dec.BaseChain(a)):
-        xs = [level.sample(rng) for rng in rngs]
+        xs = [level.sampler(rng)() for rng in rngs]
         win = lc.window_elems(level, 1, 2)
         elems = xs + win + [level.unit()] + list(level.pos_idems())
         elems += [f(x) for x in xs + win for f in (level.x_down, level.x_up)]
@@ -803,7 +804,7 @@ def _assert_levels_keep_input_elements(a, rngs):
                 (level.describe(), e)
         if not isinstance(level, dec.QuotientChain):
             continue
-        below = ([level.base.sample(rng) for rng in rngs]
+        below = ([level.base.sampler(rng)() for rng in rngs]
                  + lc.window_elems(level.base, 1, 2))
         for x in below:
             c = level.to_class(x)
@@ -897,3 +898,100 @@ def test_pipeline_on_random_specs(spec, seed):
 @given(spec=_specs(4), seed=st.integers(0, 999))
 def test_pipeline_on_random_depth4_specs(spec, seed):
     _assert_pipeline(spec[0], seed)
+
+
+# ---------------------------------------------------------------------------
+# a sample stream binds its view's sampler once: the bound draw must
+# consume the generator and return the elements that one call per draw
+# did, on an algebra, a mutated algebra and every peel level
+
+SAMPLER_CASES = (sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+                 + REGRESSION_SPECS)
+
+
+def _ref_sample(view, rng):
+    """One draw of a view, as its sample(rng) method first made it."""
+    if isinstance(view, dec.QuotientChain):
+        return view.to_class(_ref_sample(view.base, rng))
+    if isinstance(view, dec.RestrictionChain):
+        return view.base.mul(_ref_sample(view.base, rng), view.u)
+    return ch.sample_elem(view.a, rng)
+
+
+def _assert_sampler_matches_oracle(view, seed=0, n=500):
+    got, want = random.Random(seed), random.Random(seed)
+    draw = view.sampler(got)
+    for i in range(n):
+        assert draw() == _ref_sample(view, want), (view.describe(), i)
+    assert got.getstate() == want.getstate(), view.describe()
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_bound_sampler_draws_what_one_call_per_draw_drew(name):
+    a = ps.parse_algebra(case_spec(name))
+    views = [dec.BaseChain(a), lc.Mutant(a, "mul")]
+    views += _peel_levels(views[0])
+    for seed, view in enumerate(views):
+        _assert_sampler_matches_oracle(view, seed)
+
+
+def test_sampler_oracle_catches_a_moved_draw(alg, monkeypatch):
+    E = alg["E"]
+    q = dec.QuotientChain(E, dec.smallest_pos_idem(E))
+    _assert_sampler_matches_oracle(q)
+    with monkeypatch.context() as m:
+        # the base draws with another marker probability
+        m.setattr(ch.BaseChain, "sampler", lambda self, rng: functools.partial(
+            ch._sampler(self.a, 6, 8, 0.3), rng.random, rng.getrandbits))
+        with pytest.raises(AssertionError):
+            _assert_sampler_matches_oracle(dec.BaseChain(E))
+    with monkeypatch.context() as m:
+        # the quotient hands out base elements, not their class members
+        m.setattr(dec.QuotientChain, "sampler",
+                  lambda self, rng: self.base.sampler(rng))
+        with pytest.raises(AssertionError):
+            _assert_sampler_matches_oracle(q)
+
+
+# ---------------------------------------------------------------------------
+# a quotient maps an invertible element straight to the member of its
+# head: to_class must agree with the gamma map through the full classifier
+
+def _assert_to_class_is_gamma(q, xs):
+    kind = dec.classifier(q.base, q.u)
+    for x in xs:
+        assert q.to_class(x) == dec._gamma_of_elem(q.base, kind, q._fill, x), \
+            (q.describe(), x)
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_to_class_matches_the_gamma_map(name):
+    a = ps.parse_algebra(case_spec(name))
+    # the (2, 2) window below tower 5's first quotient holds 369,050
+    # elements, and its deeper windows take seconds each to peel
+    bound, max_den = (1, 2) if name == "tower5" else (2, 2)
+    for q in _peel_levels(dec.BaseChain(a)):
+        if isinstance(q, dec.QuotientChain):
+            _assert_to_class_is_gamma(q, lc.window_elems(q.base, bound,
+                                                         max_den))
+
+
+class _ShortHead(dec.QuotientChain):
+    """A fast path that reads one head coordinate too few (and pads the
+    head with a zero, as the fill refuses a short head)."""
+
+    def to_class(self, x):
+        if self._invertible(x):
+            head = self.base.partial_vec(x)[:self._head_len - 1]
+            return self._fill(head + (kn.ZERO,))
+        return super().to_class(x)
+
+
+def test_to_class_oracle_on_the_full_window_of_e(alg):
+    E = alg["E"]
+    u = dec.smallest_pos_idem(E)
+    xs = lc.window_elems(E)
+    assert len(xs) == 10108
+    _assert_to_class_is_gamma(dec.QuotientChain(E, u), xs)
+    with pytest.raises(AssertionError):
+        _assert_to_class_is_gamma(_ShortHead(E, u), xs)

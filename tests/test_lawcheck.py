@@ -120,6 +120,35 @@ def test_sample_stream_draw_where(alg):
     assert x is not None and x != u
 
 
+def _counted(monkeypatch, owner, name):
+    """Count the calls of a method, wrapped on its class as a profiler
+    wraps it."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_every_draw_passes_the_stream_draw_method(alg, monkeypatch):
+    # a profiler counts draws by wrapping SampleStream.draw on the class
+    calls = _counted(monkeypatch, lc.SampleStream, "draw")
+    lc.check_fle_laws(alg["E"], budget=5, seed=1)
+    assert calls[0] == 55  # 11 draws per iteration
+
+
+def test_every_class_passes_the_to_class_method(alg, monkeypatch):
+    # a profiler charges the peel maps to decompose by wrapping
+    # QuotientChain.to_class on the class, before the step is built
+    calls = _counted(monkeypatch, dec.QuotientChain, "to_class")
+    lc.check_named(alg["E"], "prop9.2", budget=1)
+    assert calls[0] >= len(lc.window_elems(alg["E"])) == 10108
+
+
 def test_table_counts_every_cell(alg):
     r = lc.check_table(alg["A"], 2, budget=120, seed=2)
     assert r.passed
