@@ -68,9 +68,9 @@ Law suites, homomorphism checks and peeling steps all use it, so each
 runs unchanged on an algebra, a peel level or a mutated algebra (whose
 `clean` view is the uncorrupted one).  A view's sampler(rng) is a
 zero-argument draw bound to rng, which a sample stream binds once.  The
-view's invertibility and absorption tests and its fill_prefix builder
-are arithmetic by default; BaseChain answers them with the trusted
-predicates above.
+view's invertibility, absorption and upper-kind tests (upper_kind,
+lifts_to) and its fill_prefix builder are arithmetic by default;
+BaseChain answers them by structure.
 """
 
 from __future__ import annotations
@@ -1202,17 +1202,18 @@ def discretely_embedded(a: Algebra) -> bool:
 #
 # Let u be the least strictly positive idempotent and call x*u the upper
 # part.  Follow the second factors from the root down to the node n whose
-# Y is a group leaf: u is n's top column over the unit, seen through the
-# middle columns of the nodes above, which hold whole copies of their Y.
-# The marker columns of those nodes absorb u and its complement, so they
-# are neither tops nor pseudo-tops; they are non-tops (Prop 8.2).  At n
-# the upper part is its top columns and, for 'tb', its bottom columns,
-# which are non-tops.  A top column over an invertible f closes a
-# component when f carries middle columns and is a pseudo-top when it
-# does not; over a non-invertible f (family 't' only) it absorbs the
-# complement of u and is a non-top.
+# Y is a group leaf (_upper_node): u is n's top column over the unit, seen
+# through the middle columns of the nodes above, which hold whole copies
+# of their Y; their marker columns absorb u and its complement: non-tops
+# (Prop 8.2).  At n the upper part is its top columns and, for 'tb', its
+# bottom columns, non-tops.  A top column over an invertible f closes a
+# component when f carries middle columns, else it is a pseudo-top; over
+# a non-invertible f (family 't' only) it absorbs the complement of u and
+# is a non-top.  So BaseChain reads the kind of x*u off x's slots
+# (upper_kind), and x*u == t for invertible x: x turned top at n (lifts_to).
 
-PSEUDO_TOP = "pseudo-top"  # classified TOP_PS by plexalg.decompose
+COMPONENT_TOP = "component-top"  # classified TOP_C by plexalg.decompose
+PSEUDO_TOP = "pseudo-top"  # classified TOP_PS
 NON_TOP = "non-top"  # classified neither TOP_C nor TOP_PS
 
 
@@ -1228,6 +1229,14 @@ def _constr_within(desc_kinds, small, big) -> bool:
     return True
 
 
+def _upper_node(a: Algebra):
+    """(n of the notes above, the number of nodes above n)."""
+    n, depth = a, 0
+    while not n.y.is_leaf:
+        n, depth = n.y, depth + 1
+    return n, depth
+
+
 def _ruled_out(a: Algebra) -> frozenset:
     """Kinds of the upper part around u that the structure of a rules out
     (see above): pseudo-tops when every first coordinate carrying a top
@@ -1235,16 +1244,12 @@ def _ruled_out(a: Algebra) -> frozenset:
     family 't', with a group leaf as X."""
     if a.is_leaf:
         return frozenset()
-    n = a
-    while not n.y.is_leaf:
-        n = n.y
+    n, depth = _upper_node(a)
     s = n._structure
     x_amb, x_entries = ladder(n.x)
     tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
-    out = set()
-    if _constr_within(x_amb, tops, s.vconstr):
-        out.add(PSEUDO_TOP)
-    if n is a and n.family == "t" and n.x.is_leaf:
+    out = {PSEUDO_TOP} if _constr_within(x_amb, tops, s.vconstr) else set()
+    if depth == 0 and n.family == "t" and n.x.is_leaf:
         out.add(NON_TOP)
     return frozenset(out)
 
@@ -1303,6 +1308,16 @@ class ChainView:
         (PSEUDO_TOP or NON_TOP); False when the kind exists or the view
         cannot tell.  Only BaseChain answers from structure."""
         return False
+
+    def upper_kind(self, u):
+        """x -> the kind of x*u: COMPONENT_TOP, PSEUDO_TOP or NON_TOP."""
+        from .decompose import TOP_C, TOP_PS, classifier
+        kind, names = classifier(self, u), {TOP_C: COMPONENT_TOP,
+                                            TOP_PS: PSEUDO_TOP}
+        return lambda x: names.get(kind(self.mul(x, u)), NON_TOP)
+
+    def lifts_to(self, u):  # (x, t) -> x*u == t, for x invertible
+        return lambda x, t: self.mul(x, u) == t
 
     @property
     def clean(self) -> "ChainView":
@@ -1369,6 +1384,29 @@ class BaseChain(ChainView):
 
     def lacks(self, u, kind: str) -> bool:
         return kind in _ruled_out(self.a)
+
+    def upper_kind(self, u):
+        n, depth = _upper_node(self.a)
+        free, mid_ok = n.x._ops.free, n._coords.mid
+        def kind(x):
+            for _ in range(depth):
+                if not isinstance(x[1], tuple):  # a marker column above n
+                    return NON_TOP
+                x = x[1][1]
+            if x[1] == BOT or not free(x[0]):
+                return NON_TOP
+            return COMPONENT_TOP if mid_ok(x[0]) else PSEUDO_TOP
+        return kind
+
+    def lifts_to(self, u):
+        depth = _upper_node(self.a)[1]
+        def lifts(x, t):
+            for _ in range(depth):
+                if x[0] != t[0] or not isinstance(t[1], tuple):
+                    return False
+                x, t = x[1][1], t[1][1]
+            return t[1] == TOP and x[0] == t[0]
+        return lifts
 
     def sampler(self, rng):
         """Zero-argument draw bound to rng: sample_elem with its defaults."""

@@ -285,19 +285,24 @@ class _Step(ChainView):
 class _ClassChain(_Step):
     """Quotient of a view at u.  A class is an interval of the base, named
     by its canonical member, which is an element of the base: to_class
-    maps an element of the base to the member of its class."""
+    maps an element of the base to the member of its class.  The class
+    operations map through _class, which is to_class or a memo of it."""
+
+    def __init__(self, base, u):
+        super().__init__(base, u)
+        self._class = self.to_class
 
     def mul(self, p, q):
-        return self.to_class(self.base.mul(p, q))
+        return self._class(self.base.mul(p, q))
 
     def comp(self, p):
-        return self.to_class(self.base.comp(p))
+        return self._class(self.base.comp(p))
 
     def unit(self):
-        return self.to_class(self.base.unit())
+        return self._class(self.base.unit())
 
     def sampler(self, rng):
-        draw, to_class = self.base.sampler(rng), self.to_class
+        draw, to_class = self.base.sampler(rng), self._class
         return lambda: to_class(draw())
 
 
@@ -383,8 +388,10 @@ class QuotientChain(_ClassChain):
         self._fill = lru_cache(maxsize=FILL_MEMO)(
             partial(_canonical_fill, self.base))
         # a quotient of a quotient classifies the same few base elements
-        # over and over: each class operation classifies one level down
-        self.to_class = lru_cache(maxsize=64)(self.to_class)
+        # over and over: each class operation classifies one level down.
+        # A window scan meets each element once, so to_class itself stays
+        # plain
+        self._class = lru_cache(maxsize=64)(self.to_class)
 
     def describe(self) -> str:
         return "glued quotient of %s" % self.base.describe()
@@ -407,22 +414,22 @@ class QuotientChain(_ClassChain):
     def x_down(self, c):
         low = self.class_min(c)
         below = self.base.x_down(low)
-        return c if below == low else self.to_class(below)
+        return c if below == low else self._class(below)
 
     def pos_idems(self) -> tuple:
         if self._idems is None:
             self._idems = tuple(
-                self.to_class(e) for e in self.base.pos_idems()[1:])
+                self._class(e) for e in self.base.pos_idems()[1:])
         return self._idems
 
     def partial_vec(self, c) -> tuple:
         return self.base.partial_vec(c)[: self.prefix]
 
     def elem_from_prefix(self, h: tuple):
-        return self.to_class(self.base.elem_from_prefix(h))
+        return self._class(self.base.elem_from_prefix(h))
 
     def validate(self, c) -> bool:
-        return self.base.validate(c) and self.to_class(c) == c
+        return self.base.validate(c) and self._class(c) == c
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ or non-tops cannot exist, the product tables' probe still makes its
 draws but classifies none.  Group elements and dense-below elements,
 pseudo-tops and non-tops the structure leaves possible, and every kind
 on a peel level are still probed; each answer equals the probe's, so
-every report is the same as by probing alone.
+every report is the same as by probing alone.  On an algebra a probe
+reads each candidate's kind off its slots (ChainView.upper_kind, and
+lifts_to for prop7.2.eqs' same-component draw) without multiplying or
+classifying it; a peel level still lifts and classifies by arithmetic.
 
 Every check routes the arithmetic under test through a chain view
 (plexalg.chains), so every suite runs on an algebra or on any peel level
@@ -53,6 +56,7 @@ from . import decompose as dec
 from . import kernel as kn
 from .chains import (
     BOT,
+    COMPONENT_TOP,
     NON_TOP,
     PSEUDO_TOP,
     TOP,
@@ -108,9 +112,9 @@ class SampleStream:
 class Mutant(BaseChain):
     """View of an algebra whose target primitive, "mul" or "comp",
     returns the unit on a deterministic subset of calls (one in stride,
-    by a CRC of the arguments).  res, tau and the invertibility and
-    absorption tests derive from the corrupted primitives, so every law
-    that should notice does, reproducibly.
+    by a CRC of the arguments).  res, tau and the invertibility,
+    absorption and upper-kind tests derive from the corrupted primitives,
+    so every law that should notice does, reproducibly.
     """
 
     def __init__(self, base, target, stride=3):
@@ -133,6 +137,8 @@ class Mutant(BaseChain):
     # a mutated chain classifies through its corrupted primitives as well
     invertible = ChainView.invertible
     absorber = ChainView.absorber
+    upper_kind = ChainView.upper_kind
+    lifts_to = ChainView.lifts_to
 
     @cached_property
     def clean(self):
@@ -283,20 +289,19 @@ def check_fle_laws(a, budget=1000, seed=0):
     ops, st, run = _start(a, "fle", seed)
     run.cell("comm", "assoc", "unit", "adjoint", "involution", "oddness")
     t = ops.unit()
-    run.check(ops.comp(t) == t and ops.fconst() == t, (t,), ops.comp(t), t,
-              label="oddness")
+    ct = ops.comp(t)
+    run.check(ct == t and ops.fconst() == t, (t,), ct, t, label="oddness")
     for _ in range(budget):
         x = st.draw()
         y = st.draw()
         z = st.draw()
-        xy = ops.mul(x, y)
-        run.check(xy == ops.mul(y, x), (x, y), xy, ops.mul(y, x),
-                  label="comm")
+        xy, yx = ops.mul(x, y), ops.mul(y, x)
+        run.check(xy == yx, (x, y), xy, yx, label="comm")
         l = ops.mul(xy, z)
         r = ops.mul(x, ops.mul(y, z))
         run.check(l == r, (x, y, z), l, r, label="assoc")
-        run.check(ops.mul(x, t) == x, (x,), ops.mul(x, t), x,
-                  label="unit")
+        xt = ops.mul(x, t)
+        run.check(xt == x, (x,), xt, x, label="unit")
         cc = ops.comp(ops.comp(x))
         run.check(cc == x, (x,), cc, x, label="involution")
         r0 = ops.res(x, z)
@@ -414,10 +419,8 @@ def _law_tau_fixes_idems(ops, st, run, budget):
         x = st.draw()
         if ops.lt(x, t):
             x = ops.comp(x)
-        idem = ops.mul(x, x) == x
-        fixed = ops.tau(x) == x
-        run.check(idem == fixed, (x,), ops.mul(x, x), ops.tau(x),
-                  label="prop2.3.4")
+        xx, tx = ops.mul(x, x), ops.tau(x)
+        run.check((xx == x) == (tx == x), (x,), xx, tx, label="prop2.3.4")
 
 
 @_named("prop2.3.5")
@@ -427,13 +430,14 @@ def _law_tau_range(ops, st, run, budget):
     run.cell("lands-on-idems", "idems-in-range")
     t = ops.unit()
     for p in ops.pos_idems():
-        run.check(ops.tau(p) == p, (p,), ops.tau(p), p,
-                  label="idems-in-range")
+        tp = ops.tau(p)
+        run.check(tp == p, (p,), tp, p, label="idems-in-range")
     for _ in range(budget):
         x = st.draw()
         v = ops.tau(x)
-        ok = ops.le(t, v) and ops.mul(v, v) == v
-        run.check(ok, (x,), ops.mul(v, v), v, label="lands-on-idems")
+        vv = ops.mul(v, v)
+        run.check(ops.le(t, v) and vv == v, (x,), vv, v,
+                  label="lands-on-idems")
 
 
 @_named("prop2.3.6")
@@ -444,8 +448,8 @@ def _law_tau_below(ops, st, run, budget):
         x = st.draw()
         if ops.lt(x, t):
             x = ops.comp(x)
-        run.check(ops.le(ops.tau(x), x), (x,), ops.tau(x), x,
-                  label="prop2.3.6")
+        tx = ops.tau(x)
+        run.check(ops.le(tx, x), (x,), tx, x, label="prop2.3.6")
 
 
 @_named("prop4.3")
@@ -516,10 +520,9 @@ def _law_group_part(ops, st, run, budget):
     t = ops.unit()
     for _ in range(budget):
         x, y, z = st.draw(), st.draw(), st.draw()
-        inv = ops.mul(x, ops.comp(x)) == t
-        fixed = ops.tau(x) == t
-        run.check(inv == fixed, (x,), ops.mul(x, ops.comp(x)), ops.tau(x),
-                  label="inverse-vs-tau")
+        xc, tx = ops.mul(x, ops.comp(x)), ops.tau(x)
+        inv = xc == t
+        run.check(inv == (tx == t), (x,), xc, tx, label="inverse-vs-tau")
         if inv and y != z:
             l, r = ops.mul(x, y), ops.mul(x, z)
             run.check(l != r, (x, y, z), l, r, label="cancel")
@@ -541,7 +544,7 @@ def _law_extremals(ops, st, run, budget):
     c, u, nu = _at_u(ops)
     run.cell("order", "mirror", "least-above", "greatest-below",
              "same-component")
-    grp = c.invertible(u)
+    grp, lifts = c.invertible(u), c.lifts_to(u)
     for _ in range(budget):
         v = st.draw_where(grp)
         if v is None:
@@ -561,7 +564,7 @@ def _law_extremals(ops, st, run, budget):
         else:
             run.check(ops.le(s, bot), (v, s), s, bot,
                       label="greatest-below")
-        w = st.draw_where(lambda e: grp(e) and c.mul(e, u) == top)
+        w = st.draw_where(lambda e: grp(e) and lifts(e, top))
         if w is not None:
             l = ops.mul(w, nu)
             run.check(l == bot, (v, w), l, bot, label="same-component")
@@ -581,9 +584,8 @@ def _law_gap_disjoint(ops, st, run, budget):
         k = kind(x)
         v = st.draw_where(grp)
         if k == dec.TOP_PS:
-            d = c.x_down(x)
-            run.check(ops.le(u, c.tau(d)), (x,), c.tau(d), u,
-                      label="bps-in-restriction")
+            td = c.tau(c.x_down(x))
+            run.check(ops.le(u, td), (x,), td, u, label="bps-in-restriction")
             if v is not None:
                 l = ops.mul(v, u)
                 run.check(l != x, (x, v), l, x, label="tps-not-tc")
@@ -651,12 +653,13 @@ def _law_bottom_absorption(ops, st, run, budget):
             run.check(p == q, (x, v), p, q, label="other-case")
 
 
-def _pseudo_top_source(st, c, u, kind):
+def _pseudo_top_source(st, c, u):
     """Sampler for pseudo-tops, or None when the kind is absent: ruled out
     by the structure before any draw, or not found in 400 draws."""
     if c.lacks(u, PSEUDO_TOP):
         return None
-    pred = lambda e: kind(c.mul(e, u)) == dec.TOP_PS
+    upper = c.upper_kind(u)
+    pred = lambda e: upper(e) == PSEUDO_TOP
     if st.draw_where(pred, tries=400) is None:
         return None
 
@@ -673,7 +676,7 @@ def _law_pseudo_mirror(ops, st, run, budget):
     c, u, _ = _at_u(ops)
     run.cell("prop8.2.4")
     kind = dec.classifier(c, u)
-    src = _pseudo_top_source(st, c, u, kind)
+    src = _pseudo_top_source(st, c, u)
     if src is None:
         return
     for _ in range(budget):
@@ -691,8 +694,7 @@ def _law_pseudo_product_drops(ops, st, run, budget):
     # products of pseudo-tops are moved by the complement of u
     c, u, nu = _at_u(ops)
     run.cell("prop8.2.5")
-    kind = dec.classifier(c, u)
-    src = _pseudo_top_source(st, c, u, kind)
+    src = _pseudo_top_source(st, c, u)
     if src is None:
         return
     for _ in range(budget):
@@ -709,8 +711,7 @@ def _law_pseudo_tau(ops, st, run, budget):
     # pseudo-tops have stabilizer exactly u
     c, u, _ = _at_u(ops)
     run.cell("prop8.2.6")
-    kind = dec.classifier(c, u)
-    src = _pseudo_top_source(st, c, u, kind)
+    src = _pseudo_top_source(st, c, u)
     if src is None:
         return
     for _ in range(budget):
@@ -791,7 +792,8 @@ def _law_nucleus(ops, st, run, budget):
             run.check(ops.le(px, py), (x, y), px, py, label="monotone")
         else:
             run.check(ops.le(py, px), (x, y), py, px, label="monotone")
-        run.check(phi(px) == px, (x,), phi(px), px, label="idempotent")
+        ppx = phi(px)
+        run.check(ppx == px, (x,), ppx, px, label="idempotent")
         l = phi(ops.mul(px, py))
         r = phi(ops.mul(x, y))
         run.check(l == r, (x, y), l, r, label="nucleus")
@@ -867,8 +869,9 @@ class _Kinds:
     so the affected cells go vacuous instead of burning draws.  Where the
     view rules a kind out by structure (pseudo-tops, non-tops), its probe
     still makes its draws, so every later draw stays where it was, but
-    skips lifting and classifying them.  Every kind but the group
-    elements is returned lifted into the upper stabilizer part."""
+    tests none of them.  A candidate's kind is the view's upper_kind of
+    it.  Every kind but the group elements is returned lifted into the
+    upper stabilizer part."""
 
     def __init__(self, ops, st, u):
         self.st = st
@@ -876,6 +879,7 @@ class _Kinds:
         self.u = u
         self.nu = c.comp(u)
         self.kind = dec.classifier(c, u)
+        self.upper = c.upper_kind(u)
         self._grp = c.invertible(u)
         self._dead = set()
         self._ruled_out = {name for name, k in (("tps", PSEUDO_TOP),
@@ -903,18 +907,18 @@ class _Kinds:
         return self.lift(self.st.draw())
 
     def pseudo_top(self):
-        return self._find_lifted(
-            "tps", lambda e: self.kind(self.lift(e)) == dec.TOP_PS)
+        return self._find_lifted("tps", lambda e: self.upper(e) == PSEUDO_TOP)
 
     def non_top(self):
-        return self._find_lifted(
-            "nontop",
-            lambda e: self.kind(self.lift(e)) not in (dec.TOP_C, dec.TOP_PS))
+        return self._find_lifted("nontop",
+                                 lambda e: self.upper(e) == NON_TOP)
 
     def dense_below(self):
         def pred(e):
+            if self.upper(e) == COMPONENT_TOP:
+                return False
             s = self.lift(e)
-            return self.clean.x_down(s) == s and self.kind(s) != dec.TOP_C
+            return self.clean.x_down(s) == s
         return self._find_lifted("dense", pred)
 
     def lift(self, e):
@@ -941,7 +945,8 @@ def check_table(a, table, budget=200, seed=0):
 
 def _component_cells(ops, kinds, run, v, w):
     """The seven cells multiplying two group elements v, w and their
-    component extremes; returns (bot[v], top[v], bot[w], top[w])."""
+    component extremes; returns (bot[v], top[v], bot[w], top[w],
+    bot[vw])."""
     u, nu = kinds.u, kinds.nu
     bv, tv = ops.mul(v, nu), ops.mul(v, u)
     bw, tw = ops.mul(w, nu), ops.mul(w, u)
@@ -954,7 +959,7 @@ def _component_cells(ops, kinds, run, v, w):
     run.equal("top[v]*bot[w]", (v, w), ops.mul(tv, bw), bvw)
     run.equal("top[v]*w", (v, w), ops.mul(tv, w), tvw)
     run.equal("top[v]*top[w]", (v, w), ops.mul(tv, tw), tvw)
-    return bv, tv, bw, tw
+    return bv, tv, bw, tw, bvw
 
 
 def _table1(ops, kinds, run, budget):
@@ -965,7 +970,7 @@ def _table1(ops, kinds, run, budget):
         v, w = kinds.group(), kinds.group()
         if v is None or w is None:
             return
-        _, tv, bw, tw = _component_cells(ops, kinds, run, v, w)
+        _, tv, bw, tw, _ = _component_cells(ops, kinds, run, v, w)
         y = kinds.restriction()
         run.equal("top[v]*y", (v, y), ops.mul(tv, y), ops.mul(v, y))
         aa = kinds.dense_below()
@@ -985,16 +990,19 @@ def _non_top_cell(kinds, run, label, inputs, p):
 
 
 def _gap_rows(ops, kinds, run):
-    """Cells shared by the two six-by-six tables (rows bot,v,top,z)."""
+    """Cells shared by the two six-by-six tables (rows bot,v,top,z);
+    returns v, w, the extremes of _component_cells, the pseudo-top y and
+    the covers below y and v*y (None without a pseudo-top)."""
     c = kinds.clean
     v, w = kinds.group(), kinds.group()
     if v is None or w is None:
         return None
-    bv, tv, bw, tw = _component_cells(ops, kinds, run, v, w)
+    bv, tv, bw, tw, bvw = _component_cells(ops, kinds, run, v, w)
     s = kinds.non_top()
     if s is not None:
-        run.equal("bot[v]*s", (v, s), ops.mul(bv, s), ops.mul(v, s))
-        _non_top_cell(kinds, run, "v*s", (v, s), ops.mul(v, s))
+        vs = ops.mul(v, s)
+        run.equal("bot[v]*s", (v, s), ops.mul(bv, s), vs)
+        _non_top_cell(kinds, run, "v*s", (v, s), vs)
         _non_top_cell(kinds, run, "top[v]*s", (tv, s), ops.mul(tv, s))
         z = kinds.non_top()
         if z is not None:
@@ -1002,21 +1010,21 @@ def _gap_rows(ops, kinds, run):
             run.equal("z*bot[w]", (z, w), ops.mul(z, bw), zw)
             run.equal("z*top[w]", (z, w), ops.mul(z, tw), zw)
             _non_top_cell(kinds, run, "z*s", (z, s), ops.mul(z, s))
+    yd = d = None
     y = kinds.pseudo_top()
     if y is not None:
         yd = c.x_down(y)
         q = ops.mul(v, y)
         d = c.x_down(q)
-        run.check(ops.mul(bv, y) == d and ops.lt(d, q) and
-                  kinds.kind(q) == dec.TOP_PS,
-                  (v, y), ops.mul(bv, y), d, label="bot[v]*y")
-        run.check(kinds.kind(q) == dec.TOP_PS, (v, y), q, dec.TOP_PS,
-                  label="v*y")
+        bvy, tps = ops.mul(bv, y), kinds.kind(q) == dec.TOP_PS
+        run.check(bvy == d and ops.lt(d, q) and tps, (v, y), bvy, d,
+                  label="bot[v]*y")
+        run.check(tps, (v, y), q, dec.TOP_PS, label="v*y")
         run.equal("top[v]*y", (v, y), ops.mul(tv, y), q)
         z = kinds.non_top()
         if z is not None:
             run.equal("z*ydown", (z, y), ops.mul(z, yd), ops.mul(z, y))
-    return v, w, bv, tv, bw, tw, y
+    return v, w, bv, tv, bw, tw, bvw, y, yd, d
 
 
 def _pseudo_top_rows(ops, kinds, run, x, w, bw, tw):
@@ -1026,8 +1034,8 @@ def _pseudo_top_rows(ops, kinds, run, x, w, bw, tw):
     c = kinds.clean
     q = ops.mul(x, w)
     d = c.x_down(q)
-    run.check(ops.mul(x, bw) == d and ops.lt(d, q), (x, w), ops.mul(x, bw),
-              d, label="x*bot[w]")
+    xbw = ops.mul(x, bw)
+    run.check(xbw == d and ops.lt(d, q), (x, w), xbw, d, label="x*bot[w]")
     run.check(kinds.kind(q) == dec.TOP_PS, (x, w), q, dec.TOP_PS,
               label="x*w")
     run.equal("x*top[w]", (x, w), ops.mul(x, tw), q)
@@ -1048,7 +1056,7 @@ def _table2(ops, kinds, run, budget):
         got = _gap_rows(ops, kinds, run)
         if got is None:
             return
-        _, w, _, _, bw, tw, _ = got
+        _, w, _, _, bw, tw = got[:6]
         x = kinds.pseudo_top()
         if x is not None:
             _pseudo_top_rows(ops, kinds, run, x, w, bw, tw)
@@ -1075,12 +1083,9 @@ def _table3(ops, kinds, run, budget):
         got = _gap_rows(ops, kinds, run)
         if got is None:
             return
-        v, w, bv, tv, bw, tw, y = got
-        run.equal("bot[v]*bot[w]", (v, w), ops.mul(bv, bw),
-                  ops.mul(ops.mul(v, w), nu))
+        v, w, bv, tv, bw, tw, bvw, y, yd, d = got
+        run.equal("bot[v]*bot[w]", (v, w), ops.mul(bv, bw), bvw)
         if y is not None:
-            yd = c.x_down(y)
-            d = c.x_down(ops.mul(v, y))
             run.equal("bot[v]*ydown", (v, y), ops.mul(bv, yd), d)
             run.equal("v*ydown", (v, y), ops.mul(v, yd), d)
             run.equal("top[v]*ydown", (v, y), ops.mul(tv, yd), d)
@@ -1095,7 +1100,6 @@ def _table3(ops, kinds, run, budget):
         _pseudo_top_rows(ops, kinds, run, x, w, bw, tw)
         if y is None:
             continue
-        yd = c.x_down(y)
         q = ops.mul(x, y)
         d, left = _split_sides(c, u, q)
         drops = (ops.mul(xd, yd), ops.mul(xd, y), ops.mul(x, yd))
@@ -1124,17 +1128,15 @@ def _table4(ops, kinds, run, budget):
         y = kinds.pseudo_top()
         if y is None:
             continue
-        q = ops.mul(v, y)
-        run.check(ops.mul(tv, y) == q and
-                  kinds.kind(q) == dec.TOP_PS,
-                  (v, y), ops.mul(tv, y), q, label="top[v]*y")
+        q, tvy = ops.mul(v, y), ops.mul(tv, y)
+        run.check(tvy == q and kinds.kind(q) == dec.TOP_PS, (v, y), tvy, q,
+                  label="top[v]*y")
         x = kinds.pseudo_top()
         if x is None:
             continue
-        q = ops.mul(x, w)
-        run.check(ops.mul(x, tw) == q and
-                  kinds.kind(q) == dec.TOP_PS,
-                  (x, w), ops.mul(x, tw), q, label="x*top[w]")
+        q, xtw = ops.mul(x, w), ops.mul(x, tw)
+        run.check(xtw == q and kinds.kind(q) == dec.TOP_PS, (x, w), xtw, q,
+                  label="x*top[w]")
         q = ops.mul(x, y)
         _, left = _split_sides(c, u, q)
         k = kinds.kind(q)
@@ -1166,25 +1168,26 @@ def check_hom(fn, a, b, budget=1000, seed=0, with_comp=True, injective=True,
         run.cell("injective")
     if with_comp:
         run.cell("comp")
-    run.check(fn(ops.unit()) == bunit, (ops.unit(),), fn(ops.unit()), bunit,
-              label="unit")
+    t = ops.unit()
+    ft = fn(t)
+    run.check(ft == bunit, (t,), ft, bunit, label="unit")
     for _ in range(budget):
         x, y = st.draw(), st.draw()
         l = fn(ops.mul(x, y))
-        r = tgt.mul(fn(x), fn(y))
+        fx, fy = fn(x), fn(y)
+        r = tgt.mul(fx, fy)
         run.check(l == r, (x, y), l, r, label="mul")
         if with_comp:
             l = fn(ops.comp(x))
-            r = tgt.comp(fn(x))
+            r = tgt.comp(fx)
             run.check(l == r, (x,), l, r, label="comp")
         sa = ops.cmp(x, y)
-        sb = tgt.cmp(fn(x), fn(y))
+        sb = tgt.cmp(fx, fy)
         if injective:
             ok = (sa > 0) == (sb > 0) and (sa < 0) == (sb < 0)
         else:
             ok = not (sa < 0 and sb > 0) and not (sa > 0 and sb < 0)
         run.check(ok, (x, y), sa, sb, label="order")
         if injective and x != y:
-            run.check(fn(x) != fn(y), (x, y), fn(x), fn(y),
-                      label="injective")
+            run.check(fx != fy, (x, y), fx, fy, label="injective")
     return run.report()

@@ -1,7 +1,10 @@
 """The sampling harness itself: reports, determinism, and mutation tests."""
 
+import ast
 import dataclasses
 import functools
+import inspect
+import random
 import re
 
 import pytest
@@ -472,14 +475,153 @@ def _outcome(a, law, seed):
         return type(exc).__name__
 
 
+def _assert_outcomes_unchanged(name, monkeypatch, *methods):
+    """Every law's outcome on a fixture, at three seeds, is the same with
+    the BaseChain methods named put back to the ChainView defaults."""
+    a = ps.parse_algebra(SPECS[name])
+    seeds = (0, 7, 1 << 20)
+    fast = {(law, s): _outcome(a, law, s) for law in ALL_LAWS for s in seeds}
+    for method in methods:
+        monkeypatch.setattr(ch.BaseChain, method, getattr(ch.ChainView, method))
+    slow = {(law, s): _outcome(a, law, s) for law in ALL_LAWS for s in seeds}
+    assert fast == slow
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_reports_do_not_depend_on_structural_absence(name, monkeypatch):
     # a kind ruled out by structure is one no probe would have found, so
     # every report equals the one made by probing alone
-    a = ps.parse_algebra(SPECS[name])
-    seeds = (0, 7, 1 << 20)
-    fast = {(law, s): _outcome(a, law, s) for law in ALL_LAWS for s in seeds}
-    monkeypatch.setattr(ch.BaseChain, "lacks", ch.ChainView.lacks)
-    probed = {(law, s): _outcome(a, law, s) for law in ALL_LAWS
-              for s in seeds}
-    assert fast == probed
+    _assert_outcomes_unchanged(name, monkeypatch, "lacks")
+
+
+# ---------------------------------------------------------------------------
+# kinds of x*u read off the slots of x
+
+
+def _assert_upper_tests_match_arithmetic(a, bound=2, max_den=2,
+                                         upper_kind=None):
+    """BaseChain's upper_kind (or the given stand-in for it) and lifts_to
+    answer as the ChainView defaults on 2,000 draws and a window."""
+    c = ch.BaseChain(a)
+    u = dec.smallest_pos_idem(c)
+    fast = (upper_kind or c.upper_kind)(u)
+    slow = ch.ChainView.upper_kind(c, u)
+    lifts, grp = c.lifts_to(u), c.invertible(u)
+    draw = c.sampler(random.Random(0))
+    xs = [draw() for _ in range(2000)] + lc.window_elems(c, bound, max_den)
+    for v, x in zip(xs[-1:] + xs, xs):
+        assert fast(x) == slow(x), x
+        if grp(x):
+            for t in (c.mul(x, u), c.mul(v, u), c.unit()):
+                assert lifts(x, t) == (c.mul(x, u) == t), (x, t)
+
+
+FIXTURES_AND_TOWERS = ([n for n in sorted(SPECS)
+                        if n not in ("Z", "Q", "LZZ", "LZQ")]
+                       + [f"tower{d}" for d in range(1, 6)])
+
+
+@pytest.mark.parametrize("name", FIXTURES_AND_TOWERS + REGRESSION_SPECS)
+def test_upper_tests_match_the_arithmetic(name):
+    # the (2, 2) window of tower 5 holds about 370,000 elements
+    bound, max_den = (1, 2) if name == "tower5" else (2, 2)
+    _assert_upper_tests_match_arithmetic(ps.parse_algebra(case_spec(name)),
+                                         bound, max_den)
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs))
+def test_upper_tests_match_the_arithmetic_on_random_specs(spec):
+    try:
+        a = ps.parse_algebra(spec[0])
+        dec.smallest_pos_idem(a)
+    except PlexError:
+        reject()
+    _assert_upper_tests_match_arithmetic(a)
+
+
+def _upper_rule(mid_test=True, tb_bottom=True):
+    """BaseChain.upper_kind, with its mid test or its bottom-column test
+    left out when asked."""
+    def upper_kind(a):
+        n, depth = ch._upper_node(a)
+        free, mid_ok = n.x._ops.free, n._coords.mid
+
+        def kind(x):
+            for _ in range(depth):
+                if not isinstance(x[1], tuple):
+                    return ch.NON_TOP
+                x = x[1][1]
+            if (tb_bottom and x[1] == ch.BOT) or not free(x[0]):
+                return ch.NON_TOP
+            if not mid_test or mid_ok(x[0]):
+                return ch.COMPONENT_TOP
+            return ch.PSEUDO_TOP
+        return lambda u: kind
+    return upper_kind
+
+
+@pytest.mark.parametrize("wrong", [_upper_rule(mid_test=False),
+                                   _upper_rule(tb_bottom=False)],
+                         ids=["no-mid-test", "no-bottom-test"])
+def test_the_oracle_catches_a_wrong_upper_kind(wrong):
+    algs = [ps.parse_algebra(case_spec(n)) for n in FIXTURES_AND_TOWERS]
+    failed = 0
+    for a in algs:
+        try:
+            _assert_upper_tests_match_arithmetic(a, 1, 2, wrong(a))
+        except AssertionError:
+            failed += 1
+    assert failed > 0
+    # the rule itself passes, through the same stand-in
+    for a in algs:
+        _assert_upper_tests_match_arithmetic(a, 1, 2, _upper_rule()(a))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_reports_do_not_depend_on_the_upper_tests(name, monkeypatch):
+    # each structural answer equals the arithmetic one, so every report
+    # equals the one made by lifting and classifying
+    _assert_outcomes_unchanged(name, monkeypatch, "upper_kind", "lifts_to")
+
+
+def test_a_probe_on_an_algebra_lifts_only_what_it_keeps(alg, monkeypatch):
+    # rejected candidates are read off their slots: the probe multiplies
+    # once, to lift the pseudo-top it returns, and steps no cover
+    kinds = lc._Kinds(ch.BaseChain(alg["V3b"]), lc.SampleStream(alg["V3b"], 1),
+                      dec.smallest_pos_idem(alg["V3b"]))
+    muls = _counted(monkeypatch, ch.BaseChain, "mul")
+    downs = _counted(monkeypatch, ch.BaseChain, "x_down")
+    draws = _counted(monkeypatch, lc.SampleStream, "draw")
+    assert kinds.pseudo_top() is not None
+    assert draws[0] > 1 and muls[0] == 1 and downs[0] == 0
+
+
+# draws of one report at budget 50, seed 1: a faster probe must leave them
+# where they were
+DRAW_PINS = [("V3b", "table3", 2825), ("E", "prop8.2.5", 0),
+             ("E", "prop7.2.eqs", 3154), ("V3b", "prop8.2.5", 1325)]
+
+
+@pytest.mark.parametrize("name,law,draws", DRAW_PINS)
+def test_draw_counts_are_pinned(alg, monkeypatch, name, law, draws):
+    calls = _counted(monkeypatch, lc.SampleStream, "draw")
+    _check(alg[name], law, budget=50, seed=1)
+    assert calls[0] == draws
+
+
+def test_no_witness_side_is_computed_twice():
+    # a witness side that is a call computes again what the check already
+    # computed: compute it once and pass the value
+    tree = ast.parse(inspect.getsource(lc))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "check"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "run"]
+    assert len(calls) > 40
+    for node in calls:
+        sides = node.args[2:4] + [kw.value for kw in node.keywords
+                                  if kw.arg in ("lhs", "rhs")]
+        assert not any(isinstance(v, ast.Call) for v in sides), node.lineno
