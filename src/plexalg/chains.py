@@ -48,10 +48,9 @@ predicates take valid elements and do not re-check them:
   canonical and rationals normalized, so equal is equal in the order,
   and only the second slots are compared.
 
-in_group_part stays the full check for raw values.  The complement is an
-order-reversing involution, so the upper side derives from the lower one,
-as res and tau do: x_up (above the group leaves) and ChainView.x_up are
-comp(x_down(comp(p))), and universe_max is comp(universe_min).
+The complement is an order-reversing involution, so the upper side
+derives from the lower one, as res and tau do: x_up and ChainView.x_up
+are comp(x_down(comp(p))), and universe_max is comp(universe_min).
 
 The module also computes, per algebra, a structural "ladder": one flat
 coordinate view of the group part per reduction level, recording how many
@@ -69,8 +68,8 @@ runs unchanged on an algebra, a peel level or a mutated algebra (whose
 `clean` view is the uncorrupted one).  A view's sampler(rng) is a
 zero-argument draw bound to rng, which a sample stream binds once.  The
 view's invertibility, absorption and upper-kind tests (upper_kind,
-lifts_to) and its fill_prefix builder are arithmetic by default;
-BaseChain answers them by structure.
+lifts_to) and its fill_prefix builder are arithmetic by default, and
+lacks_pseudo_tops says False; BaseChain answers them by structure.
 """
 
 from __future__ import annotations
@@ -713,22 +712,6 @@ def elem_check(a: Algebra, x):
     return x
 
 
-def in_group_part(a: Algebra, x) -> bool:
-    """x lies in the group part (invertible elements) of a.
-
-    Full check of an arbitrary value, for raw vectors and values of
-    unknown origin; a valid element needs only _marker_free."""
-    if a.is_leaf:
-        return g_member(a.group, x)
-    if not (isinstance(x, tuple) and len(x) == 2 and is_mid(x[1])):
-        return False
-    first, second = x
-    if not (in_group_part(a.x, first) and in_group_part(a.y, second[1])):
-        return False
-    vec = to_gvec(a, x)
-    return constr_ok(a._structure.entries[0].gconstr, vec)
-
-
 def _marker_free(a: Algebra, x) -> bool:
     """No T/B marker anywhere in x.
 
@@ -822,11 +805,6 @@ def unit(a: Algebra):
     if a.is_leaf:
         return kn.vzero(a.group.rank)
     return (unit(a.x), mid(unit(a.y)))
-
-
-def fconst(a: Algebra):
-    """Falsity constant; equals the unit in these odd chains."""
-    return unit(a)
 
 
 def mul(a: Algebra, p, q):
@@ -952,13 +930,8 @@ def x_down(a: Algebra, p):
 def x_up(a: Algebra, p):
     """Least element strictly above p, or p itself when none exists.
 
-    The complement reverses the order, so above the group leaves this is
-    the cover below, mirrored: comp(x_down(comp(p)))."""
-    if a.is_leaf:
-        k = a.group.kinds
-        if k and k[-1] == "Z":
-            return p[:-1] + (kn.radd(p[-1], kn.ONE),)
-        return p
+    The complement reverses the order, so this is the cover below,
+    mirrored: comp(x_down(comp(p)))."""
     return comp(a, x_down(a, comp(a, p)))
 
 
@@ -1210,11 +1183,9 @@ def discretely_embedded(a: Algebra) -> bool:
 # component when f carries middle columns, else it is a pseudo-top; over
 # a non-invertible f (family 't' only) it absorbs the complement of u and
 # is a non-top.  So BaseChain reads the kind of x*u off x's slots
-# (upper_kind), and x*u == t for invertible x: x turned top at n (lifts_to).
-
-COMPONENT_TOP = "component-top"  # classified TOP_C by plexalg.decompose
-PSEUDO_TOP = "pseudo-top"  # classified TOP_PS
-NON_TOP = "non-top"  # classified neither TOP_C nor TOP_PS
+# (upper_kind, in the kind names of plexalg.decompose), tells from n's
+# constraints whether any pseudo-top exists (lacks_pseudo_tops), and
+# x*u == t for invertible x: x turned top at n (lifts_to).
 
 
 def _constr_within(desc_kinds, small, big) -> bool:
@@ -1237,21 +1208,16 @@ def _upper_node(a: Algebra):
     return n, depth
 
 
-def _ruled_out(a: Algebra) -> frozenset:
-    """Kinds of the upper part around u that the structure of a rules out
-    (see above): pseudo-tops when every first coordinate carrying a top
-    column also carries middle columns, non-tops when n is the root, of
-    family 't', with a group leaf as X."""
+def _lacks_pseudo_tops(a: Algebra) -> bool:
+    """The structure of a rules pseudo-tops out (see above): every first
+    coordinate carrying a top column at n also carries middle columns."""
     if a.is_leaf:
-        return frozenset()
-    n, depth = _upper_node(a)
+        return False
+    n = _upper_node(a)[0]
     s = n._structure
     x_amb, x_entries = ladder(n.x)
     tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
-    out = {PSEUDO_TOP} if _constr_within(x_amb, tops, s.vconstr) else set()
-    if depth == 0 and n.family == "t" and n.x.is_leaf:
-        out.add(NON_TOP)
-    return frozenset(out)
+    return _constr_within(x_amb, tops, s.vconstr)
 
 
 # ---------------------------------------------------------------------------
@@ -1302,19 +1268,22 @@ class ChainView:
         """elem_from_prefix for a prefix known to name an element."""
         return self.elem_from_prefix(h)
 
-    def lacks(self, u, kind: str) -> bool:
+    def lacks_pseudo_tops(self, u) -> bool:
         """One-sided presence test: True when no element x*u of the upper
-        part around u, the least strictly positive idempotent, is of kind
-        (PSEUDO_TOP or NON_TOP); False when the kind exists or the view
-        cannot tell.  Only BaseChain answers from structure."""
+        part around u, the least strictly positive idempotent, is a
+        pseudo-top; False when one exists or the view cannot tell.  Only
+        BaseChain answers from structure."""
         return False
 
     def upper_kind(self, u):
-        """x -> the kind of x*u: COMPONENT_TOP, PSEUDO_TOP or NON_TOP."""
-        from .decompose import TOP_C, TOP_PS, classifier
-        kind, names = classifier(self, u), {TOP_C: COMPONENT_TOP,
-                                            TOP_PS: PSEUDO_TOP}
-        return lambda x: names.get(kind(self.mul(x, u)), NON_TOP)
+        """x -> the kind of x*u: decompose's TOP_C, TOP_PS or NON_TOP."""
+        from .decompose import NON_TOP, TOP_C, TOP_PS, classifier
+        kind = classifier(self, u)
+
+        def upper(x):
+            k = kind(self.mul(x, u))
+            return k if k in (TOP_C, TOP_PS) else NON_TOP
+        return upper
 
     def lifts_to(self, u):  # (x, t) -> x*u == t, for x invertible
         return lambda x, t: self.mul(x, u) == t
@@ -1382,10 +1351,11 @@ class BaseChain(ChainView):
     def validate(self, p) -> bool:
         return validate_elem(self.a, p)
 
-    def lacks(self, u, kind: str) -> bool:
-        return kind in _ruled_out(self.a)
+    def lacks_pseudo_tops(self, u) -> bool:
+        return _lacks_pseudo_tops(self.a)
 
     def upper_kind(self, u):
+        from .decompose import NON_TOP, TOP_C, TOP_PS
         n, depth = _upper_node(self.a)
         free, mid_ok = n.x._ops.free, n._coords.mid
         def kind(x):
@@ -1395,7 +1365,7 @@ class BaseChain(ChainView):
                 x = x[1][1]
             if x[1] == BOT or not free(x[0]):
                 return NON_TOP
-            return COMPONENT_TOP if mid_ok(x[0]) else PSEUDO_TOP
+            return TOP_C if mid_ok(x[0]) else TOP_PS
         return kind
 
     def lifts_to(self, u):

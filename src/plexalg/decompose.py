@@ -93,6 +93,8 @@ G2 = "G2"
 INTERIOR = "Interior"
 
 CLASS_KINDS = (GROUP_BELOW, TOP_C, BOT_C, TOP_PS, BOT_PS, G2, INTERIOR)
+# an element x*u of the upper part that is neither TOP_C nor TOP_PS
+NON_TOP = "non-top"
 
 # canonical members a QuotientChain keeps by head, the least recently used
 # dropped first; an exhaustive window ascends, so it meets each class (an
@@ -249,14 +251,6 @@ def _head(view: ChainView, x) -> tuple:
 def _rep_of(view: ChainView, x):
     """Canonical representative of the kernel coset of x, for x invertible."""
     return _canonical_fill(view, _head(view, x))
-
-
-def coset_rep(a, u, x):
-    """_rep_of with its precondition checked."""
-    view = _as_view(a)
-    if not view.lt(view.tau(x), u):
-        raise PreconditionFailed("coset representatives exist below u only")
-    return _rep_of(view, x)
 
 
 def _free_tail(entries) -> tuple:

@@ -15,17 +15,12 @@ it was.  Element kinds that an algebra simply does not contain
 vacuous cells are counted and reported rather than silently passed.
 
 Special kinds are found by rejection: a probe of 400 draws that finds
-none declares the kind absent.  On an algebra the structure decides two
-kinds first (chains.ChainView.lacks, Prop 8.2): where pseudo-tops cannot
-exist, the laws that need them return before drawing; where pseudo-tops
-or non-tops cannot exist, the product tables' probe still makes its
-draws but classifies none.  Group elements and dense-below elements,
-pseudo-tops and non-tops the structure leaves possible, and every kind
-on a peel level are still probed; each answer equals the probe's, so
-every report is the same as by probing alone.  On an algebra a probe
-reads each candidate's kind off its slots (ChainView.upper_kind, and
-lifts_to for prop7.2.eqs' same-component draw) without multiplying or
-classifying it; a peel level still lifts and classifies by arithmetic.
+none declares the kind absent.  The laws that need pseudo-tops return
+before drawing where the structure rules them out
+(chains.ChainView.lacks_pseudo_tops, Prop 8.2).  Every other probe makes
+its draws and reads each candidate's kind with ChainView.upper_kind (and
+lifts_to for prop7.2.eqs' same-component draw): off its slots on an
+algebra, by lifting and classifying on a peel level.
 
 Every check routes the arithmetic under test through a chain view
 (plexalg.chains), so every suite runs on an algebra or on any peel level
@@ -56,14 +51,10 @@ from . import decompose as dec
 from . import kernel as kn
 from .chains import (
     BOT,
-    COMPONENT_TOP,
-    NON_TOP,
-    PSEUDO_TOP,
     TOP,
     BaseChain,
     ChainView,
     _as_view,
-    _never,
     comp,
     mid,
     mid_capable,
@@ -111,26 +102,25 @@ class SampleStream:
 
 class Mutant(BaseChain):
     """View of an algebra whose target primitive, "mul" or "comp",
-    returns the unit on a deterministic subset of calls (one in stride,
+    returns the unit on a deterministic subset of calls (one in three,
     by a CRC of the arguments).  res, tau and the invertibility,
     absorption and upper-kind tests derive from the corrupted primitives,
     so every law that should notice does, reproducibly.
     """
 
-    def __init__(self, base, target, stride=3):
+    def __init__(self, base, target):
         super().__init__(base)
         self.target = target
-        self.stride = stride
 
     def mul(self, x, y):
         p = mul(self.a, x, y)
-        if self.target == "mul" and _tick((x, y), self.stride):
+        if self.target == "mul" and _tick((x, y)):
             return self.unit()
         return p
 
     def comp(self, x):
         c = comp(self.a, x)
-        if self.target == "comp" and _tick((x,), self.stride):
+        if self.target == "comp" and _tick((x,)):
             return self.unit()
         return c
 
@@ -145,8 +135,8 @@ class Mutant(BaseChain):
         return BaseChain(self.a)
 
 
-def _tick(args, stride):
-    return zlib.crc32(repr(args).encode()) % stride == 0
+def _tick(args):
+    return zlib.crc32(repr(args).encode()) % 3 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +646,10 @@ def _law_bottom_absorption(ops, st, run, budget):
 def _pseudo_top_source(st, c, u):
     """Sampler for pseudo-tops, or None when the kind is absent: ruled out
     by the structure before any draw, or not found in 400 draws."""
-    if c.lacks(u, PSEUDO_TOP):
+    if c.lacks_pseudo_tops(u):
         return None
     upper = c.upper_kind(u)
-    pred = lambda e: upper(e) == PSEUDO_TOP
+    pred = lambda e: upper(e) == dec.TOP_PS
     if st.draw_where(pred, tries=400) is None:
         return None
 
@@ -866,12 +856,9 @@ class _Kinds:
     """Samplers for the element kinds used by the product tables.
 
     A kind that cannot be found within a probing budget is marked dead,
-    so the affected cells go vacuous instead of burning draws.  Where the
-    view rules a kind out by structure (pseudo-tops, non-tops), its probe
-    still makes its draws, so every later draw stays where it was, but
-    tests none of them.  A candidate's kind is the view's upper_kind of
-    it.  Every kind but the group elements is returned lifted into the
-    upper stabilizer part."""
+    so the affected cells go vacuous instead of burning draws.  A
+    candidate's kind is the view's upper_kind of it.  Every kind but the
+    group elements is returned lifted into the upper stabilizer part."""
 
     def __init__(self, ops, st, u):
         self.st = st
@@ -882,15 +869,10 @@ class _Kinds:
         self.upper = c.upper_kind(u)
         self._grp = c.invertible(u)
         self._dead = set()
-        self._ruled_out = {name for name, k in (("tps", PSEUDO_TOP),
-                                                ("nontop", NON_TOP))
-                           if c.lacks(u, k)}
 
     def _find(self, name, pred, tries):
         if name in self._dead:
             return None
-        if name in self._ruled_out:
-            pred = _never
         x = self.st.draw_where(pred, tries)
         if x is None:
             self._dead.add(name)
@@ -907,15 +889,15 @@ class _Kinds:
         return self.lift(self.st.draw())
 
     def pseudo_top(self):
-        return self._find_lifted("tps", lambda e: self.upper(e) == PSEUDO_TOP)
+        return self._find_lifted("tps", lambda e: self.upper(e) == dec.TOP_PS)
 
     def non_top(self):
         return self._find_lifted("nontop",
-                                 lambda e: self.upper(e) == NON_TOP)
+                                 lambda e: self.upper(e) == dec.NON_TOP)
 
     def dense_below(self):
         def pred(e):
-            if self.upper(e) == COMPONENT_TOP:
+            if self.upper(e) == dec.TOP_C:
                 return False
             s = self.lift(e)
             return self.clean.x_down(s) == s
@@ -986,7 +968,7 @@ def _non_top_cell(kinds, run, label, inputs, p):
     c = kinds.clean
     ok = c.le(kinds.u, c.tau(p)) and \
         kinds.kind(p) not in (dec.TOP_C, dec.TOP_PS)
-    run.check(ok, inputs, p, "non-top", label=label)
+    run.check(ok, inputs, p, dec.NON_TOP, label=label)
 
 
 def _gap_rows(ops, kinds, run):
@@ -1027,13 +1009,18 @@ def _gap_rows(ops, kinds, run):
     return v, w, bv, tv, bw, tw, bvw, y, yd, d
 
 
-def _pseudo_top_rows(ops, kinds, run, x, w, bw, tw):
+def _pseudo_top_rows(ops, kinds, run, x, w, bw, tw, xd=None):
     """Cells of the pseudo-top x shared by the two six-by-six tables:
     x times w's component, then x and its cover below times a drawn
-    non-top."""
+    non-top.  Table 3 passes xd, the cover below x, for its rows of xd
+    times w's component."""
     c = kinds.clean
     q = ops.mul(x, w)
     d = c.x_down(q)
+    if xd is not None:
+        for lab, e in (("xdown*bot[w]", bw), ("xdown*w", w),
+                       ("xdown*top[w]", tw)):
+            run.equal(lab, (x, w), ops.mul(xd, e), d)
     xbw = ops.mul(x, bw)
     run.check(xbw == d and ops.lt(d, q), (x, w), xbw, d, label="x*bot[w]")
     run.check(kinds.kind(q) == dec.TOP_PS, (x, w), q, dec.TOP_PS,
@@ -1042,7 +1029,8 @@ def _pseudo_top_rows(ops, kinds, run, x, w, bw, tw):
     s = kinds.non_top()
     if s is not None:
         xs = ops.mul(x, s)
-        run.equal("xdown*s", (x, s), ops.mul(c.x_down(x), s), xs)
+        xd = c.x_down(x) if xd is None else xd
+        run.equal("xdown*s", (x, s), ops.mul(xd, s), xs)
         _non_top_cell(kinds, run, "x*s", (x, s), xs)
 
 
@@ -1093,11 +1081,7 @@ def _table3(ops, kinds, run, budget):
         if x is None:
             continue
         xd = c.x_down(x)
-        d = c.x_down(ops.mul(x, w))
-        for lab, e in (("xdown*bot[w]", bw), ("xdown*w", w),
-                       ("xdown*top[w]", tw)):
-            run.equal(lab, (x, w), ops.mul(xd, e), d)
-        _pseudo_top_rows(ops, kinds, run, x, w, bw, tw)
+        _pseudo_top_rows(ops, kinds, run, x, w, bw, tw, xd)
         if y is None:
             continue
         q = ops.mul(x, y)

@@ -316,7 +316,7 @@ def _mul_corrupted(step):
     corrupts; its clean view is the same level uncorrupted."""
     class Corrupted(step):
         def mul(self, p, q):
-            if lc._tick((p, q), 3):
+            if lc._tick((p, q)):
                 return self.unit()
             return super().mul(p, q)
 
@@ -399,29 +399,20 @@ def test_arithmetic_laws_hold_on_a_peel_level(peel_level, law):
 
 
 # ---------------------------------------------------------------------------
-# kinds ruled out by structure
+# pseudo-tops ruled out by structure
 
 
 def _kinds_in_window(c, u):
-    """PSEUDO_TOP and NON_TOP, as far as they occur among x*u for x in a
-    window of the view c."""
+    """The classifier's kinds of x*u for x in a window of the view c."""
     kind = dec.classifier(c, u)
-    found = set()
-    for x in lc.window_elems(c, 2, 2):
-        k = kind(c.mul(x, u))
-        if k == dec.TOP_PS:
-            found.add(ch.PSEUDO_TOP)
-        elif k != dec.TOP_C:
-            found.add(ch.NON_TOP)
-    return found
+    return {kind(c.mul(x, u)) for x in lc.window_elems(c, 2, 2)}
 
 
 def _assert_ruled_out_kinds_are_absent(a):
     c = ch.BaseChain(a)
     u = dec.smallest_pos_idem(c)
     found = _kinds_in_window(c, u)
-    for kind in (ch.PSEUDO_TOP, ch.NON_TOP):
-        assert not (c.lacks(u, kind) and kind in found), kind
+    assert not (c.lacks_pseudo_tops(u) and dec.TOP_PS in found)
 
 
 ABSENCE_CASES = [SPECS[n] for n in sorted(SPECS)
@@ -445,11 +436,12 @@ def test_ruled_out_kinds_are_absent_on_random_specs(spec):
 
 
 def test_an_answer_of_always_absent_fails_the_soundness_check(monkeypatch):
-    # caught on every case where the structure leaves a kind possible:
-    # there the window holds one
+    # caught on every case where the structure leaves pseudo-tops
+    # possible: there the window holds one
     algs = [ps.parse_algebra(spec) for spec in ABSENCE_CASES]
-    possible = [a for a in algs if len(ch._ruled_out(a)) < 2]
-    monkeypatch.setattr(ch.BaseChain, "lacks", lambda self, u, kind: True)
+    possible = [a for a in algs if not ch._lacks_pseudo_tops(a)]
+    monkeypatch.setattr(ch.BaseChain, "lacks_pseudo_tops",
+                        lambda self, u: True)
     failed = 0
     for a in algs:
         try:
@@ -460,12 +452,10 @@ def test_an_answer_of_always_absent_fails_the_soundness_check(monkeypatch):
 
 
 def test_structure_rules_out_the_kinds_the_fixtures_lack(alg):
-    got = {name: sorted(ch._ruled_out(alg[name]))
+    got = {name: ch._lacks_pseudo_tops(alg[name])
            for name in ("A", "B", "C", "G", "E", "V3", "V3b", "V4", "V4b")}
-    both = [ch.NON_TOP, ch.PSEUDO_TOP]
-    assert got == {"A": both, "B": [ch.PSEUDO_TOP], "C": both, "G": both,
-                   "E": [ch.PSEUDO_TOP], "V3": [], "V3b": [],
-                   "V4": [ch.NON_TOP], "V4b": [ch.NON_TOP]}
+    assert got == {"A": True, "B": True, "C": True, "G": True, "E": True,
+                   "V3": False, "V3b": False, "V4": False, "V4b": False}
 
 
 def _outcome(a, law, seed):
@@ -489,9 +479,9 @@ def _assert_outcomes_unchanged(name, monkeypatch, *methods):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_reports_do_not_depend_on_structural_absence(name, monkeypatch):
-    # a kind ruled out by structure is one no probe would have found, so
-    # every report equals the one made by probing alone
-    _assert_outcomes_unchanged(name, monkeypatch, "lacks")
+    # pseudo-tops ruled out by structure are ones no probe would have
+    # found, so every report equals the one made by probing alone
+    _assert_outcomes_unchanged(name, monkeypatch, "lacks_pseudo_tops")
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +540,13 @@ def _upper_rule(mid_test=True, tb_bottom=True):
         def kind(x):
             for _ in range(depth):
                 if not isinstance(x[1], tuple):
-                    return ch.NON_TOP
+                    return dec.NON_TOP
                 x = x[1][1]
             if (tb_bottom and x[1] == ch.BOT) or not free(x[0]):
-                return ch.NON_TOP
+                return dec.NON_TOP
             if not mid_test or mid_ok(x[0]):
-                return ch.COMPONENT_TOP
-            return ch.PSEUDO_TOP
+                return dec.TOP_C
+            return dec.TOP_PS
         return lambda u: kind
     return upper_kind
 
@@ -600,7 +590,9 @@ def test_a_probe_on_an_algebra_lifts_only_what_it_keeps(alg, monkeypatch):
 # draws of one report at budget 50, seed 1: a faster probe must leave them
 # where they were
 DRAW_PINS = [("V3b", "table3", 2825), ("E", "prop8.2.5", 0),
-             ("E", "prop7.2.eqs", 3154), ("V3b", "prop8.2.5", 1325)]
+             ("E", "prop7.2.eqs", 3154), ("V3b", "prop8.2.5", 1325),
+             ("A", "table2", 935), ("C", "table4", 531),
+             ("B", "table3", 1248)]
 
 
 @pytest.mark.parametrize("name,law,draws", DRAW_PINS)

@@ -1,7 +1,10 @@
 """The package namespace: exports load on first use and resolve to the
 objects of the modules that define them."""
 
+import ast
 import json
+
+from conftest import SRC
 
 # runs in a fresh interpreter, so that nothing but the package is loaded
 _NAMESPACE = """
@@ -54,3 +57,34 @@ def test_importing_the_cli_builds_and_compiles_no_algebra(fresh_python):
         "from plexalg.chains import Algebra\n"
         "print(sum(isinstance(o, Algebra) for o in gc.get_objects()))\n")
     assert out == "0\n"
+
+
+def _unused_imports(source: str) -> list:
+    """Names an import statement binds that no other line of the module
+    reads (from __future__ imports aside)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_the_check_finds_an_unused_import():
+    assert _unused_imports("import os\nfrom a.b import c, d as e\n"
+                           "from __future__ import annotations\n"
+                           "print(c)\n") == [(1, "os"), (2, "e")]
+
+
+def test_every_imported_name_is_used():
+    # a leftover import keeps a deleted helper's name alive
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted((SRC / "plexalg").glob("*.py"))}
+    assert len(found) > 5
+    assert {name: got for name, got in found.items() if got} == {}
