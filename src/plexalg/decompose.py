@@ -308,7 +308,7 @@ def beta(a, u, x):
     """Member of the beta class of x: the coset representative of an
     invertible x, x itself otherwise."""
     view = _as_view(a)
-    return _rep_of(view, x) if view.lt(view.tau(x), u) else x
+    return _rep_of(view, x) if view.invertible(u)(x) else x
 
 
 class BetaChain(_ClassChain):
@@ -441,12 +441,15 @@ class RestrictionChain(_Step):
         self.ambient = self.base.ambient
         self.entries = self.base.entries[1:]
         self._idems = None
+        self._invertible = self.base.invertible(u)
 
     def describe(self) -> str:
         return "local-unit restriction of %s" % self.base.describe()
 
     def contains(self, x) -> bool:
-        return self.base.le(self.u, self.base.tau(x))
+        # the local unit tau(x) is at least u exactly when x is not
+        # invertible
+        return not self._invertible(x)
 
     def mul(self, p, q):
         return self.base.mul(p, q)

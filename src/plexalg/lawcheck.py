@@ -1050,9 +1050,9 @@ def _table2(ops, kinds, run, budget):
             _pseudo_top_rows(ops, kinds, run, x, w, bw, tw)
 
 
-def _split_sides(c, u, q):
-    d = c.x_down(q)
-    left = d != q and c.le(u, c.tau(d))
+def _split_sides(kinds, q):
+    d = kinds.clean.x_down(q)
+    left = d != q and not kinds._grp(d)
     return d, left
 
 
@@ -1066,7 +1066,7 @@ def _table3(ops, kinds, run, budget):
              "xdown*bot[w]", "xdown*w", "xdown*top[w]", "xdown*s",
              "x*bot[w]", "x*w", "x*top[w]", "x*s",
              "xy-left", "xy-right")
-    c, u, nu = kinds.clean, kinds.u, kinds.nu
+    c, nu = kinds.clean, kinds.nu
     for _ in range(budget):
         got = _gap_rows(ops, kinds, run)
         if got is None:
@@ -1085,7 +1085,7 @@ def _table3(ops, kinds, run, budget):
         if y is None:
             continue
         q = ops.mul(x, y)
-        d, left = _split_sides(c, u, q)
+        d, left = _split_sides(kinds, q)
         drops = (ops.mul(xd, yd), ops.mul(xd, y), ops.mul(x, yd))
         if left:
             ok = all(p == d for p in drops) and \
@@ -1101,7 +1101,7 @@ def _table3(ops, kinds, run, budget):
 
 def _table4(ops, kinds, run, budget):
     run.cell("top[v]*top[w]", "top[v]*y", "x*top[w]", "xy-left", "xy-right")
-    c, u = kinds.clean, kinds.u
+    u = kinds.u
     for _ in range(budget):
         v, w = kinds.group(), kinds.group()
         if v is None or w is None:
@@ -1122,7 +1122,7 @@ def _table4(ops, kinds, run, budget):
         run.check(xtw == q and kinds.kind(q) == dec.TOP_PS, (x, w), xtw, q,
                   label="x*top[w]")
         q = ops.mul(x, y)
-        _, left = _split_sides(c, u, q)
+        _, left = _split_sides(kinds, q)
         k = kinds.kind(q)
         if left:
             run.check(k == dec.TOP_PS, (x, y), k, dec.TOP_PS,

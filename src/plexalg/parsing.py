@@ -6,34 +6,44 @@ Element literals have no standalone meaning; they are read against an
 algebra, which fixes the shape at every nesting level.  Printing is
 canonical and print(parse(s)) is idempotent.
 
-    alg  ::= Z | Q | 1 | Lex(alg{,alg})
-           | I(alg, sub, alg) | II(alg, alg)
+    alg  ::= grp | I(alg, sub, alg) | II(alg, alg)
            | III(alg, sub, sub, alg) | IV(alg, sub, alg)
            | SLI(alg, sub, alg, h) | SLII(alg, alg, h)
-    sub  ::= full | triv | idx INT | (sub{,sub})
+    grp  ::= Z | Q | 1 | Lex(Z|Q|1 {, Z|Q|1})
+    sub  ::= ent | (ent{,ent})
+    ent  ::= full | triv | idx INT
     h    ::= fullH | prodH(sub, sub) | graphH(RAT)
     elem ::= RAT | () | (elem, T|B|elem) | (RAT{,RAT})
     arg  ::= elem | unit
     expr ::= mul arg arg | res arg arg | comp arg | tau arg
            | le arg arg | down arg | up arg | unit | idems
+
+Text is ASCII: INT is [0-9]+, names are [A-Za-z_][A-Za-z0-9_]*, the
+symbols are ( ) , / : = -, and whitespace separates tokens.  Any other
+character is a ParseError at its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from . import kernel as kn
 from .build import build_sublex, build_type, group_leaf
-from .chains import (BOT, TOP, Algebra, FullH, GraphH, ProdH, elem_check,
-                     gr_ambient, mid, unit)
+from .chains import (BOT, SUBLEX_KINDS, TOP, Algebra, FullH, GraphH, ProdH,
+                     elem_check, gr_ambient, mid, unit)
 from .errors import ParseError, PreconditionFailed
 from .groups import FULL, TRIV, GroupDesc, Q_GROUP, TRIV_GROUP, Z_GROUP
 
-_SYMBOLS = "(),/:=-"
+# one token per match; the search skips the characters no group matches,
+# which are exactly the whitespace other than a newline
+_LEXEME = re.compile(r"(?P<nl>\n)|(?P<int>[0-9]+)"
+                     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                     r"|(?P<sym>[(),/:=-])|(?P<stray>\S)")
 
 
 class Token(NamedTuple):
-    kind: str  # 'ident', 'int', one of _SYMBOLS, 'eof'
+    kind: str  # 'ident', 'int', one of the symbols, 'eof'
     text: str
     line: int
     col: int
@@ -41,42 +51,17 @@ class Token(NamedTuple):
 
 def _tokenize(text: str):
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            toks.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"stray character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: index of the current line's first character
+    for m in _LEXEME.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "nl":
+            line, start = line + 1, m.end()
+        elif kind == "stray":
+            raise ParseError(f"stray character {lexeme!r}", line, col)
+        else:
+            toks.append(Token(lexeme if kind == "sym" else kind, lexeme,
+                              line, col))
+    toks.append(Token("eof", "", line, len(text) - start + 1))
     return toks
 
 
@@ -102,16 +87,20 @@ class _Stream:
                              t.line, t.col)
         return self.next()
 
+    def take_int(self, what: str) -> int:
+        t = self.expect("int", what)
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("number too long", t.line, t.col) from None
+
     def fail(self, msg: str):
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
-    def at_ident(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
-
-    def take_ident(self, word: str) -> bool:
-        if self.at_ident(word):
+    def take(self, text: str) -> bool:
+        """Read the next token if its text is `text` (a name or a symbol)."""
+        if self.peek().text == text:
             self.next()
             return True
         return False
@@ -120,37 +109,6 @@ class _Stream:
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-
-
-# ---------------------------------------------------------------------------
-# rationals
-
-
-def _parse_rat(s: _Stream):
-    neg = False
-    if s.peek().kind == "-":
-        s.next()
-        neg = True
-    num = int(s.expect("int", "a number").text)
-    den = 1
-    if s.peek().kind == "/":
-        s.next()
-        den = int(s.expect("int", "a denominator").text)
-        if den == 0:
-            s.fail("zero denominator")
-    return kn.rmake(-num if neg else num, den)
-
-
-def print_rat(r) -> str:
-    p, q = r
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
-# ---------------------------------------------------------------------------
-# algebra specs
-
-
-_LEAF_NAMES = {"Z": Z_GROUP, "Q": Q_GROUP}
 
 
 def _parse_all(text: str, parse):
@@ -166,114 +124,122 @@ def _parse_all(text: str, parse):
     return out
 
 
+# ---------------------------------------------------------------------------
+# rationals
+
+
+def _parse_rat(s: _Stream):
+    neg = s.take("-")
+    num = s.take_int("a number")
+    den = s.take_int("a denominator") if s.take("/") else 1
+    if den == 0:
+        s.fail("zero denominator")
+    return kn.rmake(-num if neg else num, den)
+
+
+def print_rat(r) -> str:
+    p, q = r
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+# ---------------------------------------------------------------------------
+# algebra specs
+
+
+_LEAF_NAMES = {"1": TRIV_GROUP, "Z": Z_GROUP, "Q": Q_GROUP}
+_LEAF_TEXT = {g.kinds: name for name, g in _LEAF_NAMES.items()}
+_WORDS = {"full": FULL, "triv": TRIV}
+
+# the subgroups each kind takes between X and Y, as Algebra fields; the
+# sublex kinds take h after Y
+_NODE_ARGS = {"I": ("zsub",), "II": (), "III": ("zsub", "vsub"),
+              "IV": ("vsub",), "SLI": ("zsub",), "SLII": ()}
+
+
 def parse_algebra(text: str) -> Algebra:
     return _parse_all(text, _parse_alg)
 
 
 def _parse_alg(s: _Stream) -> Algebra:
     t = s.peek()
-    if t.kind == "int" and t.text == "1":
+    if t.text in _NODE_ARGS:
         s.next()
-        return group_leaf(TRIV_GROUP)
-    if t.kind != "ident":
-        s.fail("expected an algebra")
-    name = t.text
-    if name in _LEAF_NAMES:
-        s.next()
-        return group_leaf(_LEAF_NAMES[name])
-    if name == "Lex":
-        s.next()
-        return group_leaf(_parse_lex(s))
-    if name in ("I", "II", "III", "IV", "SLI", "SLII"):
-        s.next()
-        return _parse_node(s, name)
-    s.fail(f"unknown algebra {name!r}")
+        return _parse_node(s, t.text)
+    return group_leaf(_parse_group_desc(
+        s, f"unknown algebra {t.text!r}" if t.kind == "ident"
+        else "expected an algebra"))
 
 
-def _parse_lex(s: _Stream) -> GroupDesc:
-    s.expect("(")
-    kinds = []
-    while True:
-        t = s.peek()
-        if t.kind == "int" and t.text == "1":
-            s.next()
-        elif t.kind == "ident" and t.text in _LEAF_NAMES:
-            kinds.extend(_LEAF_NAMES[t.text].kinds)
-            s.next()
-        else:
-            s.fail("Lex takes group names only")
-        if s.peek().kind == ",":
-            s.next()
-            continue
+def _parse_group_desc(s: _Stream, fail: str = "expected a group") -> GroupDesc:
+    t = s.peek()
+    if s.take("Lex"):
+        s.expect("(")
+        kinds = []
+        while True:
+            if s.peek().text not in _LEAF_NAMES:
+                s.fail("Lex takes group names only")
+            kinds.extend(_LEAF_NAMES[s.next().text].kinds)
+            if not s.take(","):
+                break
         s.expect(")")
         return GroupDesc(tuple(kinds))
+    if t.text not in _LEAF_NAMES:
+        s.fail(fail)
+    s.next()
+    return _LEAF_NAMES[t.text]
 
 
 def _parse_node(s: _Stream, name: str) -> Algebra:
     s.expect("(")
     x = _parse_alg(s)
     xrank = gr_ambient(x).rank
-    if name in ("I", "III", "SLI"):
+    args = {}
+    for field in _NODE_ARGS[name]:
         s.expect(",")
-        zsub = _expand_sub(s, _parse_sub(s), xrank)
-    else:
-        zsub = None
-    if name in ("III", "IV"):
-        s.expect(",")
-        vsub = _expand_sub(s, _parse_sub(s), xrank)
-    else:
-        vsub = None
+        args[field] = _expand_sub(s, _parse_sub(s), xrank)
     s.expect(",")
     y = _parse_alg(s)
-    if name in ("SLI", "SLII"):
+    make = build_type
+    if name in SUBLEX_KINDS:
         if not y.is_leaf:
             raise PreconditionFailed(
                 "sublex constructions need a group leaf second factor")
         s.expect(",")
-        h = _parse_h(s, xrank, y.group.rank)
-        s.expect(")")
-        return build_sublex(name, x, y, h, zsub=zsub)
+        args["h"] = _parse_h(s, xrank, y.group.rank)
+        make = build_sublex
     s.expect(")")
-    return build_type(name, x, y, zsub=zsub, vsub=vsub)
+    return make(name, x, y, **args)
 
 
 def _parse_sub(s: _Stream):
     t = s.peek()
-    if t.kind == "(":
-        s.next()
+    if s.take("("):
         parts = [_parse_sub(s)]
-        while s.peek().kind == ",":
-            s.next()
+        while s.take(","):
             parts.append(_parse_sub(s))
         s.expect(")")
         return tuple(parts)
-    if s.take_ident("full"):
-        return "full"
-    if s.take_ident("triv"):
-        return "triv"
-    if s.take_ident("idx"):
-        m = int(s.expect("int", "a subgroup index").text)
-        return ("idx", m)
+    if t.text in _WORDS:
+        s.next()
+        return t.text
+    if s.take("idx"):
+        return ("idx", s.take_int("a subgroup index"))
     s.fail("expected a subgroup (full, triv, idx N or a tuple)")
 
 
 def _expand_sub(s: _Stream, ast, rank: int):
     """Broadcast the bare words over the ambient rank; tuples must match."""
-    if ast == "full":
-        return (FULL,) * rank
-    if ast == "triv":
-        return (TRIV,) * rank
-    if isinstance(ast, tuple) and ast and ast[0] == "idx":
+    if ast in _WORDS:
+        return (_WORDS[ast],) * rank
+    if ast[0] == "idx":
         if rank != 1:
             s.fail(f"bare idx needs a rank-1 group part, got rank {rank}")
         return (ast,)
     entries = []
     for e in ast:
-        if e == "full":
-            entries.append(FULL)
-        elif e == "triv":
-            entries.append(TRIV)
-        elif isinstance(e, tuple) and e and e[0] == "idx":
+        if e in _WORDS:
+            entries.append(_WORDS[e])
+        elif isinstance(e, tuple) and e[0] == "idx":
             entries.append(e)
         else:
             s.fail("nested subgroup tuples are not supported")
@@ -283,9 +249,9 @@ def _expand_sub(s: _Stream, ast, rank: int):
 
 
 def _parse_h(s: _Stream, xrank: int, yrank: int):
-    if s.take_ident("fullH"):
+    if s.take("fullH"):
         return FullH()
-    if s.take_ident("prodH"):
+    if s.take("prodH"):
         s.expect("(")
         zast = _parse_sub(s)
         s.expect(",")
@@ -293,7 +259,7 @@ def _parse_h(s: _Stream, xrank: int, yrank: int):
         s.expect(")")
         return ProdH(_expand_sub(s, zast, xrank),
                      _expand_sub(s, yast, yrank))
-    if s.take_ident("graphH"):
+    if s.take("graphH"):
         s.expect("(")
         c = _parse_rat(s)
         s.expect(")")
@@ -304,26 +270,13 @@ def _parse_h(s: _Stream, xrank: int, yrank: int):
 def print_algebra(a: Algebra) -> str:
     if a.is_leaf:
         k = a.group.kinds
-        if k == ():
-            return "1"
-        if k == ("Z",):
-            return "Z"
-        if k == ("Q",):
-            return "Q"
-        return "Lex(%s)" % ", ".join(k)
-    x = print_algebra(a.x)
-    y = print_algebra(a.y)
-    if a.kind == "I":
-        return f"I({x}, {print_sub(a.zsub)}, {y})"
-    if a.kind == "II":
-        return f"II({x}, {y})"
-    if a.kind == "III":
-        return f"III({x}, {print_sub(a.zsub)}, {print_sub(a.vsub)}, {y})"
-    if a.kind == "IV":
-        return f"IV({x}, {print_sub(a.vsub)}, {y})"
-    if a.kind == "SLI":
-        return f"SLI({x}, {print_sub(a.zsub)}, {y}, {print_h(a.h)})"
-    return f"SLII({x}, {y}, {print_h(a.h)})"
+        return _LEAF_TEXT.get(k) or "Lex(%s)" % ", ".join(k)
+    parts = [print_algebra(a.x)]
+    parts += [print_sub(getattr(a, field)) for field in _NODE_ARGS[a.kind]]
+    parts.append(print_algebra(a.y))
+    if a.kind in SUBLEX_KINDS:
+        parts.append(print_h(a.h))
+    return "%s(%s)" % (a.kind, ", ".join(parts))
 
 
 def _print_entry(e) -> str:
@@ -359,10 +312,7 @@ def print_h(h) -> str:
 
 
 def parse_elem(a: Algebra, text: str):
-    s = _Stream(text)
-    el = _parse_el(s, a)
-    s.done()
-    return elem_check(a, el)
+    return elem_check(a, _parse_all(text, lambda s: _parse_el(s, a)))
 
 
 def _parse_el(s: _Stream, a: Algebra):
@@ -374,11 +324,9 @@ def _parse_el(s: _Stream, a: Algebra):
         coords = []
         if s.peek().kind != ")":
             coords.append(_parse_rat(s))
-            while s.peek().kind == ",":
-                s.next()
+            while s.take(","):
                 coords.append(_parse_rat(s))
-        tok = s.peek()
-        s.expect(")")
+        tok = s.expect(")")
         if len(coords) != rank:
             raise ParseError(
                 f"element has {len(coords)} coordinates, group has {rank}",
@@ -387,9 +335,9 @@ def _parse_el(s: _Stream, a: Algebra):
     s.expect("(")
     first = _parse_el(s, a.x)
     s.expect(",")
-    if s.take_ident("T"):
+    if s.take("T"):
         second = TOP
-    elif s.take_ident("B"):
+    elif s.take("B"):
         second = BOT
     else:
         second = mid(_parse_el(s, a.y))
@@ -424,17 +372,15 @@ _EXPR_ARITY = {
 
 
 def parse_expr(a: Algebra, text: str):
-    s = _Stream(text)
+    return _parse_all(text, lambda s: _parse_op(s, a))
+
+
+def _parse_op(s: _Stream, a: Algebra):
     t = s.expect("ident", "an operation")
     if t.text not in _EXPR_ARITY:
         raise ParseError(f"unknown operation {t.text!r}", t.line, t.col)
-    args = []
-    for _ in range(_EXPR_ARITY[t.text]):
-        if s.take_ident("unit"):
-            args.append(unit(a))
-        else:
-            args.append(elem_check(a, _parse_el(s, a)))
-    s.done()
+    args = [unit(a) if s.take("unit") else elem_check(a, _parse_el(s, a))
+            for _ in range(_EXPR_ARITY[t.text])]
     return (t.text, *args)
 
 
@@ -460,16 +406,16 @@ def parse_reptree(text: str):
 def _parse_tree(s: _Stream):
     from .decompose import RepLevel, RepTree
 
-    if not s.take_ident("base"):
+    if not s.take("base"):
         s.fail("expected 'base:'")
     s.expect(":")
     base = _parse_group_desc(s)
     levels = []
     child_rank = base.rank
     want = 2
-    while s.take_ident("level"):
-        t = s.expect("int", "a level number")
-        if int(t.text) != want:
+    while s.take("level"):
+        t = s.peek()
+        if s.take_int("a level number") != want:
             raise ParseError(f"expected level {want}", t.line, t.col)
         want += 1
         s.expect(":")
@@ -479,7 +425,7 @@ def _parse_tree(s: _Stream):
             raise ParseError("iota must be I or II", t.line, t.col)
         iota = t.text
         _expect_key(s, "Z")
-        zast = "gr" if s.take_ident("gr") else _parse_sub(s)
+        zast = "gr" if s.take("gr") else _parse_sub(s)
         _expect_key(s, "G")
         g = _parse_group_desc(s)
         _expect_key(s, "H")
@@ -491,20 +437,6 @@ def _parse_tree(s: _Stream):
 
 
 def _expect_key(s: _Stream, key: str):
-    if not s.take_ident(key):
+    if not s.take(key):
         s.fail(f"expected {key}=")
     s.expect("=")
-
-
-def _parse_group_desc(s: _Stream) -> GroupDesc:
-    t = s.peek()
-    if t.kind == "int" and t.text == "1":
-        s.next()
-        return TRIV_GROUP
-    if t.kind == "ident" and t.text in _LEAF_NAMES:
-        s.next()
-        return _LEAF_NAMES[t.text]
-    if t.kind == "ident" and t.text == "Lex":
-        s.next()
-        return _parse_lex(s)
-    s.fail("expected a group")

@@ -1,10 +1,13 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
-from conftest import SPECS
+from conftest import SPECS, SRC
 
 from plexalg import cli, lawcheck, parsing
 
@@ -72,6 +75,21 @@ def test_over_deep_nesting_is_a_parse_error(capsys, spec_file, argv, text):
     code, out, err = run(capsys, argv[0], "-f", spec_file(text), *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith(": nesting too deep\n")
+
+
+@pytest.mark.parametrize("verb,text,extra,err", [
+    ("build", "I(Z, idx \u00b2, Q)", (), "1:10"),
+    ("eval", "II(Z, Q)", ("-e", "comp (\u00b2)"), "1:7"),
+    ("rebuild", "base: Z\nlevel \u00b2: iota=II Z=gr G=Q H=fullH", (), "2:7"),
+])
+def test_non_ascii_digit_is_one_error_line(spec_file, verb, text, extra, err):
+    # a separate interpreter, so that the streams are the program's own
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "plexalg.cli", verb, "-f", spec_file(text),
+         *extra], env=env, capture_output=True, encoding="utf-8")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {err}: stray character '\u00b2'\n"
 
 
 def test_deep_spec_under_the_nesting_limit_builds(capsys, spec_file):

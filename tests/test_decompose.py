@@ -788,6 +788,48 @@ def test_covers_are_mutual_on_random_specs(spec, rngs):
 
 
 # ---------------------------------------------------------------------------
+# restriction membership: contains(x) reads the view's invertibility test,
+# against the first formula, u <= tau(x) on the base
+
+
+def _contains_mismatches(spec):
+    """Restriction levels of a spec's peel, and the sampled base elements
+    on which contains disagrees with u <= tau(x)."""
+    levels, bad = 0, []
+    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
+        if not isinstance(level, dec.RestrictionChain):
+            continue
+        levels += 1
+        base, u = level.base, level.u
+        draw = base.sampler(random.Random(levels))
+        xs = [draw() for _ in range(60)]
+        for x in xs + [base.mul(x, u) for x in xs] + [base.unit(), u]:
+            if level.contains(x) != base.le(u, base.tau(x)):
+                bad.append((level.describe(), x))
+    return levels, bad
+
+
+# the last regression spec peels by quotients alone
+CONTAINS_CASES = (["A", "C", "E", "G", "V4", "V4b"]
+                  + [f"tower{d}" for d in range(1, 6)] + REGRESSION_SPECS[:4])
+
+
+@pytest.mark.parametrize("name", CONTAINS_CASES)
+def test_restriction_contains_matches_the_local_unit_formula(name):
+    levels, bad = _contains_mismatches(case_spec(name))
+    assert levels > 0
+    assert bad == []
+
+
+def test_contains_oracle_catches_a_negated_contains(monkeypatch):
+    monkeypatch.setattr(dec.RestrictionChain, "contains",
+                        lambda self, x: self._invertible(x))
+    for name in ("A", "E", REGRESSION_SPECS[0]):
+        levels, bad = _contains_mismatches(case_spec(name))
+        assert levels > 0 and bad, name
+
+
+# ---------------------------------------------------------------------------
 # one element representation: every element of every peel level is an
 # element of the input algebra, and a quotient names each class by its
 # canonical member
