@@ -11,7 +11,8 @@ construction is rejected here, before an algebra exists:
   Y a group leaf; a graph restriction needs one integer coordinate on
   the X side and a rank-one divisible Y.
 
-build_type covers kinds I-IV, build_sublex the two sublex kinds.  Both
+build_type covers kinds I-IV, build_sublex the two sublex kinds; both
+run one checked body over the kind's row of chains.NODE_KINDS and
 return plain chains.Algebra values, each of which has verified its own
 positive idempotents once (its children's lists were verified when they
 were built).
@@ -19,8 +20,9 @@ were built).
 
 from __future__ import annotations
 
-from .chains import (Algebra, FullH, GraphH, ProdH, discretely_embedded,
-                     gr_ambient, ladder, leaf, positive_idempotents, tau, unit)
+from .chains import (NODE_KINDS, Algebra, FullH, GraphH, ProdH,
+                     discretely_embedded, gr_ambient, ladder, leaf,
+                     positive_idempotents, tau, unit)
 from .errors import (DiscretenessViolated, InvalidSubgroup,
                      PreconditionFailed, SubgroupChainViolated)
 from .groups import GroupDesc, sub_is_full, sub_leq, sub_validate
@@ -30,12 +32,6 @@ def group_leaf(desc: GroupDesc) -> Algebra:
     return leaf(desc)
 
 
-def _group_part_view(x: Algebra):
-    amb = gr_ambient(x)
-    own = ladder(x)[1][0].gconstr
-    return amb, own
-
-
 def _check_sub(amb: GroupDesc, sub, what: str):
     try:
         return sub_validate(amb, sub)
@@ -43,14 +39,13 @@ def _check_sub(amb: GroupDesc, sub, what: str):
         raise InvalidSubgroup(f"{what}: {exc}") from None
 
 
-def _check_nested(amb: GroupDesc, small, big, what: str):
-    if not sub_leq(amb, small, big):
-        raise SubgroupChainViolated(f"{what} is not contained where required")
-
-
-def _graph_guard(amb: GroupDesc, own, sub, what: str):
+def _check_cut(amb: GroupDesc, own, sub, top, what: str):
+    """A validated sub cuts the group part own (none of it graph-linked,
+    unless sub is full) inside top."""
     if any(c[0] == "graph" for c in own) and not sub_is_full(amb, sub):
         raise InvalidSubgroup(f"{what}: cannot cut a graph-linked group part")
+    if not sub_leq(amb, sub, top):
+        raise SubgroupChainViolated(f"{what} is not contained where required")
 
 
 def _check_discrete(x: Algebra, kind: str):
@@ -72,31 +67,9 @@ def _check_discrete(x: Algebra, kind: str):
 def build_type(kind: str, x: Algebra, y: Algebra, zsub=None, vsub=None) -> Algebra:
     """Kinds I-IV.  zsub ('tb' kinds) and vsub (III, IV) are subgroup
     specs over the ambient coordinates of the group part of x."""
-    if kind not in ("I", "II", "III", "IV"):
+    if kind not in NODE_KINDS or NODE_KINDS[kind][1] == "h":
         raise PreconditionFailed(f"unknown construction kind {kind!r}")
-    amb, own = _group_part_view(x)
-    if kind in ("I", "III"):
-        if zsub is None:
-            raise PreconditionFailed(f"kind {kind} needs a top-column subgroup")
-        zsub = _check_sub(amb, zsub, "top-column subgroup")
-        _graph_guard(amb, own, zsub, "top-column subgroup")
-        _check_nested(amb, zsub, own, "top-column subgroup")
-    elif zsub is not None:
-        raise PreconditionFailed(f"kind {kind} takes no top-column subgroup")
-    if kind in ("III", "IV"):
-        if vsub is None:
-            raise PreconditionFailed(f"kind {kind} needs a middle-column subgroup")
-        vsub = _check_sub(amb, vsub, "middle-column subgroup")
-        _graph_guard(amb, own, vsub, "middle-column subgroup")
-        _check_nested(amb, vsub, zsub if kind == "III" else own,
-                      "middle-column subgroup")
-    elif vsub is not None:
-        raise PreconditionFailed(f"kind {kind} takes no middle-column subgroup")
-    if kind in ("II", "IV"):
-        _check_discrete(x, kind)
-    node = Algebra(kind=kind, x=x, y=y, zsub=zsub, vsub=vsub)
-    _smoke(node)
-    return node
+    return _build(kind, x, y, zsub, vsub, None)
 
 
 def build_sublex(kind: str, x: Algebra, y: Algebra, h, zsub=None) -> Algebra:
@@ -106,28 +79,50 @@ def build_sublex(kind: str, x: Algebra, y: Algebra, h, zsub=None) -> Algebra:
     cuts both sides coordinatewise, GraphH couples a rank-one divisible y
     to one integer coordinate of x.  y must be a group leaf.
     """
-    if kind not in ("SLI", "SLII"):
+    if kind not in NODE_KINDS or NODE_KINDS[kind][1] != "h":
         raise PreconditionFailed(f"unknown sublex kind {kind!r}")
-    if not y.is_leaf:
-        raise PreconditionFailed("sublex constructions need a group leaf second factor")
-    amb, own = _group_part_view(x)
-    if kind == "SLI":
-        if zsub is None:
-            raise PreconditionFailed("kind SLI needs a top-column subgroup")
-        zsub = _check_sub(amb, zsub, "top-column subgroup")
-        _graph_guard(amb, own, zsub, "top-column subgroup")
-        _check_nested(amb, zsub, own, "top-column subgroup")
-    elif zsub is not None:
-        raise PreconditionFailed("kind SLII takes no top-column subgroup")
+    return _build(kind, x, y, zsub, None, h)
 
+
+def _build(kind: str, x: Algebra, y: Algebra, zsub, vsub, h) -> Algebra:
+    """The checks of chains.NODE_KINDS: Z inside the group part of x for
+    family 'tb', the middle cut (V or the first side of h) inside the top
+    set, a leaf y for the sublex kinds, and discreteness for family 't'."""
+    family, cut = NODE_KINDS[kind]
+    if cut == "h" and not y.is_leaf:
+        raise PreconditionFailed("sublex constructions need a group leaf second factor")
+    amb = gr_ambient(x)
+    own = top = ladder(x)[1][0].gconstr  # x's group part, then the top set
+    if family == "tb":
+        if zsub is None:
+            raise PreconditionFailed(f"kind {kind} needs a top-column subgroup")
+        zsub = top = _check_sub(amb, zsub, "top-column subgroup")
+        _check_cut(amb, own, zsub, own, "top-column subgroup")
+    elif zsub is not None:
+        raise PreconditionFailed(f"kind {kind} takes no top-column subgroup")
+    if cut == "vsub":
+        if vsub is None:
+            raise PreconditionFailed(f"kind {kind} needs a middle-column subgroup")
+        vsub = _check_sub(amb, vsub, "middle-column subgroup")
+        _check_cut(amb, own, vsub, top, "middle-column subgroup")
+    elif vsub is not None:
+        raise PreconditionFailed(f"kind {kind} takes no middle-column subgroup")
+    if cut == "h":
+        h = _check_restriction(amb, own, top, y, h, family)
+    if family == "t":
+        _check_discrete(x, kind)
+    node = Algebra(kind=kind, x=x, y=y, zsub=zsub, vsub=vsub, h=h)
+    _smoke(node)
+    return node
+
+
+def _check_restriction(amb: GroupDesc, own, top, y: Algebra, h, family: str):
     if isinstance(h, ProdH):
         zpart = _check_sub(amb, h.zpart, "first side of the restriction")
         ypart = _check_sub(y.group, h.ypart, "second side of the restriction")
-        _graph_guard(amb, own, zpart, "first side of the restriction")
-        _check_nested(amb, zpart, zsub if kind == "SLI" else own,
-                      "first side of the restriction")
-        h = ProdH(zpart, ypart)
-    elif isinstance(h, GraphH):
+        _check_cut(amb, own, zpart, top, "first side of the restriction")
+        return ProdH(zpart, ypart)
+    if isinstance(h, GraphH):
         if amb.rank != 1 or amb.kinds[0] != "Z":
             raise PreconditionFailed(
                 "graph restriction needs a single integer coordinate on the first side"
@@ -138,19 +133,15 @@ def build_sublex(kind: str, x: Algebra, y: Algebra, h, zsub=None) -> Algebra:
             )
         if not (isinstance(h.c, tuple) and len(h.c) == 2 and h.c[1] >= 1):
             raise PreconditionFailed("graph slope must be a normalized rational pair")
-        if kind == "SLI" and not sub_is_full(amb, zsub):
+        if family == "tb" and not sub_is_full(amb, top):
             # the first side of the graph runs over the whole group part
             raise SubgroupChainViolated(
                 "graph restriction is not contained in the top-column subgroup"
             )
-    elif not isinstance(h, FullH):
+        return h
+    if not isinstance(h, FullH):
         raise PreconditionFailed(f"unknown restriction {h!r}")
-
-    if kind == "SLII":
-        _check_discrete(x, kind)
-    node = Algebra(kind=kind, x=x, y=y, zsub=zsub, h=h)
-    _smoke(node)
-    return node
+    return h
 
 
 def _smoke(node: Algebra):

@@ -1,35 +1,40 @@
 """Totally ordered involutive residuated chains built from group blocks.
 
 An algebra is a tree: leaves are ordered abelian groups (plexalg.groups),
-inner nodes enlarge a child chain X with a second factor Y in one of two
-shapes, then restrict which columns exist:
+inner nodes enlarge a child chain X with a second factor Y, then restrict
+which columns exist.  The six node kinds are the cells of a grid,
+NODE_KINDS: a family, which fixes the top set, times a middle cut.
 
 * family 'tb' (kinds I, III, SLI): every first coordinate gets a bottom
-  marker; first coordinates inside a subgroup Z of the group part of X
-  also get a top marker; those inside V <= Z (for SLI: the first-side
-  projection of H) carry middle columns holding a copy of Y.
+  marker; those inside a subgroup Z of the group part G(X) of X, the top
+  set, also get a top marker.
 * family 't' (kinds II, IV, SLII): every first coordinate gets a top
-  marker; middle columns as above.  This shape additionally needs the
-  group part of X discretely embedded in X.
+  marker, so the top set is G(X).  This family additionally needs G(X)
+  discretely embedded in X.
+* the middle cut: the first coordinates of the top set that carry middle
+  columns, holding a copy of Y, are all of them (I, II), those inside a
+  subgroup V (III, IV) or those inside the first side of a restriction
+  H of the sublex product (SLI, SLII), which may also cut the copies of Y.
 
 Elements are nested pairs (first, second) with second one of 'T', 'B' or
 ('M', y).  No element carries a reference to its algebra; every operation
 takes the algebra as explicit first argument.  Comparison is
 lexicographic with B < M(...) < T in the second slot.
 
-The operations mul, comp, cmp_elems and the marker test _marker_free are
+The operations mul, comp, cmp_elems and the marker test (_Ops.free) are
 compiled once per node into closures over its children's closures and
 cached on the node, so a call reads no node kind.  Compilation runs
 bottom-up, in one iterative pass over the nodes not yet compiled, as do
 the ladder and the positive idempotents (_cache_below): a lazy lookup at
 every level would stack several frames per level and overflow on
 nestings the parser accepts.  The coordinate maps (to_gvec, partial_vec,
-_from_gvec_raw, _elem_from_prefix_raw) with the column tests
+_Coords.from_gvec, _elem_from_prefix_raw) with the column tests
 (mid_capable, zset_member), and the cover x_down with the least element
 (universe_min), are compiled the same way, with the node's constraints,
 slice step and slice bounds folded in, but only on first use: builders
 and rebuild make fresh nodes on every call, most of which never step a
-cover.  Every module function stays the one entry point to its closure.
+cover.  A module function is the one entry point to its closure; the
+marker test and from_gvec have none, and are read off the node.
 
 Validation happens at the boundary only: parsing (elem_check),
 sampling (sample_elem), building (build), validate_elem and
@@ -37,11 +42,11 @@ elem_from_prefix check every coordinate and column constraint.  The
 operations (mul, comp, cmp_elems, x_up, x_down, ...) and the trusted
 predicates take valid elements and do not re-check them:
 
-* the marker test _marker_free: on a valid element, membership in the
+* the marker test _Ops.free: on a valid element, membership in the
   group part (invertibility) is just the absence of any T/B marker;
 * zset_member and mid_capable: the marker test plus one constraint check;
 * absorber(a, e): the test x -> x*e == x, read off x's marker slots;
-* _elem_from_prefix_raw and _from_gvec_raw: elem_from_prefix and its
+* _elem_from_prefix_raw and _Coords.from_gvec: elem_from_prefix and its
   full-length case without checks (but the arity), for prefixes known to
   name an element;
 * cmp_elems on two elements with equal first coordinates: elements are
@@ -86,9 +91,13 @@ from .groups import (FULL, TRIV, GroupDesc, coord_in_sub, entry_leq, g_member,
 TOP = "T"
 BOT = "B"
 
-NODE_KINDS = ("I", "II", "III", "IV", "SLI", "SLII")
-TB_KINDS = ("I", "III", "SLI")
-SUBLEX_KINDS = ("SLI", "SLII")
+# every node kind as (family, middle cut): the family fixes the top set,
+# Z cut from the group part of X for 'tb' and all of it for 't', and the
+# middle columns lie over the top set, cut by nothing, by V or by the
+# first side of H
+NODE_KINDS = {"I": ("tb", "none"), "II": ("t", "none"),
+              "III": ("tb", "vsub"), "IV": ("t", "vsub"),
+              "SLI": ("tb", "h"), "SLII": ("t", "h")}
 
 
 def mid(y):
@@ -241,11 +250,11 @@ class Algebra:
     def family(self) -> str | None:
         if self.is_leaf:
             return None
-        return "tb" if self.kind in TB_KINDS else "t"
+        return NODE_KINDS[self.kind][0]
 
     @cached_property
     def is_sublex(self) -> bool:
-        return self.kind in SUBLEX_KINDS
+        return not self.is_leaf and NODE_KINDS[self.kind][1] == "h"
 
     @cached_property
     def xlen(self) -> int:
@@ -319,14 +328,6 @@ class _NodeStructure(NamedTuple):
     zconstr: tuple | None  # merged top-column constraint ('tb' only)
 
 
-def _h_first_side(node: Algebra, base):
-    """Constraints the sublex restriction puts on first coordinates."""
-    h = node.h
-    if isinstance(h, ProdH):
-        return merge_constr_vec(base, h.zpart)
-    return base  # FullH and GraphH restrict nothing on the first side
-
-
 def _build_structure(node: Algebra) -> _NodeStructure:
     if node.is_leaf:
         desc = node.group
@@ -338,24 +339,15 @@ def _build_structure(node: Algebra) -> _NodeStructure:
     xlen = x_entries[0].prefix
     xg = x_entries[0].gconstr
 
-    if node.kind == "I":
-        zc = merge_constr_vec(xg, node.zsub)
-        vc = zc
-    elif node.kind == "III":
-        zc = merge_constr_vec(xg, node.zsub)
-        vc = merge_constr_vec(zc, node.vsub)
-    elif node.kind == "SLI":
-        zc = merge_constr_vec(xg, node.zsub)
-        vc = _h_first_side(node, zc)
-    elif node.kind == "II":
-        zc = None
-        vc = xg
-    elif node.kind == "IV":
-        zc = None
-        vc = merge_constr_vec(xg, node.vsub)
-    else:  # SLII
-        zc = None
-        vc = _h_first_side(node, xg)
+    # the top set, and the middle columns: the top set cut by V or by the
+    # first side of H (FullH and GraphH cut nothing there)
+    family, cut = NODE_KINDS[node.kind]
+    zc = merge_constr_vec(xg, node.zsub) if family == "tb" else None
+    vc = xg if zc is None else zc
+    if cut == "vsub":
+        vc = merge_constr_vec(vc, node.vsub)
+    elif isinstance(node.h, ProdH):
+        vc = merge_constr_vec(vc, node.h.zpart)
 
     def lift(con):
         # reindex a constraint from Y-local to node coordinates
@@ -408,7 +400,7 @@ class _Ops(NamedTuple):
     mul: Callable
     comp: Callable
     cmp: Callable
-    free: Callable  # the marker test _marker_free
+    free: Callable  # the marker test: no T/B marker anywhere
 
 
 def _leaf_free(x) -> bool:
@@ -514,7 +506,7 @@ def _compile_ops(a: Algebra) -> _Ops:
 class _Coords(NamedTuple):
     gvec: Callable  # to_gvec
     partial: Callable  # partial_vec
-    from_gvec: Callable  # _from_gvec_raw
+    from_gvec: Callable  # group-part element from its raw vector, unchecked
     from_prefix: Callable  # _elem_from_prefix_raw
     mid: Callable | None  # mid_capable (inner nodes)
     top: Callable | None  # zset_member (inner nodes)
@@ -712,15 +704,6 @@ def elem_check(a: Algebra, x):
     return x
 
 
-def _marker_free(a: Algebra, x) -> bool:
-    """No T/B marker anywhere in x.
-
-    Precondition: x is a valid element of a.  Then this is membership in
-    the group part, because validate_elem has already checked every
-    coordinate and every column constraint of a marker-free element."""
-    return a._ops.free(x)
-
-
 def zset_member(a: Algebra, first) -> bool:
     """first coordinate admits a top column ('tb': the Z subgroup).
 
@@ -742,11 +725,6 @@ def mid_capable(a: Algebra, first) -> bool:
 def to_gvec(a: Algebra, x) -> tuple:
     """Flat rational vector of a group-part element."""
     return a._coords.gvec(x)
-
-
-def _from_gvec_raw(a: Algebra, vec: tuple):
-    """Group-part element with raw vector vec (only the arity is checked)."""
-    return a._coords.from_gvec(vec)
 
 
 def partial_vec(a: Algebra, x) -> tuple:
@@ -1071,7 +1049,7 @@ def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int,
                    offset: int = 0):
     """(random, getrandbits) -> group element of a whose raw vector
     satisfies constraints (over the ambient of a), nested as
-    _from_gvec_raw nests it.  A graph constraint names its source
+    _Coords.from_gvec nests it.  A graph constraint names its source
     coordinate in the frame of the outermost call, where the coordinates
     of a start at offset."""
     if a.is_leaf:

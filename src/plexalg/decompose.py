@@ -44,6 +44,7 @@ from . import kernel as kn
 from .build import build_sublex
 from .chains import (
     BOT,
+    NODE_KINDS,
     TOP,
     Algebra,
     BaseChain,
@@ -651,16 +652,17 @@ def representation_embedding(a: Algebra):
 
 
 def _stack_level(node: Algebra, level: RepLevel) -> Algebra:
-    if level.iota == "I":
-        if level.z == "gr":
-            raise PreconditionFailed("quotient levels need an explicit subgroup")
-        return build_sublex("SLI", node, leaf(level.g), level.h, zsub=level.z)
-    if level.iota == "II":
+    kind = "SL" + level.iota  # the sublex kind of shape I (SLI) or II (SLII)
+    if kind not in NODE_KINDS:
+        raise PreconditionFailed("level shape must be I or II")
+    if NODE_KINDS[kind][0] == "t":
         if level.z != "gr":
             raise PreconditionFailed(
                 "restriction levels take the whole child group")
-        return build_sublex("SLII", node, leaf(level.g), level.h)
-    raise PreconditionFailed("level shape must be I or II")
+        return build_sublex(kind, node, leaf(level.g), level.h)
+    if level.z == "gr":
+        raise PreconditionFailed("quotient levels need an explicit subgroup")
+    return build_sublex(kind, node, leaf(level.g), level.h, zsub=level.z)
 
 
 def rebuild(tree: RepTree) -> Algebra:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import kernel as kn
 from .build import build_sublex, build_type, group_leaf
-from .chains import (BOT, SUBLEX_KINDS, TOP, Algebra, FullH, GraphH, ProdH,
+from .chains import (BOT, NODE_KINDS, TOP, Algebra, FullH, GraphH, ProdH,
                      elem_check, gr_ambient, mid, unit)
 from .errors import ParseError, PreconditionFailed
 from .groups import FULL, TRIV, GroupDesc, Q_GROUP, TRIV_GROUP, Z_GROUP
@@ -139,7 +139,26 @@ def _parse_rat(s: _Stream):
 
 def print_rat(r) -> str:
     p, q = r
-    return str(p) if q == 1 else f"{p}/{q}"
+    return _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
+
+
+# str converts no more digits than the interpreter's limit (4,300 by
+# default, never below 640).  Input is held to that limit ("number too
+# long"), output is not: a result of long inputs prints in 600-digit chunks
+_CHUNK = 10 ** 600
+
+
+def _digits(n: int) -> str:
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +169,16 @@ _LEAF_NAMES = {"1": TRIV_GROUP, "Z": Z_GROUP, "Q": Q_GROUP}
 _LEAF_TEXT = {g.kinds: name for name, g in _LEAF_NAMES.items()}
 _WORDS = {"full": FULL, "triv": TRIV}
 
-# the subgroups each kind takes between X and Y, as Algebra fields; the
-# sublex kinds take h after Y
-_NODE_ARGS = {"I": ("zsub",), "II": (), "III": ("zsub", "vsub"),
-              "IV": ("vsub",), "SLI": ("zsub",), "SLII": ()}
+
+def _subgroup_fields(kind: str) -> tuple:
+    """The subgroups a node kind takes between X and Y, as Algebra fields:
+    Z for family 'tb', then V where V is the middle cut.  The sublex
+    kinds (cut 'h') take h after Y."""
+    family, cut = NODE_KINDS[kind]
+    fields = ("zsub",) if family == "tb" else ()
+    if cut == "vsub":
+        fields += ("vsub",)
+    return fields
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -162,7 +187,7 @@ def parse_algebra(text: str) -> Algebra:
 
 def _parse_alg(s: _Stream) -> Algebra:
     t = s.peek()
-    if t.text in _NODE_ARGS:
+    if t.text in NODE_KINDS:
         s.next()
         return _parse_node(s, t.text)
     return group_leaf(_parse_group_desc(
@@ -194,13 +219,13 @@ def _parse_node(s: _Stream, name: str) -> Algebra:
     x = _parse_alg(s)
     xrank = gr_ambient(x).rank
     args = {}
-    for field in _NODE_ARGS[name]:
+    for field in _subgroup_fields(name):
         s.expect(",")
         args[field] = _expand_sub(s, _parse_sub(s), xrank)
     s.expect(",")
     y = _parse_alg(s)
     make = build_type
-    if name in SUBLEX_KINDS:
+    if NODE_KINDS[name][1] == "h":
         if not y.is_leaf:
             raise PreconditionFailed(
                 "sublex constructions need a group leaf second factor")
@@ -272,9 +297,9 @@ def print_algebra(a: Algebra) -> str:
         k = a.group.kinds
         return _LEAF_TEXT.get(k) or "Lex(%s)" % ", ".join(k)
     parts = [print_algebra(a.x)]
-    parts += [print_sub(getattr(a, field)) for field in _NODE_ARGS[a.kind]]
+    parts += [print_sub(getattr(a, field)) for field in _subgroup_fields(a.kind)]
     parts.append(print_algebra(a.y))
-    if a.kind in SUBLEX_KINDS:
+    if a.is_sublex:
         parts.append(print_h(a.h))
     return "%s(%s)" % (a.kind, ", ".join(parts))
 

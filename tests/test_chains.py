@@ -212,7 +212,7 @@ def _full_mid_capable(a, first):
 def _assert_trusted_checks_agree(a, x):
     assert ch.validate_elem(a, x)
     for b, y in _subelements(a, x):
-        assert ch._marker_free(b, y) == _ref_in_group_part(b, y)
+        assert b._ops.free(y) == _ref_in_group_part(b, y)
         if not b.is_leaf:
             first = y[0]
             assert ch.zset_member(b, first) == _full_zset_member(b, first)
@@ -367,7 +367,7 @@ def test_full_length_prefix_names_a_group_element(spec):
     h = (kn.rmake(3),)
     el = ch.elem_from_prefix(a, h)
     assert ch.partial_vec(a, el) == h
-    assert ch._marker_free(a, el), ps.print_elem(a, el)
+    assert a._ops.free(el), ps.print_elem(a, el)
     # the laws that read canonical coset representatives hold
     for law in ("prop9.2", "remark11.4"):
         r = lc.check_named(a, law, budget=30, seed=0)
@@ -383,7 +383,7 @@ def test_full_length_prefix_without_a_middle_column_names_a_marker():
     assert ps.print_elem(a, el) == "((-1, 2), B)"
     assert ch.partial_vec(a, el) == off
     on = ch.elem_from_prefix(a, (kn.rmake(0), kn.rmake(2)))
-    assert ch._marker_free(a, on), ps.print_elem(a, on)
+    assert a._ops.free(on), ps.print_elem(a, on)
 
 
 def _window_oracle(a, bound, max_den):
@@ -468,13 +468,13 @@ def _ref_elem(a, rng, magnitude=6, denominator=8, marker_p=0.25):
                     ch.BOT)
         if a.family == "tb":
             vec = _ref_gvec(a.x, s.zconstr, rng, magnitude, denominator)
-            return (ch._from_gvec_raw(a.x, vec), ch.TOP)
+            return (a.x._coords.from_gvec(vec), ch.TOP)
         return (_ref_elem(a.x, rng, magnitude, denominator, marker_p), ch.TOP)
     if a.is_sublex:
-        return ch._from_gvec_raw(a, _ref_gvec(a, s.entries[0].gconstr, rng,
-                                              magnitude, denominator))
-    first = ch._from_gvec_raw(
-        a.x, _ref_gvec(a.x, s.vconstr, rng, magnitude, denominator))
+        return a._coords.from_gvec(_ref_gvec(a, s.entries[0].gconstr, rng,
+                                             magnitude, denominator))
+    first = a.x._coords.from_gvec(
+        _ref_gvec(a.x, s.vconstr, rng, magnitude, denominator))
     return (first, ch.mid(_ref_elem(a.y, rng, magnitude, denominator,
                                     marker_p)))
 
@@ -749,7 +749,7 @@ def test_positive_idempotents_are_verified_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # compiled operations against the recursive definitions
 #
-# The oracle is mul, comp, cmp_elems and _marker_free as first written:
+# The oracle is mul, comp, cmp_elems and the marker test as first written:
 # one recursion over the algebra tree that reads each node's family on
 # every call.  Its covers and coordinate maps follow below.
 
@@ -842,7 +842,7 @@ def _op_pool(a, rngs):
 
 def _assert_ops_match_reference(a, pool):
     for x in pool:
-        assert ch._marker_free(a, x) == _ref_marker_free(a, x), x
+        assert a._ops.free(x) == _ref_marker_free(a, x), x
         assert _result(ch.comp, a, x) == _result(_ref_comp, a, x), x
     for x, y in product(pool, pool):
         assert ch.mul(a, x, y) == _ref_mul(a, x, y), (x, y)
@@ -955,7 +955,7 @@ def test_reference_catches_a_wrong_closure(name, mutant):
 # ---------------------------------------------------------------------------
 # compiled covers and coordinate maps against the recursive definitions
 #
-# x_down, to_gvec, partial_vec, _from_gvec_raw and _elem_from_prefix_raw as
+# x_down, to_gvec, partial_vec, from_gvec and _elem_from_prefix_raw as
 # first written: each call recurses through the tree, reads every node's
 # kind and recomputes the column tests and slice bounds from the ladder.
 
@@ -1112,13 +1112,13 @@ def _assert_covers_match_reference(a, pool):
         assert ch.x_down(a, x) == _ref_x_down(a, x), x
         assert ch.partial_vec(a, x) == _ref_partial_vec(a, x), x
         vecs.add(ch.partial_vec(a, x))
-        if ch._marker_free(a, x):
+        if a._ops.free(x):
             v = ch.to_gvec(a, x)
             assert v == _ref_to_gvec(a, x), x
-            assert ch._from_gvec_raw(a, v) == _ref_from_gvec(a, v) == x
+            assert a._coords.from_gvec(v) == _ref_from_gvec(a, v) == x
             # one coordinate too many or too few: the leaves' arity errors
             for w in (v + (kn.ZERO,), v[:-1]):
-                assert _outcome(ch._from_gvec_raw, a, w) == \
+                assert _outcome(a._coords.from_gvec, w) == \
                     _outcome(_ref_from_gvec, a, w), w
     # every prefix length, and one coordinate beyond the ambient
     for v in vecs:
@@ -1258,7 +1258,7 @@ def test_deep_hand_built_algebra_caches_bottom_up():
         a = ch.Algebra(kind="II", x=z, y=a)
     u = ch.unit(a)
     assert ch.mul(a, u, u) == ch.comp(a, u) == u
-    assert ch.cmp_elems(a, u, u) == 0 and ch._marker_free(a, u)
+    assert ch.cmp_elems(a, u, u) == 0 and a._ops.free(u)
     assert ch.ladder(a)[1][0].prefix == 401
     assert len(ch.positive_idempotents(a)) == 401
 

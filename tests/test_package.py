@@ -88,3 +88,50 @@ def test_every_imported_name_is_used():
              for path in sorted((SRC / "plexalg").glob("*.py"))}
     assert len(found) > 5
     assert {name: got for name, got in found.items() if got} == {}
+
+
+def _reads(node) -> set:
+    """Every name a statement reads, as a name, an attribute or an import."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def _unreferenced_privates(sources: dict) -> list:
+    """(module, name) of every module-level private function or class that
+    no statement but its own definition reads, in any of the modules; a
+    decorated one counts as used, and dunders are the interpreter's."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    stmt.name.startswith("_") and \
+                    not stmt.name.endswith("__") and not stmt.decorator_list:
+                own = stmt.name
+                defined.append((module, own))
+            read |= _reads(stmt) - {own}
+    return sorted(d for d in defined if d[1] not in read)
+
+
+def test_the_check_finds_an_unreferenced_private_helper():
+    assert _unreferenced_privates({
+        "a": "def _dead(n):\n    return _dead(n - 1)\n"
+             "class _Used:\n    pass\n"
+             "@cache\ndef _registered():\n    pass\n"
+             "def __getattr__(name):\n    pass\n",
+        "b": "from a import _Used\n"}) == [("a", "_dead")]
+
+
+def test_every_private_helper_is_referenced():
+    # a retired builder helper must not stay behind, unread
+    sources = {path.name: path.read_text()
+               for path in sorted((SRC / "plexalg").glob("*.py"))}
+    assert len(sources) > 5
+    assert _unreferenced_privates(sources) == []

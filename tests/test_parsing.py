@@ -125,16 +125,23 @@ def test_reptree_errors():
 
 
 def test_node_table_names_every_node_kind():
-    assert set(ps._NODE_ARGS) == set(ch.NODE_KINDS)
+    # one kind per cell of the family x middle-cut grid, and the subgroups
+    # the parser reads between X and Y for each
+    assert sorted(ch.NODE_KINDS.values()) == sorted(
+        (family, cut) for family in ("tb", "t") for cut in ("none", "vsub", "h"))
+    assert {kind: ps._subgroup_fields(kind) for kind in ch.NODE_KINDS} == {
+        "I": ("zsub",), "II": (), "III": ("zsub", "vsub"), "IV": ("vsub",),
+        "SLI": ("zsub",), "SLII": ()}
 
 
 def _node_table_cases():
     """A spec for every node kind, and one for each subgroup form in each
     slot the table names: full, triv, idx N and a tuple over a rank-2 X."""
     cases = set()
-    for kind, fields in ps._NODE_ARGS.items():
+    for kind, (_, cut) in ch.NODE_KINDS.items():
+        fields = ps._subgroup_fields(kind)
         x = "Z" if kind == "IV" else "Q"
-        tail = ", fullH" if kind in ch.SUBLEX_KINDS else ""
+        tail = ", fullH" if cut == "h" else ""
         if not fields:
             cases.add(f"{kind}(Z, Q{tail})")
         for slot in range(len(fields)):
@@ -152,7 +159,7 @@ def test_node_table_round_trip(text):
     a = ps.parse_algebra(text)
     assert ps.print_algebra(a) == text
     given_subs = {f for f in ("zsub", "vsub") if getattr(a, f) is not None}
-    assert given_subs == set(ps._NODE_ARGS[a.kind])
+    assert given_subs == set(ps._subgroup_fields(a.kind))
 
 
 # ---------------------------------------------------------------------------
