@@ -100,24 +100,19 @@ def _do_build(args) -> int:
     return EXIT_OK
 
 
-# eval operations whose value is an element, by their name in chains
-# (looked up per call, so a wrapper installed on the module is seen)
-_ELEM_OPS = {"mul": "mul", "res": "res", "comp": "comp", "tau": "tau",
-             "down": "x_down", "up": "x_up"}
-
-
 def _do_eval(args) -> int:
     a = _load(args.spec)
     op, *elems = parsing.parse_expr(a, args.expr)
-    if op in _ELEM_OPS:
-        print(parsing.print_elem(a, getattr(chains, _ELEM_OPS[op])(a, *elems)))
-    elif op == "le":
-        print("true" if chains.le(a, *elems) else "false")
-    elif op == "unit":
-        print(parsing.print_elem(a, chains.unit(a)))
-    else:
-        for e in chains.positive_idempotents(a):
+    # the chains function is looked up per call, so a wrapper installed on
+    # the module is seen
+    value = getattr(chains, parsing.EXPR_OPS[op][0])(a, *elems)
+    if op == "le":
+        print("true" if value else "false")
+    elif op == "idems":
+        for e in value:
             print(parsing.print_elem(a, e))
+    else:
+        print(parsing.print_elem(a, value))
     return EXIT_OK
 
 
@@ -184,14 +179,9 @@ def _do_decompose(args) -> int:
     from . import decompose
 
     a = _load(args.spec)
-    u = decompose.smallest_pos_idem(a)
-    b = decompose.branch(a, u)
-    if b == decompose.IDEM_BRANCH:
-        child = decompose.QuotientChain(a, u)
-    else:
-        child = decompose.RestrictionChain(a, u)
-    print(f"u: {parsing.print_elem(a, u)}")
-    print(f"branch: {b}")
+    child = decompose.peel(a)
+    print(f"u: {parsing.print_elem(a, child.u)}")
+    print(f"branch: {child.branch}")
     print(f"child: {child.describe()}")
     return EXIT_OK
 

@@ -5,12 +5,18 @@ interval between the complement of u and u is a union of cosets of one
 convex subgroup (the kernel of the step); every invertible element x gets
 a canonical coset representative and a kernel offset, and the elements
 with local unit at least u form the skeleton that remains after the step.
-Two shapes occur:
+Two shapes occur, as branch decides:
 
-* the complement of u is idempotent: the chain maps onto a quotient by
-  the beta/gamma classes below (QuotientChain);
+* the complement of u is idempotent: the chain maps onto its quotient by
+  the gamma classes (QuotientChain), which glue each component (a beta
+  class; beta is a map only) to its extremes and each gap to its upper
+  end;
 * it is not: the skeleton itself is a chain under the restricted
   operations (RestrictionChain).
+
+peel(view) builds the step that applies.  Either shape builds once what
+its readers need: u, its complement, the invertibility test and the
+classifier around u, so every law at u reads one step.
 
 Both step views keep elements of their base, ordered as there: a class
 is an interval of the base and is named by its canonical member, so every
@@ -57,7 +63,7 @@ from .chains import (
     ladder,
     leaf,
     mid,
-    mul,
+    mul,  # not called here; perfbench's tracer test reads decompose.mul
     partial_vec,
     positive_idempotents,
     tau,
@@ -147,6 +153,16 @@ def branch(a, u) -> str:
     return IDEM_BRANCH if view.mul(nu, nu) == nu else NONIDEM_BRANCH
 
 
+def peel(a):
+    """The peel level of an algebra or view at its least strictly positive
+    idempotent u: a QuotientChain or a RestrictionChain, as branch says."""
+    view = _as_view(a)
+    u = smallest_pos_idem(view)
+    if branch(view, u) == IDEM_BRANCH:
+        return QuotientChain(view, u)
+    return RestrictionChain(view, u)
+
+
 def _check_least(view: ChainView, u):
     if u != smallest_pos_idem(view):
         raise PreconditionFailed(
@@ -172,7 +188,7 @@ def classify(a, u, x) -> str:
 
     Each call validates x, recomputes the positive idempotents to check
     that u is the least strictly positive one, and builds a classifier:
-    to classify many elements, build classifier(view, u) once."""
+    to classify many elements, read the kind of peel(a) once."""
     view = _as_view(a)
     if isinstance(view, BaseChain) and not view.validate(x):
         raise InvalidElement("classify: not an element")
@@ -244,14 +260,10 @@ def _canonical_fill(view: ChainView, head: tuple):
     return view.fill_prefix(tuple(vec))
 
 
-def _head(view: ChainView, x) -> tuple:
-    """Raw coordinates of x above the step kernel."""
-    return view.partial_vec(x)[: view.entries[1].prefix]
-
-
 def _rep_of(view: ChainView, x):
-    """Canonical representative of the kernel coset of x, for x invertible."""
-    return _canonical_fill(view, _head(view, x))
+    """Canonical representative of the kernel coset of x, for x invertible:
+    the fill of its head, its raw coordinates above the step kernel."""
+    return _canonical_fill(view, view.partial_vec(x)[: view.entries[1].prefix])
 
 
 def _free_tail(entries) -> tuple:
@@ -262,120 +274,68 @@ def _free_tail(entries) -> tuple:
                  if e0.gconstr[j] != TRIV and e0.gconstr[j][0] != "graph")
 
 
-# ---------------------------------------------------------------------------
-# the two step views: both keep elements of their base, ordered as there
-
-
-class _Step(ChainView):
-    """One peeling step of a view at its least strictly positive u."""
-
-    def __init__(self, base, u):
-        self.base = _as_view(base)
-        _check_least(self.base, u)
-        self.u = u
-        self.nu = self.base.comp(u)
-        self.cmp = self.base.cmp
-
-
-class _ClassChain(_Step):
-    """Quotient of a view at u.  A class is an interval of the base, named
-    by its canonical member, which is an element of the base: to_class
-    maps an element of the base to the member of its class.  The class
-    operations map through _class, which is to_class or a memo of it."""
-
-    def __init__(self, base, u):
-        super().__init__(base, u)
-        self._class = self.to_class
-
-    def mul(self, p, q):
-        return self._class(self.base.mul(p, q))
-
-    def comp(self, p):
-        return self._class(self.base.comp(p))
-
-    def unit(self):
-        return self._class(self.base.unit())
-
-    def sampler(self, rng):
-        draw, to_class = self.base.sampler(rng), self._class
-        return lambda: to_class(draw())
-
-
-# ---------------------------------------------------------------------------
-# beta: components of invertibles, singletons elsewhere
-
-
 def beta(a, u, x):
-    """Member of the beta class of x: the coset representative of an
-    invertible x, x itself otherwise."""
+    """Member of the beta class of x, the component of an invertible x and
+    a singleton elsewhere: the coset representative of an invertible x, x
+    itself otherwise."""
     view = _as_view(a)
     return _rep_of(view, x) if view.invertible(u)(x) else x
-
-
-class BetaChain(_ClassChain):
-    """Quotient by beta."""
-
-    def describe(self) -> str:
-        return "component quotient of %s" % self.base.describe()
-
-    def to_class(self, x):
-        return beta(self.base, self.u, x)
-
-
-# ---------------------------------------------------------------------------
-# gamma: glue extremes back onto their components
 
 
 def gamma(a, u, b):
     """Member of the gamma class of the beta class b.
 
-    Each call checks the branch and that u is the least strictly positive
-    idempotent, and builds a classifier: to map many elements, build
-    QuotientChain(a, u) once and use its to_class."""
+    Each call checks the branch, then that u is the least strictly
+    positive idempotent, and builds the quotient step: to map many
+    elements, build QuotientChain(a, u) once and use its to_class."""
     view = _as_view(a)
-    nu = view.comp(u)
-    if view.mul(nu, nu) != nu:
+    if branch(view, u) != IDEM_BRANCH:
         raise WrongBranch(
             "gluing classes need an idempotent complement of u")
-    _check_least(view, u)
-    return _gamma_of_elem(view, classifier(view, u),
-                          partial(_canonical_fill, view), b)
+    return QuotientChain(view, u).to_class(b)
 
 
-def _gamma_of_elem(view: ChainView, kind_of, fill, x):
-    """Canonical member of the gamma class of x: the coset representative
-    of the component x belongs to or closes, the upper end of the gap
-    pair x closes, and x itself otherwise.  The kinds are disjoint
-    (representatives are invertible, gap uppers are pseudo-tops), so the
-    member fixes the class.  fill is _canonical_fill on view: the
-    representative is the fill of the head of an invertible x, and of
-    the whole prefix of a component top, which is as long."""
-    kind = kind_of(x)
-    if kind == GROUP_BELOW:
-        return fill(_head(view, x))
-    if kind == TOP_C:
-        return fill(view.partial_vec(x))
-    if kind == BOT_C:
-        top_rep = fill(view.partial_vec(view.comp(x)))
-        return fill(_head(view, view.comp(top_rep)))
-    if kind == BOT_PS:
-        return view.x_up(x)
-    return x
+# ---------------------------------------------------------------------------
+# the two step views: both keep elements of their base, ordered as there
 
 
-class QuotientChain(_ClassChain):
-    """Chain of gamma classes."""
+class _Step(ChainView):
+    """One peeling step of a view at its least strictly positive u.  It
+    builds once what both step shapes read: u, its complement nu, the
+    invertibility test grp and the classifier kind around u.  grp is not
+    named invertible: a step stacked on this one calls this view's
+    invertible(u), the generic test of ChainView."""
+
+    branch: str  # the branch this step shape peels
+    needs: str  # the message of WrongBranch for the other branch
 
     def __init__(self, base, u):
-        super().__init__(base, u)
-        if self.base.mul(self.nu, self.nu) != self.nu:
-            raise WrongBranch(
-                "the quotient step needs an idempotent complement of u")
+        self.base = _as_view(base)
+        _check_least(self.base, u)
+        if branch(self.base, u) != self.branch:
+            raise WrongBranch(self.needs)
+        self.u = u
+        self.nu = self.base.comp(u)
+        self.cmp = self.base.cmp
         self.ambient = self.base.ambient
         self.entries = self.base.entries[1:]
         self._idems = None
-        self._invertible = self.base.invertible(u)
-        self._kind = classifier(self.base, u)
+        self.grp = self.base.invertible(u)
+        self.kind = classifier(self.base, u)
+
+
+class QuotientChain(_Step):
+    """Chain of gamma classes: components glued to their extremes, gaps to
+    their upper ends.  A class is an interval of the base, named by its
+    canonical member, which is an element of the base: to_class maps an
+    element of the base to the member of its class.  The class operations
+    map through _class, a memo of to_class."""
+
+    branch = IDEM_BRANCH
+    needs = "the quotient step needs an idempotent complement of u"
+
+    def __init__(self, base, u):
+        super().__init__(base, u)
         self._head_len = self.base.entries[1].prefix
         # a class's canonical member depends only on the head of its
         # elements: build it once per head, in a memo that lives and dies
@@ -392,19 +352,47 @@ class QuotientChain(_ClassChain):
         return "glued quotient of %s" % self.base.describe()
 
     def to_class(self, x):
-        # an invertible x is _gamma_of_elem's GROUP_BELOW case: the member
-        # of its head, with no classification
-        if self._invertible(x):
-            return self._fill(self.base.partial_vec(x)[:self._head_len])
-        return _gamma_of_elem(self.base, self._kind, self._fill, x)
+        """Canonical member of the gamma class of x: the coset
+        representative of the component x belongs to or closes, the upper
+        end of the gap pair x closes, and x itself otherwise.  The kinds
+        are disjoint (representatives are invertible, gap uppers are
+        pseudo-tops), so the member fixes the class.  The representative
+        is the fill of the head of an invertible x, read with no
+        classification, and of the whole prefix of a component top, which
+        is as long."""
+        base, fill = self.base, self._fill
+        if self.grp(x):
+            return fill(base.partial_vec(x)[:self._head_len])
+        kind = self.kind(x)
+        if kind == TOP_C:
+            return fill(base.partial_vec(x))
+        if kind == BOT_C:
+            top_rep = fill(base.partial_vec(base.comp(x)))
+            return fill(base.partial_vec(base.comp(top_rep))[:self._head_len])
+        if kind == BOT_PS:
+            return base.x_up(x)
+        return x
+
+    def mul(self, p, q):
+        return self._class(self.base.mul(p, q))
+
+    def comp(self, p):
+        return self._class(self.base.comp(p))
+
+    def unit(self):
+        return self._class(self.base.unit())
+
+    def sampler(self, rng):
+        draw, to_class = self.base.sampler(rng), self._class
+        return lambda: to_class(draw())
 
     def class_min(self, c):
-        if self._invertible(c):
+        if self.grp(c):
             return self.base.mul(c, self.nu)
-        return self.base.x_down(c) if self._kind(c) == TOP_PS else c
+        return self.base.x_down(c) if self.kind(c) == TOP_PS else c
 
     def class_max(self, c):
-        return self.base.mul(c, self.u) if self._invertible(c) else c
+        return self.base.mul(c, self.u) if self.grp(c) else c
 
     def x_down(self, c):
         low = self.class_min(c)
@@ -434,15 +422,8 @@ class QuotientChain(_ClassChain):
 class RestrictionChain(_Step):
     """Elements whose local unit is at least u, with u as the new unit."""
 
-    def __init__(self, base, u):
-        super().__init__(base, u)
-        if self.base.mul(self.nu, self.nu) == self.nu:
-            raise WrongBranch(
-                "the restriction step needs a non-idempotent complement of u")
-        self.ambient = self.base.ambient
-        self.entries = self.base.entries[1:]
-        self._idems = None
-        self._invertible = self.base.invertible(u)
+    branch = NONIDEM_BRANCH
+    needs = "the restriction step needs a non-idempotent complement of u"
 
     def describe(self) -> str:
         return "local-unit restriction of %s" % self.base.describe()
@@ -450,7 +431,7 @@ class RestrictionChain(_Step):
     def contains(self, x) -> bool:
         # the local unit tau(x) is at least u exactly when x is not
         # invertible
-        return not self._invertible(x)
+        return not self.grp(x)
 
     def mul(self, p, q):
         return self.base.mul(p, q)
@@ -601,7 +582,7 @@ def _walk(a: Algebra):
         raise StructuralMismatch("group level with nontrivial constraints")
     base = GroupDesc(tuple(ambient[: entries[-1].prefix]))
     nus = [comp(a, u) for u in idems[1:]]
-    idem_b = [mul(a, nu, nu) == nu for nu in nus]
+    idem_b = [branch(a, u) == IDEM_BRANCH for u in idems[1:]]
     levels, steps = [], []
     for k in range(len(nus) - 1, -1, -1):  # innermost step first
         level, free = _level_record(ambient, entries[k:], idem_b[k])

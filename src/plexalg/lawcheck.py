@@ -35,7 +35,10 @@ SampleStream over it and a run that accumulates the report.  A named law
 or product table is a function (view, stream, run, budget) that hands
 each instance to `run.check`; the run prints its own witness, the first
 violation, with print_elem on the algebra below the view, so no law
-carries a printer.
+carries a printer.  A law at the least strictly positive idempotent u,
+and every product table, reads one peel step (decompose.peel of the
+clean view): u, its complement, the invertibility test, the classifier
+and, where the branch fits, the quotient or restriction itself.
 """
 
 from __future__ import annotations
@@ -519,11 +522,10 @@ def _law_group_part(ops, st, run, budget):
 
 
 def _at_u(ops):
-    """(clean view, u, complement of u) for u the least strictly positive
-    idempotent of the view."""
-    c = ops.clean
-    u = dec.smallest_pos_idem(c)
-    return c, u, c.comp(u)
+    """The peel step of the clean view at its least strictly positive
+    idempotent u: its base is the clean view, and it holds u, the
+    complement nu, the invertibility test grp and the classifier kind."""
+    return dec.peel(ops.clean)
 
 
 @_named("prop7.2.eqs")
@@ -531,10 +533,11 @@ def _law_extremals(ops, st, run, budget):
     # v*u and v*comp(u) are the top and bottom extremals of v's
     # component: they sandwich it, mirror each other through comp, and
     # separate it from the upper stabilizer part on the right sides
-    c, u, nu = _at_u(ops)
+    step = _at_u(ops)
+    c, u, nu = step.base, step.u, step.nu
     run.cell("order", "mirror", "least-above", "greatest-below",
              "same-component")
-    grp, lifts = c.invertible(u), c.lifts_to(u)
+    grp, lifts = step.grp, c.lifts_to(u)
     for _ in range(budget):
         v = st.draw_where(grp)
         if v is None:
@@ -565,14 +568,13 @@ def _law_gap_disjoint(ops, st, run, budget):
     # gap kinds do not overlap: pseudo-bottoms stay in the upper part,
     # pseudo-extremals are not component extremals, and second-kind gap
     # elements are not component tops
-    c, u, nu = _at_u(ops)
-    kind = dec.classifier(c, u)
+    step = _at_u(ops)
+    c, u, nu = step.base, step.u, step.nu
     run.cell("bps-in-restriction", "tps-not-tc", "bps-not-bc", "g2-not-tc")
-    grp = c.invertible(u)
     for _ in range(budget):
         x = c.mul(st.draw(), u)
-        k = kind(x)
-        v = st.draw_where(grp)
+        k = step.kind(x)
+        v = st.draw_where(step.grp)
         if k == dec.TOP_PS:
             td = c.tau(c.x_down(x))
             run.check(ops.le(u, td), (x,), td, u, label="bps-in-restriction")
@@ -594,13 +596,13 @@ def _law_gap_partition(ops, st, run, budget):
     # component tops, pseudo-tops and second-kind gap elements, plus the
     # component bottoms where adjacent components touch (over a discrete
     # group part): there the cover below is again in the upper part
-    c, u, _ = _at_u(ops)
-    kind = dec.classifier(c, u)
+    step = _at_u(ops)
+    c, u = step.base, step.u
     run.cell("gap-kinds", "no-gap")
     for _ in range(budget):
         x = c.mul(st.draw(), u)
         d = c.x_down(x)
-        k = kind(x)
+        k = step.kind(x)
         if d == x:
             run.check(k not in (dec.TOP_PS, dec.G2), (x,), k, "no-gap",
                       label="no-gap")
@@ -617,12 +619,12 @@ def _law_bottom_absorption(ops, st, run, budget):
     # multiplying by a bottom extremal lands on the floor of the
     # product's component, or on the gap floor for pseudo-tops, and is
     # plain multiplication for everything below the tops
-    c, u, nu = _at_u(ops)
-    kind = dec.classifier(c, u)
+    step = _at_u(ops)
+    c, u, nu = step.base, step.u, step.nu
+    kind = step.kind
     run.cell("tc-case", "tps-case", "other-case")
-    grp = c.invertible(u)
     for _ in range(budget):
-        v = st.draw_where(grp)
+        v = st.draw_where(step.grp)
         if v is None:
             continue
         x = c.mul(st.draw(), u)
@@ -663,9 +665,9 @@ def _pseudo_top_source(st, c, u):
 @_named("prop8.2.4")
 def _law_pseudo_mirror(ops, st, run, budget):
     # the complement of a pseudo-top's gap floor is again a pseudo-top
-    c, u, _ = _at_u(ops)
+    step = _at_u(ops)
+    c, u = step.base, step.u
     run.cell("prop8.2.4")
-    kind = dec.classifier(c, u)
     src = _pseudo_top_source(st, c, u)
     if src is None:
         return
@@ -674,7 +676,7 @@ def _law_pseudo_mirror(ops, st, run, budget):
         if x is None:
             continue
         m = ops.comp(c.x_down(x))
-        k = kind(m)
+        k = step.kind(m)
         run.check(k == dec.TOP_PS, (x,), k, dec.TOP_PS,
                   label="prop8.2.4")
 
@@ -682,7 +684,8 @@ def _law_pseudo_mirror(ops, st, run, budget):
 @_named("prop8.2.5")
 def _law_pseudo_product_drops(ops, st, run, budget):
     # products of pseudo-tops are moved by the complement of u
-    c, u, nu = _at_u(ops)
+    step = _at_u(ops)
+    c, u, nu = step.base, step.u, step.nu
     run.cell("prop8.2.5")
     src = _pseudo_top_source(st, c, u)
     if src is None:
@@ -699,7 +702,8 @@ def _law_pseudo_product_drops(ops, st, run, budget):
 @_named("prop8.2.6")
 def _law_pseudo_tau(ops, st, run, budget):
     # pseudo-tops have stabilizer exactly u
-    c, u, _ = _at_u(ops)
+    step = _at_u(ops)
+    c, u = step.base, step.u
     run.cell("prop8.2.6")
     src = _pseudo_top_source(st, c, u)
     if src is None:
@@ -717,13 +721,12 @@ def _law_class_disjoint(ops, st, run, budget):
     # the collapse classes of the component-and-gap quotient partition
     # an exhaustive window: intervals are disjoint and cover their own
     # members (budget is ignored; the window is enumerated)
-    c, u, _ = _at_u(ops)
-    if dec.branch(c, u) != dec.IDEM_BRANCH:
+    q = _at_u(ops)
+    if q.branch != dec.IDEM_BRANCH:
         raise WrongBranch("class collapse needs the idempotent branch")
-    q = dec.QuotientChain(c, u)
     run.cell("member-in-interval", "intervals-disjoint")
     spans = {}
-    for x in window_elems(c):
+    for x in window_elems(q.base):
         k = q.to_class(x)
         if k not in spans:
             spans[k] = (q.class_min(k), q.class_max(k))
@@ -731,7 +734,7 @@ def _law_class_disjoint(ops, st, run, budget):
         run.check(ops.le(lo, x) and ops.le(x, hi), (x,), lo, hi,
                   label="member-in-interval")
     order = sorted(spans.values(),
-                   key=cmp_to_key(lambda p, r: c.cmp(p[0], r[0])))
+                   key=cmp_to_key(lambda p, r: q.cmp(p[0], r[0])))
     for (lo1, hi1), (lo2, hi2) in zip(order, order[1:]):
         run.check(ops.lt(hi1, lo2), (hi1, lo2), hi1, lo2,
                   label="intervals-disjoint")
@@ -742,15 +745,14 @@ def _law_tops_discrete(ops, st, run, budget):
     # in the non-idempotent branch the tops sit discretely inside the
     # upper stabilizer part: strict covers exist on both sides and no
     # sampled member falls in between
-    c, u, _ = _at_u(ops)
-    if dec.branch(c, u) != dec.NONIDEM_BRANCH:
+    rc = _at_u(ops)
+    if rc.branch != dec.NONIDEM_BRANCH:
         raise WrongBranch("top discreteness needs the non-idempotent branch")
-    rc = dec.RestrictionChain(c, u)
-    kind = dec.classifier(c, u)
+    c, u = rc.base, rc.u
     run.cell("covers", "nothing-between")
     for _ in range(budget):
         x = c.mul(st.draw(), u)
-        if kind(x) not in (dec.TOP_C, dec.TOP_PS):
+        if rc.kind(x) not in (dec.TOP_C, dec.TOP_PS):
             continue
         d, e = rc.x_down(x), rc.x_up(x)
         run.check(ops.lt(d, x) and ops.lt(x, e), (x,), d, e,
@@ -766,9 +768,9 @@ def _law_nucleus(ops, st, run, budget):
     # the double-reflection retraction is a nucleus whose image is the
     # branch codomain: class ceilings in the idempotent branch, the
     # upper stabilizer part otherwise
-    c, u, nu = _at_u(ops)
-    idem = dec.branch(c, u) == dec.IDEM_BRANCH
-    q = dec.QuotientChain(c, u) if idem else None
+    step = _at_u(ops)
+    c, u, nu = step.base, step.u, step.nu
+    idem = step.branch == dec.IDEM_BRANCH
     run.cell("extensive", "monotone", "idempotent", "nucleus", "retract")
 
     def phi(e):
@@ -788,7 +790,7 @@ def _law_nucleus(ops, st, run, budget):
         r = phi(ops.mul(x, y))
         run.check(l == r, (x, y), l, r, label="nucleus")
         if idem:
-            want = q.class_max(q.to_class(x))
+            want = step.class_max(step.to_class(x))
             run.check(px == want, (x,), px, want, label="retract")
         else:
             ok = ops.le(u, c.tau(px)) and \
@@ -858,16 +860,15 @@ class _Kinds:
     A kind that cannot be found within a probing budget is marked dead,
     so the affected cells go vacuous instead of burning draws.  A
     candidate's kind is the view's upper_kind of it.  Every kind but the
-    group elements is returned lifted into the upper stabilizer part."""
+    group elements is returned lifted into the upper stabilizer part.
+    The constants around u are those of the peel step."""
 
-    def __init__(self, ops, st, u):
+    def __init__(self, step, st):
         self.st = st
-        self.clean = c = ops.clean
-        self.u = u
-        self.nu = c.comp(u)
-        self.kind = dec.classifier(c, u)
-        self.upper = c.upper_kind(u)
-        self._grp = c.invertible(u)
+        self.clean, self.u, self.nu = step.base, step.u, step.nu
+        self.kind = step.kind
+        self.upper = step.base.upper_kind(step.u)
+        self._grp = step.grp
         self._dead = set()
 
     def _find(self, name, pred, tries):
@@ -915,13 +916,13 @@ def check_table(a, table, budget=200, seed=0):
     if table not in (1, 2, 3, 4):
         raise UnknownLaw(f"no table {table!r}")
     ops, st, run = _start(a, f"table{table}", seed)
-    u = dec.smallest_pos_idem(ops.clean)
-    br = dec.branch(ops.clean, u)
+    step = _at_u(ops)
     need = dec.IDEM_BRANCH if table in (1, 3) else dec.NONIDEM_BRANCH
-    if br != need:
-        raise WrongBranch(f"table {table} needs {need}, algebra is {br}")
+    if step.branch != need:
+        raise WrongBranch(f"table {table} needs {need}, "
+                          f"algebra is {step.branch}")
     fn = (_table1, _table2, _table3, _table4)[table - 1]
-    fn(ops, _Kinds(ops, st, u), run, budget)
+    fn(ops, _Kinds(step, st), run, budget)
     return run.report()
 
 

@@ -389,10 +389,13 @@ def print_elem(a: Algebra, x) -> str:
 # expressions
 
 
-_EXPR_ARITY = {
-    "mul": 2, "res": 2, "le": 2,
-    "comp": 1, "tau": 1, "down": 1, "up": 1,
-    "unit": 0, "idems": 0,
+# the eval vocabulary: operation -> (name of the plexalg.chains function
+# that evaluates it, arity)
+EXPR_OPS = {
+    "mul": ("mul", 2), "res": ("res", 2), "le": ("le", 2),
+    "comp": ("comp", 1), "tau": ("tau", 1), "down": ("x_down", 1),
+    "up": ("x_up", 1), "unit": ("unit", 0),
+    "idems": ("positive_idempotents", 0),
 }
 
 
@@ -402,10 +405,10 @@ def parse_expr(a: Algebra, text: str):
 
 def _parse_op(s: _Stream, a: Algebra):
     t = s.expect("ident", "an operation")
-    if t.text not in _EXPR_ARITY:
+    if t.text not in EXPR_OPS:
         raise ParseError(f"unknown operation {t.text!r}", t.line, t.col)
     args = [unit(a) if s.take("unit") else elem_check(a, _parse_el(s, a))
-            for _ in range(_EXPR_ARITY[t.text])]
+            for _ in range(EXPR_OPS[t.text][1])]
     return (t.text, *args)
 
 

@@ -8,7 +8,9 @@ value here was worked out by hand on the fixture definitions.
 import collections
 import functools
 import inspect
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, reject, settings
@@ -121,15 +123,16 @@ def test_beta_collapses_components(alg):
 
 
 def test_beta_algebra_is_a_monoid_quotient(alg):
+    # beta is a congruence: the class of a product or a complement depends
+    # only on the classes of the operands
     B = alg["B"]
     u = dec.smallest_pos_idem(B)
-    bq = dec.BetaChain(B, u)
+    beta = functools.partial(dec.beta, B, u)
     rng = random.Random(2)
     for _ in range(200):
         x, y = ch.sample_elem(B, rng), ch.sample_elem(B, rng)
-        assert bq.mul(bq.to_class(x), bq.to_class(y)) == \
-            bq.to_class(ch.mul(B, x, y))
-        assert bq.comp(bq.to_class(x)) == bq.to_class(ch.comp(B, x))
+        assert beta(ch.mul(B, beta(x), beta(y))) == beta(ch.mul(B, x, y))
+        assert beta(ch.comp(B, beta(x))) == beta(ch.comp(B, x))
 
 
 def test_gamma_needs_idempotent_branch(alg):
@@ -146,6 +149,47 @@ def test_restriction_needs_non_idempotent_branch(alg):
     u = dec.smallest_pos_idem(B)
     with pytest.raises(WrongBranch):
         dec.RestrictionChain(B, u)
+
+
+# step selection and exception types: at every positive idempotent above
+# the unit, the outcome of gamma, classify and both step constructors (a
+# value, or the type of the PlexError raised), as recorded in
+# peel_grid.json.  At a u that is not the least one, gamma checks the
+# branch first and the steps check that u is the least first, so on a
+# pair where both checks fail the order decides the exception type.
+
+
+def _recorded(fn):
+    """fn() as peel_grid.json records it: the value, or the name of the
+    PlexError type raised."""
+    got = _outcome(fn)
+    return got.__name__ if isinstance(got, type) else got
+
+
+def test_peel_steps_and_their_errors_are_the_recorded_ones():
+    want = json.loads((Path(__file__).parent / "peel_grid.json").read_text())
+    got = {}
+    for name in (sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+                 + REGRESSION_SPECS):
+        a = ps.parse_algebra(case_spec(name))
+        one = ch.unit(a)
+        for i, u in enumerate(ch.positive_idempotents(a)[1:], start=1):
+            got[f"{name} u{i}"] = [
+                _recorded(lambda: ps.print_elem(a, dec.gamma(a, u, one))),
+                _recorded(lambda: dec.classify(a, u, one)),
+                _recorded(lambda: dec.QuotientChain(a, u).describe()),
+                _recorded(lambda: dec.RestrictionChain(a, u).describe())]
+        # on every level, peel builds the step that smallest_pos_idem and
+        # branch pick
+        view = dec.BaseChain(a)
+        for level in _peel_levels(view):
+            u = dec.smallest_pos_idem(view)
+            idem = dec.branch(view, u) == dec.IDEM_BRANCH
+            shape = dec.QuotientChain if idem else dec.RestrictionChain
+            assert type(level) is shape, (name, level.describe())
+            assert level.base is view and level.u == u
+            view = level
+    assert got == want
 
 
 def test_gamma_classes_are_intervals(alg):
@@ -363,10 +407,9 @@ def _view_walk(view):
             raise StructuralMismatch("group level with nontrivial constraints")
         desc = GroupDesc(tuple(view.ambient[: e0.prefix]))
         return dec.RepTree(base=desc, levels=()), ch.leaf(desc), view.partial_vec
-    u = idems[1]
-    nu = view.comp(u)
-    idem_b = view.mul(nu, nu) == nu
-    child = dec.QuotientChain(view, u) if idem_b else dec.RestrictionChain(view, u)
+    child = dec.peel(view)
+    u, nu = child.u, child.nu
+    idem_b = child.branch == dec.IDEM_BRANCH
     tree, child_alg, child_fn = _view_walk(child)
     level, free = dec._level_record(view.ambient, view.entries, idem_b)
     if idem_b:
@@ -724,14 +767,10 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
 def _peel_levels(view):
     """The peel levels below a view, outermost first: each step quotients
     or restricts at the least strictly positive idempotent, as the branch
-    says, until only the unit idempotent is left."""
+    says (dec.peel), until only the unit idempotent is left."""
     levels = []
     while len(view.pos_idems()) > 1:
-        u = dec.smallest_pos_idem(view)
-        if dec.branch(view, u) == dec.IDEM_BRANCH:
-            view = dec.QuotientChain(view, u)
-        else:
-            view = dec.RestrictionChain(view, u)
+        view = dec.peel(view)
         levels.append(view)
     return levels
 
@@ -823,7 +862,7 @@ def test_restriction_contains_matches_the_local_unit_formula(name):
 
 def test_contains_oracle_catches_a_negated_contains(monkeypatch):
     monkeypatch.setattr(dec.RestrictionChain, "contains",
-                        lambda self, x: self._invertible(x))
+                        lambda self, x: self.grp(x))
     for name in ("A", "E", REGRESSION_SPECS[0]):
         levels, bad = _contains_mismatches(case_spec(name))
         assert levels > 0 and bad, name
@@ -999,10 +1038,30 @@ def test_sampler_oracle_catches_a_moved_draw(alg, monkeypatch):
 # a quotient maps an invertible element straight to the member of its
 # head: to_class must agree with the gamma map through the full classifier
 
+def _gamma_of_elem(view, kind_of, fill, x):
+    """Canonical member of the gamma class of x: the coset representative
+    of the component x belongs to or closes, the upper end of the gap
+    pair x closes, and x itself otherwise.  fill is the canonical fill on
+    view: the representative is the fill of the head of an invertible x,
+    and of the whole prefix of a component top, which is as long."""
+    head = lambda y: view.partial_vec(y)[: view.entries[1].prefix]
+    kind = kind_of(x)
+    if kind == dec.GROUP_BELOW:
+        return fill(head(x))
+    if kind == dec.TOP_C:
+        return fill(view.partial_vec(x))
+    if kind == dec.BOT_C:
+        top_rep = fill(view.partial_vec(view.comp(x)))
+        return fill(head(view.comp(top_rep)))
+    if kind == dec.BOT_PS:
+        return view.x_up(x)
+    return x
+
+
 def _assert_to_class_is_gamma(q, xs):
     kind = dec.classifier(q.base, q.u)
     for x in xs:
-        assert q.to_class(x) == dec._gamma_of_elem(q.base, kind, q._fill, x), \
+        assert q.to_class(x) == _gamma_of_elem(q.base, kind, q._fill, x), \
             (q.describe(), x)
 
 
@@ -1023,7 +1082,7 @@ class _ShortHead(dec.QuotientChain):
     head with a zero, as the fill refuses a short head)."""
 
     def to_class(self, x):
-        if self._invertible(x):
+        if self.grp(x):
             head = self.base.partial_vec(x)[:self._head_len - 1]
             return self._fill(head + (kn.ZERO,))
         return super().to_class(x)

@@ -176,12 +176,11 @@ def test_table_split_cells_need_family_variants(alg):
 def test_hom_checker_modes(alg):
     B = alg["B"]
     u = dec.smallest_pos_idem(B)
-    bq = dec.BetaChain(B, u)
-    fn = lambda x: dec.beta(B, u, x)
-    strict = lc.check_hom(fn, B, bq, budget=400, seed=5, law="beta")
+    q = dec.QuotientChain(B, u)
+    strict = lc.check_hom(q.to_class, B, q, budget=400, seed=5, law="gamma")
     assert not strict.passed  # quotients are not order embeddings
-    lax = lc.check_hom(fn, B, bq, budget=400, seed=5, injective=False,
-                       law="beta")
+    lax = lc.check_hom(q.to_class, B, q, budget=400, seed=5, injective=False,
+                       law="gamma")
     assert lax.passed
 
 
@@ -578,8 +577,7 @@ def test_reports_do_not_depend_on_the_upper_tests(name, monkeypatch):
 def test_a_probe_on_an_algebra_lifts_only_what_it_keeps(alg, monkeypatch):
     # rejected candidates are read off their slots: the probe multiplies
     # once, to lift the pseudo-top it returns, and steps no cover
-    kinds = lc._Kinds(ch.BaseChain(alg["V3b"]), lc.SampleStream(alg["V3b"], 1),
-                      dec.smallest_pos_idem(alg["V3b"]))
+    kinds = lc._Kinds(dec.peel(alg["V3b"]), lc.SampleStream(alg["V3b"], 1))
     muls = _counted(monkeypatch, ch.BaseChain, "mul")
     downs = _counted(monkeypatch, ch.BaseChain, "x_down")
     draws = _counted(monkeypatch, lc.SampleStream, "draw")
