@@ -18,13 +18,16 @@ peel(view) builds the step that applies.  Either shape builds once what
 its readers need: u, its complement, the invertibility test and the
 classifier around u, so every law at u reads one step.
 
-Both step views keep elements of their base, ordered as there: a class
-is an interval of the base and is named by its canonical member, so every
-element of every peel level is an element of the input algebra.  The
-member of a component is the canonical fill of its elements' head (their
-raw coordinates above the step kernel), so a QuotientChain builds each
-head's fill once, in a bounded memo owned by that step: nothing carries
-over to another step or another report.
+A step is its base seen through one projection: the member of its class
+for a quotient, x -> x * u for a restriction.  Its unit, draws, positive
+idempotents and elements built from a prefix are the base's, projected,
+and its elements are the base elements that the projection fixes, ordered
+as there.  A class is an interval of the base and is named by its
+canonical member, so every element of every peel level is an element of
+the input algebra.  The member of a component is the canonical fill of
+its elements' head (their raw coordinates above the step kernel), so a
+QuotientChain builds each head's fill once, in a bounded memo owned by
+that step: nothing carries over to another step or another report.
 
 Iterating the step yields a representation tree: a base group plus one
 level record per step, each holding the step shape, the distinguished
@@ -53,7 +56,6 @@ from .chains import (
     NODE_KINDS,
     TOP,
     Algebra,
-    BaseChain,
     ChainView,
     FullH,
     ProdH,
@@ -186,11 +188,11 @@ def _check_least(view: ChainView, u):
 def classify(a, u, x) -> str:
     """Class kind of one element x around u, with x and u checked.
 
-    Each call validates x, recomputes the positive idempotents to check
-    that u is the least strictly positive one, and builds a classifier:
-    to classify many elements, read the kind of peel(a) once."""
+    Each call validates x on the view, recomputes the positive idempotents
+    to check that u is the least strictly positive one, and builds a
+    classifier: to classify many elements, read the kind of peel(a) once."""
     view = _as_view(a)
-    if isinstance(view, BaseChain) and not view.validate(x):
+    if not view.validate(x):
         raise InvalidElement("classify: not an element")
     _check_least(view, u)
     return classifier(view, u)(x)
@@ -266,14 +268,6 @@ def _rep_of(view: ChainView, x):
     return _canonical_fill(view, view.partial_vec(x)[: view.entries[1].prefix])
 
 
-def _free_tail(entries) -> tuple:
-    """Kernel coordinates of the step from entries[0] to entries[1] that
-    are neither pinned nor tied to another coordinate by a graph."""
-    e0 = entries[0]
-    return tuple(j for j in range(entries[1].prefix, e0.prefix)
-                 if e0.gconstr[j] != TRIV and e0.gconstr[j][0] != "graph")
-
-
 def beta(a, u, x):
     """Member of the beta class of x, the component of an invertible x and
     a singleton elsewhere: the coset representative of an invertible x, x
@@ -300,11 +294,13 @@ def gamma(a, u, b):
 
 
 class _Step(ChainView):
-    """One peeling step of a view at its least strictly positive u.  It
-    builds once what both step shapes read: u, its complement nu, the
-    invertibility test grp and the classifier kind around u.  grp is not
-    named invertible: a step stacked on this one calls this view's
-    invertible(u), the generic test of ChainView."""
+    """One peeling step of a view at its least strictly positive u: the
+    base seen through project, which maps a base element onto the step and
+    fixes exactly the step's elements.  The step builds once what both
+    shapes read: u, its complement nu, the invertibility test grp and the
+    classifier kind around u.  grp is not named invertible: a step
+    stacked on this one calls this view's invertible(u), the generic test
+    of ChainView."""
 
     branch: str  # the branch this step shape peels
     needs: str  # the message of WrongBranch for the other branch
@@ -323,13 +319,32 @@ class _Step(ChainView):
         self.grp = self.base.invertible(u)
         self.kind = classifier(self.base, u)
 
+    def unit(self):
+        return self.project(self.base.unit())
+
+    def sampler(self, rng):
+        draw, project = self.base.sampler(rng), self.project
+        return lambda: project(draw())
+
+    def pos_idems(self) -> tuple:
+        if self._idems is None:
+            self._idems = tuple(
+                self.project(e) for e in self.base.pos_idems()[1:])
+        return self._idems
+
+    def elem_from_prefix(self, h: tuple):
+        return self.project(self.base.elem_from_prefix(h))
+
+    def validate(self, x) -> bool:
+        return self.base.validate(x) and self.project(x) == x
+
 
 class QuotientChain(_Step):
     """Chain of gamma classes: components glued to their extremes, gaps to
     their upper ends.  A class is an interval of the base, named by its
     canonical member, which is an element of the base: to_class maps an
-    element of the base to the member of its class.  The class operations
-    map through _class, a memo of to_class."""
+    element of the base to the member of its class, and the projection is
+    a memo of it."""
 
     branch = IDEM_BRANCH
     needs = "the quotient step needs an idempotent complement of u"
@@ -346,7 +361,7 @@ class QuotientChain(_Step):
         # over and over: each class operation classifies one level down.
         # A window scan meets each element once, so to_class itself stays
         # plain
-        self._class = lru_cache(maxsize=64)(self.to_class)
+        self.project = lru_cache(maxsize=64)(self.to_class)
 
     def describe(self) -> str:
         return "glued quotient of %s" % self.base.describe()
@@ -374,17 +389,10 @@ class QuotientChain(_Step):
         return x
 
     def mul(self, p, q):
-        return self._class(self.base.mul(p, q))
+        return self.project(self.base.mul(p, q))
 
     def comp(self, p):
-        return self._class(self.base.comp(p))
-
-    def unit(self):
-        return self._class(self.base.unit())
-
-    def sampler(self, rng):
-        draw, to_class = self.base.sampler(rng), self._class
-        return lambda: to_class(draw())
+        return self.project(self.base.comp(p))
 
     def class_min(self, c):
         if self.grp(c):
@@ -397,22 +405,10 @@ class QuotientChain(_Step):
     def x_down(self, c):
         low = self.class_min(c)
         below = self.base.x_down(low)
-        return c if below == low else self._class(below)
-
-    def pos_idems(self) -> tuple:
-        if self._idems is None:
-            self._idems = tuple(
-                self._class(e) for e in self.base.pos_idems()[1:])
-        return self._idems
+        return c if below == low else self.project(below)
 
     def partial_vec(self, c) -> tuple:
         return self.base.partial_vec(c)[: self.prefix]
-
-    def elem_from_prefix(self, h: tuple):
-        return self._class(self.base.elem_from_prefix(h))
-
-    def validate(self, c) -> bool:
-        return self.base.validate(c) and self._class(c) == c
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +416,18 @@ class QuotientChain(_Step):
 
 
 class RestrictionChain(_Step):
-    """Elements whose local unit is at least u, with u as the new unit."""
+    """Elements whose local unit is at least u, with u as the new unit:
+    the projection x -> x * u fixes exactly them, since u <= tau(x) gives
+    x * u == x, and an invertible y has y * u != y."""
 
     branch = NONIDEM_BRANCH
     needs = "the restriction step needs a non-idempotent complement of u"
 
     def describe(self) -> str:
         return "local-unit restriction of %s" % self.base.describe()
+
+    def project(self, x):
+        return self.base.mul(x, self.u)
 
     def contains(self, x) -> bool:
         # the local unit tau(x) is at least u exactly when x is not
@@ -441,9 +442,6 @@ class RestrictionChain(_Step):
         # down inside their column first, everything else is fixed by *nu
         return self.base.comp(self.base.mul(p, self.nu))
 
-    def unit(self):
-        return self.u
-
     def x_down(self, p):
         d = self.base.mul(p, self.nu)
         if self.base.lt(d, p):
@@ -453,30 +451,8 @@ class RestrictionChain(_Step):
             raise StructuralMismatch("cover below leaves the restriction")
         return below
 
-    def pos_idems(self) -> tuple:
-        if self._idems is None:
-            self._idems = tuple(self.base.pos_idems()[1:])
-        return self._idems
-
     def partial_vec(self, p) -> tuple:
         return self.base.partial_vec(p)
-
-    def elem_from_prefix(self, h: tuple):
-        # * u moves a group element of the base (a full-length prefix, when
-        # the step kernel has rank 0) onto the restriction, fixing the rest
-        x = self.base.mul(self.base.elem_from_prefix(h), self.u)
-        if not self.contains(x):
-            raise InvalidElement("prefix lands outside the restriction")
-        return x
-
-    def validate(self, p) -> bool:
-        return self.base.validate(p) and self.contains(p)
-
-    def sampler(self, rng):
-        # multiplying by u projects any sample onto the restriction and
-        # fixes elements already inside it
-        draw, mul, u = self.base.sampler(rng), self.base.mul, self.u
-        return lambda: mul(draw(), u)
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +470,6 @@ def phi_nucleus(a, u, x):
 # representation trees
 
 
-def _rebuilt_coords(entries, ambient):
-    """Ambient indices kept by the rebuilt tower below a view, innermost
-    group first, with the kinds of the rebuilt coordinates."""
-    if any(c != FULL for c in entries[-1].gconstr):
-        raise StructuralMismatch("innermost level with nontrivial constraints")
-    idxs = list(range(entries[-1].prefix))
-    kinds = [ambient[j] for j in idxs]
-    for lev in range(len(entries) - 2, -1, -1):
-        g = entries[lev].gconstr
-        for j in range(entries[lev + 1].prefix, entries[lev].prefix):
-            if g[j] == TRIV or g[j][0] == "graph":
-                continue
-            idxs.append(j)
-            kinds.append("Q")  # kernel directions live in their hull
-    return idxs, GroupDesc(tuple(kinds))
-
-
 def _entry_eq(kind: str, p, q) -> bool:
     return entry_leq(kind, p, q) and entry_leq(kind, q, p)
 
@@ -524,28 +483,29 @@ def _in_hull(con, ambient_kind: str, kind: str):
     return con
 
 
-def _level_record(ambient, entries, idem_branch: bool):
-    """RepLevel of the step from entries[0] to entries[1] plus its free
-    kernel indices."""
-    e0 = entries[0]
+def _level_record(ambient, e0, e1, coords, idem_branch: bool):
+    """RepLevel of the step from ladder entry e0 to e1 plus its free kernel
+    indices: the kernel coordinates that are neither pinned nor tied to
+    another coordinate by a graph.  coords holds the (ambient index, kind)
+    pairs of the rebuilt coordinates below the step, innermost group
+    first."""
     g0 = e0.gconstr
-    free = _free_tail(entries)
+    free = tuple(j for j in range(e1.prefix, e0.prefix)
+                 if g0[j] != TRIV and g0[j][0] != "graph")
     if free:
         gdesc = divisible_hull(GroupDesc(tuple(ambient[j] for j in free)))
     else:
         gdesc = TRIV_GROUP
     ypart = tuple(_in_hull(g0[j], ambient[j], "Q") for j in free)
-    kept, child_desc = _rebuilt_coords(entries[1:], ambient)
-    coords = tuple(zip(kept, child_desc.kinds))
+    child_desc = GroupDesc(tuple(k for _, k in coords))
     zpart = tuple(_in_hull(g0[j], ambient[j], k) for j, k in coords)
     if idem_branch:
         zsrc = e0.zconstr
         if zsrc is None:
             raise StructuralMismatch("quotient step without top-column data")
         z = tuple(_in_hull(zsrc[j], ambient[j], k) for j, k in coords)
-        full_ok = all(
-            _entry_eq(child_desc.kinds[i], zpart[i], z[i])
-            for i in range(len(kept)))
+        full_ok = all(_entry_eq(k, p, q)
+                      for (_, k), p, q in zip(coords, zpart, z))
     else:
         if e0.zconstr is not None:
             raise StructuralMismatch("restriction step with top-column data")
@@ -580,15 +540,20 @@ def _walk(a: Algebra):
             "idempotent count disagrees with the coordinate ladder")
     if any(c != FULL for c in entries[-1].gconstr):
         raise StructuralMismatch("group level with nontrivial constraints")
-    base = GroupDesc(tuple(ambient[: entries[-1].prefix]))
-    nus = [comp(a, u) for u in idems[1:]]
-    idem_b = [branch(a, u) == IDEM_BRANCH for u in idems[1:]]
-    levels, steps = [], []
-    for k in range(len(nus) - 1, -1, -1):  # innermost step first
-        level, free = _level_record(ambient, entries[k:], idem_b[k])
-        levels.append(level)
-        steps.append((k, idem_b[k], absorber(a, nus[k]), free))
     head = entries[-1].prefix
+    base = GroupDesc(tuple(ambient[:head]))
+    # the rebuilt coordinates so far: the base group, then each step's
+    # free kernel directions, which live in their hull
+    coords = list(zip(range(head), base.kinds))
+    levels, steps = [], []
+    for k in range(len(idems) - 2, -1, -1):  # innermost step first
+        u = idems[k + 1]
+        idem_b = branch(a, u) == IDEM_BRANCH
+        level, free = _level_record(ambient, entries[k], entries[k + 1],
+                                    coords, idem_b)
+        levels.append(level)
+        steps.append((k, idem_b, absorber(a, comp(a, u)), free))
+        coords += [(j, "Q") for j in free]
     unit_step = {e: j for j, e in enumerate(idems)}
 
     def lex(x):

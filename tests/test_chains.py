@@ -291,7 +291,7 @@ def _canonical_fills(a, xs):
     the elements xs and their complements: coset representatives of the
     invertible ones and, in the idempotent branch, their gamma classes."""
     u = dec.smallest_pos_idem(a)
-    kind = dec.classifier(dec.BaseChain(a), u)
+    kind = dec.classifier(ch.BaseChain(a), u)
     q = (dec.QuotientChain(a, u) if dec.branch(a, u) == dec.IDEM_BRANCH
          else None)
     fills = []
@@ -307,7 +307,7 @@ def _canonical_fills(a, xs):
         for x in xs:
             for y in (x, ch.comp(a, x)):
                 if kind(y) == dec.GROUP_BELOW:
-                    dec._rep_of(dec.BaseChain(a), y)
+                    dec._rep_of(ch.BaseChain(a), y)
                 if q is not None:
                     q.to_class(y)
     return fills

@@ -24,8 +24,9 @@ from plexalg import kernel as kn
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
 from plexalg.build import build_sublex
-from plexalg.errors import (OnlyUnitIdempotent, PlexError, PreconditionFailed,
-                            StructuralMismatch, WrongBranch)
+from plexalg.errors import (InvalidElement, OnlyUnitIdempotent, PlexError,
+                            PreconditionFailed, StructuralMismatch,
+                            WrongBranch)
 from plexalg.groups import FULL, GroupDesc
 
 BRANCHES = {
@@ -93,7 +94,7 @@ def test_classification_consistent_with_tau(alg):
     for name in ("A", "B", "C", "G", "E", "V3", "V4"):
         a = alg[name]
         u = dec.smallest_pos_idem(a)
-        kind_of = dec.classifier(dec.BaseChain(a), u)  # built once
+        kind_of = dec.classifier(ch.BaseChain(a), u)  # built once
         rng = random.Random(21)
         for _ in range(300):
             x = ch.sample_elem(a, rng)
@@ -181,7 +182,7 @@ def test_peel_steps_and_their_errors_are_the_recorded_ones():
                 _recorded(lambda: dec.RestrictionChain(a, u).describe())]
         # on every level, peel builds the step that smallest_pos_idem and
         # branch pick
-        view = dec.BaseChain(a)
+        view = ch.BaseChain(a)
         for level in _peel_levels(view):
             u = dec.smallest_pos_idem(view)
             idem = dec.branch(view, u) == dec.IDEM_BRANCH
@@ -395,6 +396,20 @@ def test_only_the_embedding_into_the_rebuilt_algebra_builds_it(monkeypatch):
 # re-classifies through the view below, so it costs about 10x per level.
 
 
+def _rebuilt_coords(entries, ambient):
+    """(ambient index, kind) of each coordinate the rebuilt tower below a
+    view keeps, innermost group first, read off the view's own ladder."""
+    if any(c != FULL for c in entries[-1].gconstr):
+        raise StructuralMismatch("innermost level with nontrivial constraints")
+    coords = [(j, ambient[j]) for j in range(entries[-1].prefix)]
+    for lev in range(len(entries) - 2, -1, -1):
+        g = entries[lev].gconstr
+        for j in range(entries[lev + 1].prefix, entries[lev].prefix):
+            if g[j] != gr.TRIV and g[j][0] != "graph":
+                coords.append((j, "Q"))  # kernel directions live in their hull
+    return tuple(coords)
+
+
 def _view_walk(view):
     """(tree, rebuilt, element map) by stacking one view per step."""
     idems = view.pos_idems()
@@ -411,7 +426,9 @@ def _view_walk(view):
     u, nu = child.u, child.nu
     idem_b = child.branch == dec.IDEM_BRANCH
     tree, child_alg, child_fn = _view_walk(child)
-    level, free = dec._level_record(view.ambient, view.entries, idem_b)
+    coords = _rebuilt_coords(view.entries[1:], view.ambient)
+    level, free = dec._level_record(view.ambient, view.entries[0],
+                                    view.entries[1], coords, idem_b)
     if idem_b:
         target = build_sublex("SLI", child_alg, ch.leaf(level.g), level.h,
                               zsub=level.z)
@@ -451,7 +468,7 @@ def _tower(depth):
 def _peels(spec):
     """Algebra, oracle peel and one-pass peels of a spec, built once."""
     a = ps.parse_algebra(spec)
-    return (a, _view_walk(dec.BaseChain(a)), dec.representation_embedding(a),
+    return (a, _view_walk(ch.BaseChain(a)), dec.representation_embedding(a),
             dec.lex_embedding(a))
 
 
@@ -597,7 +614,7 @@ def _assert_random_spec_peels_agree(spec, rngs) -> str:
     except PlexError:
         reject()
     try:
-        _view_walk(dec.BaseChain(a))
+        _view_walk(ch.BaseChain(a))
     except PlexError as exc:
         for peel in (dec.group_representation, dec.representation_embedding,
                      dec.lex_embedding):
@@ -684,7 +701,7 @@ def _outcome(fn, *args):
 
 
 def _assert_classifier_matches_oracle(a, rngs, mutants=False):
-    view = dec.BaseChain(a)
+    view = ch.BaseChain(a)
     u = dec.smallest_pos_idem(a)
     nu = view.comp(u)
     views = [view]
@@ -741,7 +758,7 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
     rng = random.Random(29)
     xs = [ch.sample_elem(a, rng, marker_p=p) for p in (0.25, 0.6)
           for _ in range(100)]
-    kind = dec.classifier(dec.BaseChain(a), u)
+    kind = dec.classifier(ch.BaseChain(a), u)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -785,7 +802,7 @@ def _assert_covers_mutual(view, xs):
 
 def _assert_covers_mutual_everywhere(a, rngs):
     xs = [ch.sample_elem(a, rng, marker_p=p) for rng, p in rngs]
-    view = dec.BaseChain(a)
+    view = ch.BaseChain(a)
     _assert_covers_mutual(view, xs)
     for level in _peel_levels(view):
         # carry the samples down: a quotient takes their classes, a
@@ -835,7 +852,7 @@ def _contains_mismatches(spec):
     """Restriction levels of a spec's peel, and the sampled base elements
     on which contains disagrees with u <= tau(x)."""
     levels, bad = 0, []
-    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
         if not isinstance(level, dec.RestrictionChain):
             continue
         levels += 1
@@ -875,7 +892,7 @@ def test_contains_oracle_catches_a_negated_contains(monkeypatch):
 
 
 def _assert_levels_keep_input_elements(a, rngs):
-    for level in _peel_levels(dec.BaseChain(a)):
+    for level in _peel_levels(ch.BaseChain(a)):
         xs = [level.sampler(rng)() for rng in rngs]
         win = lc.window_elems(level, 1, 2)
         elems = xs + win + [level.unit()] + list(level.pos_idems())
@@ -914,6 +931,96 @@ def test_peel_levels_keep_input_elements_on_random_specs(spec, rngs):
     except PlexError:
         reject()
     _assert_levels_keep_input_elements(a, [rng for rng, _ in rngs])
+
+
+# ---------------------------------------------------------------------------
+# the step contract: a step is its base seen through project, and the one
+# definition of unit, sampler, pos_idems, elem_from_prefix and validate on
+# dec._Step gives what each shape once defined for itself
+
+
+def _shape_reference(level):
+    """(unit, pos_idems, elem_from_prefix, projection of a draw, validate)
+    as the quotient and the restriction each once defined them."""
+    base, u = level.base, level.u
+    if isinstance(level, dec.QuotientChain):
+        to = level.to_class
+        return (to(base.unit()), tuple(to(e) for e in base.pos_idems()[1:]),
+                lambda h: to(base.elem_from_prefix(h)), to,
+                lambda c: base.validate(c) and to(c) == c)
+
+    def from_prefix(h):
+        x = base.mul(base.elem_from_prefix(h), u)
+        if not level.contains(x):
+            raise InvalidElement("prefix lands outside the restriction")
+        return x
+
+    return (u, tuple(base.pos_idems()[1:]), from_prefix,
+            lambda x: base.mul(x, u),
+            lambda p: base.validate(p) and level.contains(p))
+
+
+def _step_contract_breaches(spec):
+    """(level, what, element) wherever a peel level of spec breaks the
+    step contract."""
+    bad = []
+    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
+        name = level.describe()
+        unit, idems, from_prefix, projected, validate = \
+            _shape_reference(level)
+        if level.unit() != unit:
+            bad.append((name, "unit", unit))
+        if level.pos_idems() != idems:
+            bad.append((name, "pos_idems", idems))
+        for e in idems:
+            h = level.partial_vec(e)
+            if (_outcome(level.elem_from_prefix, h)
+                    != _outcome(from_prefix, h)):
+                bad.append((name, "elem_from_prefix", h))
+        draw, ref = level.sampler(random.Random(7)), level.base.sampler(
+            random.Random(7))
+        for _ in range(50):
+            x, want = draw(), projected(ref())
+            if x != want:
+                bad.append((name, "sampler", want))
+        bad += [(name, "validate rejects", x)
+                for x in lc.window_elems(level, 1, 2) if not level.validate(x)]
+        for x in lc.window_elems(level.base, 1, 2):
+            p = level.project(x)
+            if level.validate(x) != validate(x) or (
+                    p != x and level.validate(x)):
+                bad.append((name, "validate accepts", x))
+            if isinstance(level, dec.RestrictionChain) and \
+                    not level.contains(p):
+                bad.append((name, "project leaves", x))
+    return bad
+
+
+STEP_CASES = (sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
+              + REGRESSION_SPECS)
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_steps_are_their_base_seen_through_project(name):
+    assert _step_contract_breaches(case_spec(name)) == []
+
+
+def test_step_contract_catches_a_validate_that_ignores_project(monkeypatch):
+    monkeypatch.setattr(dec._Step, "validate",
+                        lambda self, x: self.base.validate(x))
+    for name in ("A", "E"):
+        assert any(what == "validate accepts" for _, what, _ in
+                   _step_contract_breaches(case_spec(name))), name
+
+
+def test_classify_checks_the_element_on_a_peel_level(alg, el):
+    # E's quotient glues this element to another class member: it is an
+    # element of the base but not of the quotient
+    q = dec.peel(alg["E"])
+    x = el(alg["E"], "((-1, -1), B)")
+    assert q.base.validate(x) and not q.validate(x)
+    with pytest.raises(InvalidElement):
+        dec.classify(q, dec.smallest_pos_idem(q), x)
 
 
 def test_gamma_of_beta_is_the_quotient_member(alg):
@@ -1010,7 +1117,7 @@ def _assert_sampler_matches_oracle(view, seed=0, n=500):
 @pytest.mark.parametrize("name", SAMPLER_CASES)
 def test_bound_sampler_draws_what_one_call_per_draw_drew(name):
     a = ps.parse_algebra(case_spec(name))
-    views = [dec.BaseChain(a), lc.Mutant(a, "mul")]
+    views = [ch.BaseChain(a), lc.Mutant(a, "mul")]
     views += _peel_levels(views[0])
     for seed, view in enumerate(views):
         _assert_sampler_matches_oracle(view, seed)
@@ -1025,7 +1132,7 @@ def test_sampler_oracle_catches_a_moved_draw(alg, monkeypatch):
         m.setattr(ch.BaseChain, "sampler", lambda self, rng: functools.partial(
             ch._sampler(self.a, 6, 8, 0.3), rng.random, rng.getrandbits))
         with pytest.raises(AssertionError):
-            _assert_sampler_matches_oracle(dec.BaseChain(E))
+            _assert_sampler_matches_oracle(ch.BaseChain(E))
     with monkeypatch.context() as m:
         # the quotient hands out base elements, not their class members
         m.setattr(dec.QuotientChain, "sampler",
@@ -1071,7 +1178,7 @@ def test_to_class_matches_the_gamma_map(name):
     # the (2, 2) window below tower 5's first quotient holds 369,050
     # elements, and its deeper windows take seconds each to peel
     bound, max_den = (1, 2) if name == "tower5" else (2, 2)
-    for q in _peel_levels(dec.BaseChain(a)):
+    for q in _peel_levels(ch.BaseChain(a)):
         if isinstance(q, dec.QuotientChain):
             _assert_to_class_is_gamma(q, lc.window_elems(q.base, bound,
                                                          max_den))

@@ -214,7 +214,7 @@ def test_report_is_frozen(alg):
 def test_fle_laws_hold_on_every_peel_level(alg, spec):
     # each peeling step leaves an odd involutive chain with one positive
     # idempotent fewer, so the residuated-monoid axioms hold on it again
-    view = dec.BaseChain(alg[spec] if spec in alg else ps.parse_algebra(spec))
+    view = ch.BaseChain(alg[spec] if spec in alg else ps.parse_algebra(spec))
     levels = _peel_levels(view)
     count = len(view.pos_idems())
     assert [len(v.pos_idems()) for v in levels] == \
@@ -257,7 +257,7 @@ def test_every_law_holds_on_every_peel_level(name):
     # every peel level is again an odd involutive chain, so every named
     # law and product table holds on it, read through the view alone
     spec = case_spec(name)
-    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
         group_level = len(level.pos_idems()) == 1
         br = None if group_level else \
             dec.branch(level, dec.smallest_pos_idem(level))
@@ -284,7 +284,7 @@ def test_every_law_holds_on_every_peel_level(name):
                                   "II(II(Z, Z), II(Z, Q))"])
 def test_window_of_a_peel_level_is_valid_and_ascending(name):
     spec = case_spec(name)
-    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
         win = lc.window_elems(level, bound=1, max_den=2)
         assert win and all(level.validate(x) for x in win)
         assert all(level.lt(p, q) for p, q in zip(win, win[1:]))

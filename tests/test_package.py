@@ -59,34 +59,90 @@ def test_importing_the_cli_builds_and_compiles_no_algebra(fresh_python):
     assert out == "0\n"
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _body(scope) -> list:
+    return scope.body if isinstance(scope.body, list) else [scope.body]
+
+
+def _binds(scope) -> set:
+    """Names a function or lambda binds itself: its parameters and every
+    name its own body stores, defines or imports, less those it declares
+    global or nonlocal (nested functions and lambdas have their own)."""
+    args = scope.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    out |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    outer, todo = set(), list(_body(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            outer.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out - outer
+
+
 def _unused_imports(source: str) -> list:
-    """Names an import statement binds that no other line of the module
-    reads (from __future__ imports aside)."""
-    tree = ast.parse(source)
-    bound = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module != "__future__"):
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                bound[name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in read)
+    """Names an import statement binds that no other line of its scope
+    reads (from __future__ imports aside).  A read belongs to the
+    innermost function or lambda around it that binds the name, or to the
+    module if none does."""
+    bound, read = {}, set()
+
+    def visit(node, scopes):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                owner = scopes[-1][0] if scopes else None
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    bound[owner, name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add((next((s for s, names in reversed(scopes)
+                            if node.id in names), None), node.id))
+        inner = [] if not isinstance(node, _SCOPES) else _body(node)
+        for child in ast.iter_child_nodes(node):
+            # defaults, annotations and decorators belong to the outer scope
+            visit(child, scopes + ((node, _binds(node)),)
+                  if child in inner else scopes)
+
+    visit(ast.parse(source), ())
+    return sorted((line, name) for (owner, name), line in bound.items()
+                  if (owner, name) not in read)
 
 
 def test_the_check_finds_an_unused_import():
     assert _unused_imports("import os\nfrom a.b import c, d as e\n"
                            "from __future__ import annotations\n"
                            "print(c)\n") == [(1, "os"), (2, "e")]
+    # a local of the same name, read in a nested lambda, is no read
+    assert _unused_imports("from a import mul\n"
+                           "def f(g):\n"
+                           "    mul = g\n"
+                           "    return lambda: mul(1)\n") == [(1, "mul")]
+
+
+# imports a module keeps without reading them, by (module, name), each
+# with the file that reads module.name, which is the reason to keep it
+KEPT_IMPORTS = {
+    ("decompose", "mul"): SRC.parent / "perfbench" / "test_perfbench.py"}
 
 
 def test_every_imported_name_is_used():
     # a leftover import keeps a deleted helper's name alive
-    found = {path.name: _unused_imports(path.read_text())
+    found = {path.stem: _unused_imports(path.read_text())
              for path in sorted((SRC / "plexalg").glob("*.py"))}
     assert len(found) > 5
+    for (module, name), reader in KEPT_IMPORTS.items():
+        assert "%s.%s" % (module, name) in reader.read_text()
+        found[module] = [f for f in found[module] if f[1] != name]
     assert {name: got for name, got in found.items() if got} == {}
 
 
