@@ -67,14 +67,17 @@ the ladder: sublex slices read the Y part of the outermost entry.
 
 Consumers reach the operations through one view protocol, at the end of
 this module: ChainView derives le, lt, res, tau, fconst and x_up from
-the primitives a subclass provides, and BaseChain binds them to an algebra.
-Law suites, homomorphism checks and peeling steps all use it, so each
-runs unchanged on an algebra, a peel level or a mutated algebra (whose
-`clean` view is the uncorrupted one).  A view's sampler(rng) is a
-zero-argument draw bound to rng, which a sample stream binds once.  The
-view's invertibility, absorption and upper-kind tests (upper_kind,
-lifts_to) and its fill_prefix builder are arithmetic by default, and
-lacks_pseudo_tops says False; BaseChain answers them by structure.
+the primitives a subclass provides, and BaseChain binds an algebra's
+compiled closures on each view as its mul, comp and cmp, one call each
+(a subclass rebinds one in __init__: a method on the class would be
+shadowed).  Law suites, homomorphism checks and peeling steps all use
+it, so each runs unchanged on an algebra, a peel level or a mutated
+algebra (whose `clean` view is the uncorrupted one).  A view's
+sampler(rng) is a zero-argument draw bound to rng, which a sample stream
+binds once.  The view's invertibility, absorption and upper-kind tests
+(upper_kind, lifts_to) and its fill_prefix builder are arithmetic by
+default, and lacks_pseudo_tops says False; BaseChain answers them by
+structure.
 """
 
 from __future__ import annotations
@@ -1279,23 +1282,18 @@ class ChainView:
 
 
 class BaseChain(ChainView):
-    """View of a concrete algebra."""
+    """View of a concrete algebra.  Its primitives mul, comp and cmp are
+    the algebra's closures, bound per view: a subclass rebinds one in
+    __init__, since a method on the class would be shadowed."""
 
     def __init__(self, a: Algebra):
         self.a = a
         self.ambient, self.entries = ladder(a)
+        ops = a._ops
+        self.mul, self.comp, self.cmp = ops.mul, ops.comp, ops.cmp
 
     def describe(self) -> str:
         return repr(self.a)
-
-    def mul(self, p, q):
-        return mul(self.a, p, q)
-
-    def comp(self, p):
-        return comp(self.a, p)
-
-    def cmp(self, p, q) -> int:
-        return cmp_elems(self.a, p, q)
 
     def unit(self):
         return unit(self.a)

@@ -151,7 +151,11 @@ def smallest_pos_idem(a):
 def branch(a, u) -> str:
     """Which peeling step applies at u."""
     view = _as_view(a)
-    nu = view.comp(u)
+    return _branch_at(view, view.comp(u))
+
+
+def _branch_at(view: ChainView, nu) -> str:
+    """The branch at u, from its complement nu: whether nu is idempotent."""
     return IDEM_BRANCH if view.mul(nu, nu) == nu else NONIDEM_BRANCH
 
 
@@ -307,11 +311,12 @@ class _Step(ChainView):
 
     def __init__(self, base, u):
         self.base = _as_view(base)
+        # a direct call may pass any u, so check it even after peel did
         _check_least(self.base, u)
-        if branch(self.base, u) != self.branch:
+        self.nu = self.base.comp(u)
+        if _branch_at(self.base, self.nu) != self.branch:
             raise WrongBranch(self.needs)
         self.u = u
-        self.nu = self.base.comp(u)
         self.cmp = self.base.cmp
         self.ambient = self.base.ambient
         self.entries = self.base.entries[1:]

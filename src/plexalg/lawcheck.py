@@ -104,29 +104,22 @@ class SampleStream:
 
 
 class Mutant(BaseChain):
-    """View of an algebra whose target primitive, "mul" or "comp",
-    returns the unit on a deterministic subset of calls (one in three,
-    by a CRC of the arguments).  res, tau and the invertibility and
-    absorption tests derive from the corrupted primitives, so every law
-    that should notice does, reproducibly.  The upper-kind tests stay
-    BaseChain's: the laws read them on the clean view only.
+    """View of an algebra whose target primitive, "mul" or "comp", is
+    rebound to return the unit on a deterministic subset of calls (one in
+    three, by a CRC of the arguments); the others stay clean.  res, tau
+    and the invertibility and absorption tests derive from the corrupted
+    primitives, so every law that should notice does, reproducibly.  The
+    laws read the upper-kind tests, BaseChain's, on the clean view only.
     """
 
     def __init__(self, base, target):
         super().__init__(base)
         self.target = target
-
-    def mul(self, x, y):
-        p = mul(self.a, x, y)
-        if self.target == "mul" and _tick((x, y)):
-            return self.unit()
-        return p
-
-    def comp(self, x):
-        c = comp(self.a, x)
-        if self.target == "comp" and _tick((x,)):
-            return self.unit()
-        return c
+        op, a = {"mul": mul, "comp": comp}[target], self.a
+        def corrupted(*args):
+            r = op(a, *args)
+            return self.unit() if _tick(args) else r
+        setattr(self, target, corrupted)
 
     # a mutated chain classifies through its corrupted primitives as well
     invertible = ChainView.invertible

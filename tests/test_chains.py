@@ -20,7 +20,7 @@ from plexalg import parsing as ps
 from plexalg.errors import (DiscretenessViolated, InvalidElement, PlexError,
                             StructuralMismatch)
 from test_decompose import (PEELABLE_CASES, REGRESSION_SPECS, _element_draws,
-                            _specs, _tower, case_spec)
+                            _peel_levels, _specs, _tower, case_spec)
 
 
 def val(a, text):
@@ -950,6 +950,20 @@ def test_reference_catches_a_wrong_closure(name, mutant):
     _assert_ops_match_reference(a, pool)
     with pytest.raises(AssertionError):
         _assert_ops_match_reference(_with_ops(a, **mutant(a)), pool)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS)
+                         + [f"tower{d}" for d in range(1, 6)])
+def test_a_view_calls_the_compiled_closures(name):
+    # a primitive called through a view is its algebra's closure, one call,
+    # and every peel level below the view orders by that same closure
+    a = ps.parse_algebra(case_spec(name))
+    view = ch.BaseChain(a)
+    assert view.mul is a._ops.mul
+    assert view.comp is a._ops.comp
+    assert view.cmp is a._ops.cmp
+    for level in _peel_levels(view):
+        assert level.cmp is view.cmp
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,53 @@ def test_mutant_is_deterministic(alg):
     assert not r1.passed
 
 
+# the mutant's primitives as methods on the class, the form they had before
+# BaseChain bound its primitives on each view: the oracle for the mutant
+
+
+def _oracle_mul(m, x, y):
+    p = ch.mul(m.a, x, y)
+    if m.target == "mul" and lc._tick((x, y)):
+        return m.unit()
+    return p
+
+
+def _oracle_comp(m, x):
+    c = ch.comp(m.a, x)
+    if m.target == "comp" and lc._tick((x,)):
+        return m.unit()
+    return c
+
+
+def _assert_mutant_matches_oracle(m, st, pairs=200):
+    a, clean = m.a, {"mul": "comp", "comp": "mul"}[m.target]
+    assert getattr(m, clean) is getattr(a._ops, clean)
+    assert m.cmp is a._ops.cmp
+    corrupted = 0
+    for _ in range(pairs):
+        x, y = st.draw(), st.draw()
+        assert m.mul(x, y) == _oracle_mul(m, x, y), (x, y)
+        assert m.comp(x) == _oracle_comp(m, x), x
+        corrupted += (m.mul(x, y) != ch.mul(a, x, y)
+                      or m.comp(x) != ch.comp(a, x))
+    assert corrupted
+
+
+@pytest.mark.parametrize("target", ["mul", "comp"])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_the_mutant_corrupts_as_its_oracle_does(name, target):
+    a = ps.parse_algebra(SPECS[name])
+    _assert_mutant_matches_oracle(lc.Mutant(a, target), lc.SampleStream(a, 5))
+
+
+@pytest.mark.parametrize("target", ["mul", "comp"])
+def test_the_oracle_catches_a_mutant_that_corrupts_every_call(alg, target):
+    m = lc.Mutant(alg["E"], target)
+    setattr(m, target, lambda *args: m.unit())
+    with pytest.raises(AssertionError):
+        _assert_mutant_matches_oracle(m, lc.SampleStream(alg["E"], 5))
+
+
 @pytest.mark.parametrize("law,fix,target", [
     ("eq2.2", "A", "comp"),
     ("prop4.3", "B", "mul"),
@@ -125,7 +172,7 @@ def test_sample_stream_draw_where(alg):
 
 def _counted(monkeypatch, owner, name):
     """Count the calls of a method, wrapped on its class as a profiler
-    wraps it."""
+    wraps it, or of a primitive bound on one view, wrapped there."""
     calls = [0]
     fn = getattr(owner, name)
 
@@ -576,9 +623,10 @@ def test_reports_do_not_depend_on_the_upper_tests(name, monkeypatch):
 
 def test_a_probe_on_an_algebra_lifts_only_what_it_keeps(alg, monkeypatch):
     # rejected candidates are read off their slots: the probe multiplies
-    # once, to lift the pseudo-top it returns, and steps no cover
+    # once, to lift the pseudo-top it returns, and steps no cover; a
+    # view's mul is its algebra's closure, bound on the view
     kinds = lc._Kinds(dec.peel(alg["V3b"]), lc.SampleStream(alg["V3b"], 1))
-    muls = _counted(monkeypatch, ch.BaseChain, "mul")
+    muls = _counted(monkeypatch, kinds.clean, "mul")
     downs = _counted(monkeypatch, ch.BaseChain, "x_down")
     draws = _counted(monkeypatch, lc.SampleStream, "draw")
     assert kinds.pseudo_top() is not None
