@@ -8,13 +8,17 @@ groups
     subgroup descriptions, convex-tail splitting.
 build
     Constructors for the four partial lex product types and the two
-    sublex variants, with precondition checks.
+    sublex variants, with precondition checks, and rebuild of a
+    representation tree.
 chains
     Element operations on built algebras: multiply, residuate,
-    complement, covers, sampling.
+    complement, covers.
+sampling
+    Random elements, compiled once per algebra (chains.sample_elem).
 decompose
-    Peeling at the least strictly positive idempotent, group
-    representation trees, rebuild, and lex-product embeddings.
+    The view protocol every consumer reads a chain through, peeling at
+    the least strictly positive idempotent, group representation trees,
+    and lex-product embeddings.
 lawcheck
     Seeded sampling checks for the structural laws, the named law
     registry, the four product tables, and homomorphisms.
@@ -33,13 +37,14 @@ __version__ = "0.1.0"
 # until a name or a submodule is first used (PEP 562), so a CLI verb loads
 # only the modules it runs.
 _EXPORTS = {
-    "build": ("build_sublex", "build_type", "group_leaf"),
+    "build": ("RepTree", "build_sublex", "build_type", "group_leaf",
+              "rebuild"),
     "chains": ("Algebra", "comp", "le", "leaf", "lt", "mul",
                "positive_idempotents", "res", "sample_elem", "tau", "unit",
                "validate_elem", "x_down", "x_up"),
-    "decompose": ("RepTree", "branch", "gamma", "group_representation",
-                  "lex_embedding", "phi_nucleus", "rebuild",
-                  "representation_embedding", "smallest_pos_idem"),
+    "decompose": ("branch", "gamma", "group_representation",
+                  "lex_embedding", "phi_nucleus", "representation_embedding",
+                  "smallest_pos_idem"),
     "errors": ("DiscretenessViolated", "InvalidElement", "InvalidSubgroup",
                "OnlyUnitIdempotent", "ParseError", "PlexError",
                "PreconditionFailed", "StructuralMismatch",
@@ -51,7 +56,7 @@ _EXPORTS = {
                 "print_algebra", "print_elem", "print_reptree"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "kernel"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "kernel", "sampling"}
 
 __all__ = sorted(_MODULE_OF)
 

@@ -16,9 +16,16 @@ run one checked body over the kind's row of chains.NODE_KINDS and
 return plain chains.Algebra values, each of which has verified its own
 positive idempotents once (its children's lists were verified when they
 were built).
+
+rebuild stacks the levels of a representation tree (RepTree, as
+plexalg.decompose reads it off a chain and plexalg.parsing reads it
+from text) through build_sublex, so the rebuild verb loads no peeling
+code.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .chains import (NODE_KINDS, Algebra, FullH, GraphH, ProdH,
                      discretely_embedded, gr_ambient, ladder, leaf,
@@ -152,3 +159,48 @@ def _smoke(node: Algebra):
     if tau(node, u) != u:
         raise PreconditionFailed("unit fails its own local-unit law")
     positive_idempotents(node)
+
+
+# ---------------------------------------------------------------------------
+# representation trees
+
+
+class RepLevel(NamedTuple):
+    """One peeling step: shape, distinguished subgroup, kernel hull and
+    middle-column restriction, all over the rebuilt child coordinates."""
+
+    iota: str  # 'I' (quotient step) or 'II' (restriction step)
+    z: object  # constraint tuple, or 'gr' for restriction steps
+    g: GroupDesc
+    h: FullH | ProdH
+
+
+class RepTree(NamedTuple):
+    base: GroupDesc
+    levels: tuple  # RepLevel, innermost step first
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        from .parsing import print_reptree
+
+        return print_reptree(self)
+
+
+def _stack_level(node: Algebra, level: RepLevel) -> Algebra:
+    kind = "SL" + level.iota  # the sublex kind of shape I (SLI) or II (SLII)
+    if kind not in NODE_KINDS:
+        raise PreconditionFailed("level shape must be I or II")
+    if NODE_KINDS[kind][0] == "t":
+        if level.z != "gr":
+            raise PreconditionFailed(
+                "restriction levels take the whole child group")
+        return build_sublex(kind, node, leaf(level.g), level.h)
+    if level.z == "gr":
+        raise PreconditionFailed("quotient levels need an explicit subgroup")
+    return build_sublex(kind, node, leaf(level.g), level.h, zsub=level.z)
+
+
+def rebuild(tree: RepTree) -> Algebra:
+    node = leaf(tree.base)
+    for level in tree.levels:
+        node = _stack_level(node, level)
+    return node

@@ -54,8 +54,9 @@ predicates take valid elements and do not re-check them:
   and only the second slots are compared.
 
 The complement is an order-reversing involution, so the upper side
-derives from the lower one, as res and tau do: x_up and ChainView.x_up
-are comp(x_down(comp(p))), and universe_max is comp(universe_min).
+derives from the lower one, as res and tau do: x_up (as ChainView.x_up
+in plexalg.decompose) is comp(x_down(comp(p))), and universe_max is
+comp(universe_min).
 
 The module also computes, per algebra, a structural "ladder": one flat
 coordinate view of the group part per reduction level, recording how many
@@ -65,31 +66,20 @@ algebras only through the generic operations plus this ladder, never by
 inspecting the construction tree of the input.  H is read only to build
 the ladder: sublex slices read the Y part of the outermost entry.
 
-Consumers reach the operations through one view protocol, at the end of
-this module: ChainView derives le, lt, res, tau, fconst and x_up from
-the primitives a subclass provides, and BaseChain binds an algebra's
-compiled closures on each view as its mul, comp and cmp, one call each
-(a subclass rebinds one in __init__: a method on the class would be
-shadowed).  Law suites, homomorphism checks and peeling steps all use
-it, so each runs unchanged on an algebra, a peel level or a mutated
-algebra (whose `clean` view is the uncorrupted one).  A view's
-sampler(rng) is a zero-argument draw bound to rng, which a sample stream
-binds once.  The view's invertibility, absorption and upper-kind tests
-(upper_kind, lifts_to) and its fill_prefix builder are arithmetic by
-default, and lacks_pseudo_tops says False; BaseChain answers them by
-structure.
+sample_elem draws through the samplers of plexalg.sampling, and
+consumers reach the operations through the view protocol of
+plexalg.decompose; neither is loaded before its first use.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from math import lcm
 from typing import Callable, NamedTuple
 
 from . import kernel as kn
 from .errors import InvalidElement, InvalidSubgroup, StructuralMismatch
-from .groups import (FULL, TRIV, GroupDesc, coord_in_sub, entry_leq, g_member,
-                     idx)
+from .groups import FULL, TRIV, GroupDesc, coord_in_sub, g_member, idx
 
 TOP = "T"
 BOT = "B"
@@ -270,7 +260,8 @@ class Algebra:
 
     @cached_property
     def _samplers(self) -> dict:
-        """Compiled samplers by (magnitude, denominator, marker_p)."""
+        """Compiled samplers (plexalg.sampling) by (magnitude,
+        denominator, marker_p)."""
         return {}
 
     @cached_property
@@ -959,174 +950,15 @@ def _lift_idems(a: Algebra) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# random elements
-#
-# The draw stream is part of the reproducibility contract: a seed fixes
-# every report, so a sampler may get faster but must consume the
-# generator exactly as this definition does.  Per level, one rng.random()
-# roll decides the column: below marker_p a marker column (for 'tb' nodes
-# a second roll picks bottom below 0.5, else a top column over the top
-# set), otherwise a middle column: a sublex node draws a group element of
-# its own, any other node a group element of X over the middle-column
-# set and then an element of Y.  A group element draws its coordinates
-# in order: pinned ones draw nothing, a full integer coordinate draws
-# randint(-magnitude, magnitude), a full rational one that numerator and
-# then randint(1, denominator), an index-m one m times an integer draw,
-# and a graph-tied one is computed from the coordinate it follows.
-#
-# The definition is compiled once per algebra and parameters into nested
-# closures (_sampler), which build the nested element directly and look
-# coordinates up in tables shared by the whole process.  An integer draw
-# calls getrandbits with the rejection loop of CPython's randint, so the
-# generator advances draw for draw as randint would advance it.
-
-
-@lru_cache(maxsize=None)
-def _int_table(magnitude: int, step: int, wrap: bool) -> tuple:
-    """step * n for n = -magnitude..magnitude, by n + magnitude; as
-    1-tuples when wrap is set (the element of a rank-one group leaf)."""
-    if magnitude < 0:
-        raise ValueError("empty range for a sampled coordinate")
-    vals = (kn.rmake(step * n) for n in range(-magnitude, magnitude + 1))
-    return tuple((v,) if wrap else v for v in vals)
-
-
-@lru_cache(maxsize=None)
-def _rat_table(magnitude: int, denominator: int, wrap: bool) -> tuple:
-    """n / d for n = -magnitude..magnitude and d = 1..denominator, by
-    (n + magnitude, d - 1); as 1-tuples when wrap is set."""
-    if magnitude < 0 or denominator < 1:
-        raise ValueError("empty range for a sampled coordinate")
-    return tuple(tuple((kn.rmake(n, d),) if wrap else kn.rmake(n, d)
-                       for d in range(1, denominator + 1))
-                 for n in range(-magnitude, magnitude + 1))
-
-
-def _coord_sampler(kind: str, con, magnitude: int, denominator: int,
-                   wrap: bool = False):
-    """(random, getrandbits) -> one coordinate under a pinned, full or
-    index constraint, or its 1-tuple when wrap is set."""
-    if con == TRIV:
-        zero = (kn.ZERO,) if wrap else kn.ZERO
-        return lambda rnd, bits: zero
-    n = 2 * magnitude + 1
-    k = n.bit_length()
-    if con == FULL and kind == "Q":
-        table = _rat_table(magnitude, denominator, wrap)
-        kd = denominator.bit_length()
-
-        def rat(rnd, bits):
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            s = bits(kd)
-            while s >= denominator:
-                s = bits(kd)
-            return table[r][s]
-
-        return rat
-    table = _int_table(magnitude, 1 if con == FULL else con[1], wrap)
-
-    def integer(rnd, bits):
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return table[r]
-
-    return integer
-
-
-def _coord_getter(a: Algebra, i: int):
-    """Nested group element of a -> its raw coordinate i."""
-    if a.is_leaf:
-        return lambda g: g[i]
-    xlen = a.xlen
-    if i < xlen:
-        inner = _coord_getter(a.x, i)
-        return lambda g: inner(g[0])
-    inner = _coord_getter(a.y, i - xlen)
-    return lambda g: inner(g[1][1])
-
-
-def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int,
-                   offset: int = 0):
-    """(random, getrandbits) -> group element of a whose raw vector
-    satisfies constraints (over the ambient of a), nested as
-    _Coords.from_gvec nests it.  A graph constraint names its source
-    coordinate in the frame of the outermost call, where the coordinates
-    of a start at offset."""
-    if a.is_leaf:
-        kinds = a.group.kinds
-        if len(kinds) == 1:
-            return _coord_sampler(kinds[0], constraints[0], magnitude,
-                                  denominator, wrap=True)
-        coords = [_coord_sampler(k, con, magnitude, denominator)
-                  for k, con in zip(kinds, constraints)]
-        return lambda rnd, bits: tuple([f(rnd, bits) for f in coords])
-    xlen = a.xlen
-    fx = _group_sampler(a.x, constraints[:xlen], magnitude, denominator,
-                        offset)
-    ycons = constraints[xlen:]
-    if ycons and ycons[0][0] == "graph":
-        # a graph restriction: Y is one rational, c times a coordinate of X
-        _, c, src = ycons[0]
-        of_x = _coord_getter(a.x, src - offset)
-
-        def graph(rnd, bits):
-            g = fx(rnd, bits)
-            return (g, ("M", (kn.rmul(c, of_x(g)),)))
-
-        return graph
-    fy = _group_sampler(a.y, ycons, magnitude, denominator, offset + xlen)
-    return lambda rnd, bits: (fx(rnd, bits), ("M", fy(rnd, bits)))
-
-
-def _sampler(a: Algebra, magnitude: int, denominator: int, marker_p: float):
-    """(random, getrandbits) -> element: sample_elem compiled for a and
-    the parameters, cached on a."""
-    key = (magnitude, denominator, marker_p)
-    draw = a._samplers.get(key)
-    if draw is None:
-        draw = a._samplers[key] = _compile_sampler(a, magnitude, denominator,
-                                                   marker_p)
-    return draw
-
-
-def _compile_sampler(a: Algebra, magnitude: int, denominator: int,
-                     marker_p: float):
-    if a.is_leaf:
-        return _group_sampler(a, (FULL,) * a.group.rank, magnitude,
-                              denominator)
-    s = a._structure
-    fx = _sampler(a.x, magnitude, denominator, marker_p)
-    if a.is_sublex:  # a middle column of a sublex node is a group element
-        fm = _group_sampler(a, s.entries[0].gconstr, magnitude, denominator)
-        fy = None
-    else:
-        fm = _group_sampler(a.x, s.vconstr, magnitude, denominator)
-        fy = _sampler(a.y, magnitude, denominator, marker_p)
-    # a top column of a 'tb' node needs its first coordinate in the top set
-    fz = (_group_sampler(a.x, s.zconstr, magnitude, denominator)
-          if a.family == "tb" else None)
-
-    def draw(rnd, bits):
-        if rnd() < marker_p:
-            if fz is None:
-                return (fx(rnd, bits), TOP)
-            if rnd() < 0.5:
-                return (fx(rnd, bits), BOT)
-            return (fz(rnd, bits), TOP)
-        if fy is None:
-            return fm(rnd, bits)
-        return (fm(rnd, bits), ("M", fy(rnd, bits)))
-
-    return draw
+# random elements, compiled by plexalg.sampling, which the first draw loads
 
 
 def sample_elem(a: Algebra, rng, magnitude: int = 6, denominator: int = 8,
                 marker_p: float = 0.25):
     """Random valid element; markers injected with probability marker_p
-    per level, group-part directions otherwise (see the notes above)."""
+    per level, group-part directions otherwise (see plexalg.sampling)."""
+    from .sampling import _sampler
+
     return _sampler(a, magnitude, denominator, marker_p)(rng.random,
                                                          rng.getrandbits)
 
@@ -1149,217 +981,3 @@ def discretely_embedded(a: Algebra) -> bool:
     if not a.is_sublex:
         return discretely_embedded(a.y)
     return _slice_step(a) is not None
-
-
-# ---------------------------------------------------------------------------
-# kinds around the least strictly positive idempotent
-#
-# Let u be the least strictly positive idempotent and call x*u the upper
-# part.  Follow the second factors from the root down to the node n whose
-# Y is a group leaf (_upper_node): u is n's top column over the unit, seen
-# through the middle columns of the nodes above, which hold whole copies
-# of their Y; their marker columns absorb u and its complement: non-tops
-# (Prop 8.2).  At n the upper part is its top columns and, for 'tb', its
-# bottom columns, non-tops.  A top column over an invertible f closes a
-# component when f carries middle columns, else it is a pseudo-top; over
-# a non-invertible f (family 't' only) it absorbs the complement of u and
-# is a non-top.  So BaseChain reads the kind of x*u off x's slots
-# (upper_kind, in the kind names of plexalg.decompose), tells from n's
-# constraints whether any pseudo-top exists (lacks_pseudo_tops), and
-# x*u == t for invertible x: x turned top at n (lifts_to).
-
-
-def _constr_within(desc_kinds, small, big) -> bool:
-    """Every vector satisfying small satisfies big (graph entries must
-    agree exactly)."""
-    for kind, sm, bg in zip(desc_kinds, small, big):
-        if sm == bg:
-            continue
-        if sm[0] == "graph" or bg[0] == "graph" or \
-                not entry_leq(kind, sm, bg):
-            return False
-    return True
-
-
-def _upper_node(a: Algebra):
-    """(n of the notes above, the number of nodes above n)."""
-    n, depth = a, 0
-    while not n.y.is_leaf:
-        n, depth = n.y, depth + 1
-    return n, depth
-
-
-def _lacks_pseudo_tops(a: Algebra) -> bool:
-    """The structure of a rules pseudo-tops out (see above): every first
-    coordinate carrying a top column at n also carries middle columns."""
-    if a.is_leaf:
-        return False
-    n = _upper_node(a)[0]
-    s = n._structure
-    x_amb, x_entries = ladder(n.x)
-    tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
-    return _constr_within(x_amb, tops, s.vconstr)
-
-
-# ---------------------------------------------------------------------------
-# the view protocol
-#
-# BaseChain wraps an algebra; a peel step of plexalg.decompose wraps
-# another view, so a step runs on its own output; lawcheck.Mutant is a
-# BaseChain with corrupted primitives.
-
-
-class ChainView:
-    """Shared derived operations; subclasses provide the primitives."""
-
-    def le(self, p, q) -> bool:
-        return self.cmp(p, q) <= 0
-
-    def lt(self, p, q) -> bool:
-        return self.cmp(p, q) < 0
-
-    def res(self, p, q):
-        return self.comp(self.mul(p, self.comp(q)))
-
-    def tau(self, p):
-        return self.res(p, p)
-
-    def fconst(self):
-        """Falsity constant; equals the unit in these odd chains."""
-        return self.unit()
-
-    def x_up(self, p):
-        """Cover above, mirrored from the cover below by the complement."""
-        return self.comp(self.x_down(self.comp(p)))
-
-    # tests and a builder for elements the caller drew or computed itself;
-    # BaseChain answers them structurally, other views by arithmetic
-
-    def invertible(self, u):
-        """Test x -> tau(x) < u, which for u the least strictly positive
-        idempotent says that x is invertible."""
-        return lambda x: self.lt(self.tau(x), u)
-
-    def absorber(self, e):
-        """Test x -> not x*e < x, which for e at most the unit says that
-        x*e == x."""
-        return lambda x: not self.lt(self.mul(x, e), x)
-
-    def fill_prefix(self, h: tuple):
-        """elem_from_prefix for a prefix known to name an element."""
-        return self.elem_from_prefix(h)
-
-    def lacks_pseudo_tops(self, u) -> bool:
-        """One-sided presence test: True when no element x*u of the upper
-        part around u, the least strictly positive idempotent, is a
-        pseudo-top; False when one exists or the view cannot tell.  Only
-        BaseChain answers from structure."""
-        return False
-
-    def upper_kind(self, u):
-        """x -> the kind of x*u: decompose's TOP_C, TOP_PS or NON_TOP."""
-        from .decompose import NON_TOP, TOP_C, TOP_PS, classifier
-        kind = classifier(self, u)
-
-        def upper(x):
-            k = kind(self.mul(x, u))
-            return k if k in (TOP_C, TOP_PS) else NON_TOP
-        return upper
-
-    def lifts_to(self, u):  # (x, t) -> x*u == t, for x invertible
-        return lambda x, t: self.mul(x, u) == t
-
-    @property
-    def clean(self) -> "ChainView":
-        """The uncorrupted view, which sampling predicates, classification
-        and windows read: the view itself, except for a view that corrupts
-        its own primitives on purpose."""
-        return self
-
-    @property
-    def prefix(self) -> int:
-        return self.entries[0].prefix
-
-
-class BaseChain(ChainView):
-    """View of a concrete algebra.  Its primitives mul, comp and cmp are
-    the algebra's closures, bound per view: a subclass rebinds one in
-    __init__, since a method on the class would be shadowed."""
-
-    def __init__(self, a: Algebra):
-        self.a = a
-        self.ambient, self.entries = ladder(a)
-        ops = a._ops
-        self.mul, self.comp, self.cmp = ops.mul, ops.comp, ops.cmp
-
-    def describe(self) -> str:
-        return repr(self.a)
-
-    def unit(self):
-        return unit(self.a)
-
-    def x_down(self, p):
-        return x_down(self.a, p)
-
-    def x_up(self, p):
-        return x_up(self.a, p)
-
-    def pos_idems(self) -> tuple:
-        return positive_idempotents(self.a)
-
-    def partial_vec(self, p) -> tuple:
-        return partial_vec(self.a, p)
-
-    def elem_from_prefix(self, h: tuple):
-        return elem_from_prefix(self.a, h)
-
-    def invertible(self, u):
-        # tau(x) is a positive idempotent, so it is below the least strictly
-        # positive one exactly when it is the unit: x is marker-free
-        return self.a._ops.free
-
-    def absorber(self, e):
-        return absorber(self.a, e)
-
-    def fill_prefix(self, h: tuple):
-        return _elem_from_prefix_raw(self.a, h)
-
-    def validate(self, p) -> bool:
-        return validate_elem(self.a, p)
-
-    def lacks_pseudo_tops(self, u) -> bool:
-        return _lacks_pseudo_tops(self.a)
-
-    def upper_kind(self, u):
-        from .decompose import NON_TOP, TOP_C, TOP_PS
-        n, depth = _upper_node(self.a)
-        free, mid_ok = n.x._ops.free, n._coords.mid
-        def kind(x):
-            for _ in range(depth):
-                if not isinstance(x[1], tuple):  # a marker column above n
-                    return NON_TOP
-                x = x[1][1]
-            if x[1] == BOT or not free(x[0]):
-                return NON_TOP
-            return TOP_C if mid_ok(x[0]) else TOP_PS
-        return kind
-
-    def lifts_to(self, u):
-        depth = _upper_node(self.a)[1]
-        def lifts(x, t):
-            for _ in range(depth):
-                if x[0] != t[0] or not isinstance(t[1], tuple):
-                    return False
-                x, t = x[1][1], t[1][1]
-            return t[1] == TOP and x[0] == t[0]
-        return lifts
-
-    def sampler(self, rng):
-        """Zero-argument draw bound to rng: sample_elem with its defaults."""
-        return partial(_sampler(self.a, 6, 8, 0.25), rng.random,
-                       rng.getrandbits)
-
-
-def _as_view(a):
-    """A BaseChain for an Algebra; anything else is taken as a view."""
-    return BaseChain(a) if isinstance(a, Algebra) else a

@@ -10,12 +10,14 @@ per report on stderr (law, elapsed ms, samples, vacuous cells).
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 # a verb imports the peeling (decompose) and law (lawcheck) modules in its
-# own body, so build and eval start without them
+# own body, so build, eval and rebuild start without them
 from . import chains, parsing
+from .build import rebuild
 from .errors import (OnlyUnitIdempotent, ParseError, PlexError, UnknownLaw,
                      WrongBranch)
 
@@ -35,45 +37,160 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad usage; remap to the parse-error code
-    def error(self, message):
-        raise _UsageError(message)
+class _Help(Exception):
+    """-h or --help: carries the usage text to print."""
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="plexalg", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="verb", required=True)
+# ---------------------------------------------------------------------------
+# the command line
+#
+# _VERBS, at the end of this module, is the one table: verb -> (body, help
+# line, options).  An option is (flag, dest, default, value, help), where
+# value is the metavar of an option that takes a string, int for an
+# integer, a tuple of its choices, or None for a switch; a default of
+# None makes the option required.  The parser reads a command line by
+# argparse's rules for these shapes, so each one means what it meant when
+# argparse read it: a long flag may be any unique prefix of itself and
+# take its value after '=', a short one right after the flag, a negative
+# number or a word with a space is a value, the last of a repeated option
+# wins, and the first error ends the parse with one usage error.
 
-    def verb(name, help_, expr=False, laws=False, budget=None):
-        v = sub.add_parser(name, help=help_)
-        v.add_argument("-f", dest="spec", required=True, metavar="FILE",
-                       help="path to a spec file")
-        if expr:
-            v.add_argument("-e", dest="expr", required=True, metavar="EXPR",
-                           help="expression to evaluate")
-        if laws:
-            v.add_argument("--laws", default="all", metavar="ID",
-                           help="law id, table1..table4, or 'all'")
-            v.add_argument("--format", dest="fmt", default="text",
-                           choices=("text", "tsv"))
-            v.add_argument("--stats", action="store_true",
-                           help="print each report's law, time, samples "
-                           "and vacuous cells to stderr")
-        if budget is not None:
-            v.add_argument("--budget", type=int, default=budget)
-            v.add_argument("--seed", type=int, default=0)
-        return v
+_HELP = {"-h": None, "--help": None}
+# compiled where a token first needs it, not on every start
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
-    verb("build", "parse a spec and print its canonical form")
-    verb("eval", "evaluate an expression over an algebra", expr=True)
-    verb("check", "run law suites", laws=True, budget=1000)
-    verb("decompose", "peel one level and report the branch taken")
-    verb("represent", "print the group-representation tree")
-    verb("rebuild", "read a representation tree and print the algebra")
-    verb("embed-lex", "print the lex-product target and verify the "
-         "monoid embedding", budget=1000)
-    return p
+
+def _tokens(argv, flags) -> list:
+    """Each token read against a parser's flags: None for a value, "--"
+    for the token after which every token is a value, or (flag, or None
+    for an unknown option; the value joined to the token, or None)."""
+    out = []
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            return out + ["--"] + [None] * (len(argv) - i - 1)
+        head, eq, tail = tok.partition("=")
+        if tok in flags:
+            hits = [(tok, None)]
+        elif tok[:1] != "-" or len(tok) == 1:
+            hits = [None]
+        elif eq and head in flags:
+            hits = [(head, tail)]
+        elif tok[1] == "-":  # a long flag: any unique prefix of it
+            hits = [(f, tail if eq else None) for f in flags
+                    if f.startswith(head)]
+        else:  # a short flag: its value may follow it directly
+            hits = [(f, tok[2:] if f == tok[:2] else None) for f in flags
+                    if f == tok[:2] or f.startswith(tok)]
+        if len(hits) > 1:
+            raise _UsageError("ambiguous option: %s could match %s"
+                              % (tok, ", ".join(f for f, _ in hits)))
+        if not hits:
+            hits = [None if re.match(_NEGATIVE, tok) or " " in tok
+                    else (None, None)]
+        out.append(hits[0])
+    return out
+
+
+def _consume(argv, kinds, i, flags) -> tuple:
+    """(the (flag, value) pairs of the option token at i, the index after
+    them); a short switch may carry more short flags, as in -hf FILE."""
+    flag, explicit = kinds[i]
+    i += 1
+    taken = []
+    while explicit is not None and flags[flag] is None:
+        if flag[1] == "-" or explicit == "" or "-" + explicit[0] not in flags:
+            raise _UsageError("argument %s: ignored explicit argument %r"
+                              % (flag, explicit))
+        taken.append((flag, None))
+        flag, explicit = "-" + explicit[0], explicit[1:] or None
+    if flags[flag] is None or explicit is not None:
+        taken.append((flag, explicit))
+    elif i < len(argv) and kinds[i] is None:
+        taken.append((flag, argv[i]))
+        i += 1
+    else:
+        raise _UsageError("argument %s: expected one argument" % flag)
+    return taken, i
+
+
+def _parse(argv):
+    """The verb and option values of a command line; raises _Help for -h
+    or --help and _UsageError for a malformed line."""
+    kinds = _tokens(argv, _HELP)
+    extras, i = [], 0
+    while i < len(argv) and isinstance(kinds[i], tuple):
+        if kinds[i][0] is not None:
+            _consume(argv, kinds, i, _HELP)
+            raise _Help(_usage())
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        raise _UsageError("the following arguments are required: verb")
+    verb, rest = argv[i], argv[i + 1:]
+    if verb not in _VERBS:
+        raise _UsageError("argument verb: invalid choice: %r (choose from %s)"
+                          % (verb, ", ".join(map(repr, _VERBS))))
+    options = {opt[0]: opt for opt in _VERBS[verb][2]}
+    flags = _HELP | {flag: opt[3] for flag, opt in options.items()}
+    args = {"verb": verb} | {opt[1]: opt[2] for opt in options.values()}
+    kinds, seen, i = _tokens(rest, flags), set(), 0
+    while i < len(rest):
+        if not isinstance(kinds[i], tuple) or kinds[i][0] is None:
+            extras.append(rest[i])
+            i += 1
+            continue
+        taken, i = _consume(rest, kinds, i, flags)
+        for flag, value in taken:
+            if flag in _HELP:
+                raise _Help(_usage(verb))
+            kind = flags[flag]
+            if kind is None:
+                value = True
+            elif kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError("argument %s: invalid int value: %r"
+                                      % (flag, value)) from None
+            elif isinstance(kind, tuple) and value not in kind:
+                raise _UsageError(
+                    "argument %s: invalid choice: %r (choose from %s)"
+                    % (flag, value, ", ".join(map(repr, kind))))
+            seen.add(flag)
+            args[options[flag][1]] = value
+    missing = [f for f, opt in options.items()
+               if opt[2] is None and f not in seen]
+    if missing:
+        raise _UsageError("the following arguments are required: "
+                          + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    if args.get("budget", 1) < 1:
+        raise _UsageError("argument --budget: must be at least 1, got %d"
+                          % args["budget"])
+    return SimpleNamespace(**args)
+
+
+def _usage(verb=None) -> str:
+    """The help text of the program, or of one verb."""
+    if verb is None:
+        rows = ["  %-11s%s" % (name, entry[1])
+                for name, entry in _VERBS.items()]
+        return "\n".join(["usage: plexalg VERB [OPTIONS]", "", "verbs:"]
+                         + rows + ["", "plexalg VERB -h lists the options "
+                                   "of a verb."])
+    rows = [("-h, --help", "print this text and exit")]
+    for flag, _, default, value, help_ in _VERBS[verb][2]:
+        if isinstance(value, tuple):
+            flag += " {%s}" % ",".join(value)
+        elif value is not None:
+            flag += " N" if value is int else " " + value
+        if default is not None and value is not None:
+            help_ += " (default: %s)" % default
+        rows.append((flag, help_))
+    return "\n".join(["usage: plexalg %s [OPTIONS]" % verb, "",
+                      _VERBS[verb][1], "", "options:"]
+                     + ["  %-21s%s" % row for row in rows])
 
 
 def _read(path: str) -> str:
@@ -195,10 +312,8 @@ def _do_represent(args) -> int:
 
 
 def _do_rebuild(args) -> int:
-    from . import decompose
-
     tree = parsing.parse_reptree(_read(args.spec))
-    print(parsing.print_algebra(decompose.rebuild(tree)))
+    print(parsing.print_algebra(rebuild(tree)))
     return EXIT_OK
 
 
@@ -215,25 +330,40 @@ def _do_embed_lex(args) -> int:
     return EXIT_OK if report.passed else EXIT_LAW
 
 
+_FILE = ("-f", "spec", None, "FILE", "path to a spec file")
+_BUDGET = ("--budget", "budget", 1000, int, "samples per law, at least 1")
+_SEED = ("--seed", "seed", 0, int, "seed of the sample stream")
+
 _VERBS = {
-    "build": _do_build,
-    "eval": _do_eval,
-    "check": _do_check,
-    "decompose": _do_decompose,
-    "represent": _do_represent,
-    "rebuild": _do_rebuild,
-    "embed-lex": _do_embed_lex,
+    "build": (_do_build, "parse a spec and print its canonical form",
+              (_FILE,)),
+    "eval": (_do_eval, "evaluate an expression over an algebra",
+             (_FILE, ("-e", "expr", None, "EXPR", "expression to evaluate"))),
+    "check": (_do_check, "run law suites", (
+        _FILE,
+        ("--laws", "laws", "all", "ID", "law id, table1..table4, or 'all'"),
+        ("--format", "fmt", "text", ("text", "tsv"), "report format"),
+        ("--stats", "stats", False, None, "print each report's law, time, "
+         "samples and vacuous cells to stderr"),
+        _BUDGET, _SEED)),
+    "decompose": (_do_decompose, "peel one level and report the branch taken",
+                  (_FILE,)),
+    "represent": (_do_represent, "print the group-representation tree",
+                  (_FILE,)),
+    "rebuild": (_do_rebuild, "read a representation tree and print the "
+                "algebra", (_FILE,)),
+    "embed-lex": (_do_embed_lex, "print the lex-product target and verify "
+                  "the monoid embedding", (_FILE, _BUDGET, _SEED)),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "budget", 1) < 1:
-            raise _UsageError(f"argument --budget: must be at least 1, "
-                              f"got {args.budget}")
-        return _VERBS[args.verb](args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _VERBS[args.verb][0](args)
+    except _Help as e:
+        print(e)
+        return EXIT_OK
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_PARSE

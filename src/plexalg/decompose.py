@@ -29,12 +29,26 @@ its elements' head (their raw coordinates above the step kernel), so a
 QuotientChain builds each head's fill once, in a bounded memo owned by
 that step: nothing carries over to another step or another report.
 
-Iterating the step yields a representation tree: a base group plus one
-level record per step, each holding the step shape, the distinguished
-subgroup, the kernel hull and the middle-column restriction.  rebuild
-turns the tree back into a concrete algebra.  A single step must run on
-its own output, so it takes any view of the chain protocol
-(plexalg.chains) and the step chains are views themselves.  The full peel
+Every consumer reaches a chain through one view protocol, defined here:
+ChainView derives le, lt, res, tau, fconst and x_up from the primitives a
+subclass provides, and BaseChain binds an algebra's compiled closures
+(plexalg.chains) on each view as its mul, comp and cmp, one call each (a
+subclass rebinds one in __init__: a method on the class would be
+shadowed).  Law suites, homomorphism checks and peeling steps all use
+it, so each runs unchanged on an algebra, a peel level or a mutated
+algebra (whose `clean` view is the uncorrupted one).  A view's
+sampler(rng) is a zero-argument draw bound to rng, which a sample stream
+binds once.  The view's invertibility, absorption and upper-kind tests
+(upper_kind, lifts_to) and its fill_prefix builder are arithmetic by
+default, and lacks_pseudo_tops says False; BaseChain answers them by
+structure.  A single step must run on its own output, so it takes any
+view and the step chains are views themselves.
+
+Iterating the step yields a representation tree (plexalg.build.RepTree):
+a base group plus one level record per step, each holding the step
+shape, the distinguished subgroup, the kernel hull and the middle-column
+restriction.  rebuild, in plexalg.build so that a rebuild never loads
+this module, turns the tree back into a concrete algebra.  The full peel
 (representation_embedding, lex_embedding) reads every step off the input
 chain in one pass instead of stacking views: the local unit of x names
 the first step at which x is invertible, from there on each slot is a
@@ -50,18 +64,17 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import kernel as kn
-from .build import build_sublex
+from .build import RepLevel, RepTree, rebuild
 from .chains import (
     BOT,
-    NODE_KINDS,
     TOP,
     Algebra,
-    ChainView,
     FullH,
     ProdH,
-    _as_view,
+    _elem_from_prefix_raw,
     absorber,
     comp,
+    elem_from_prefix,
     ladder,
     leaf,
     mid,
@@ -69,6 +82,10 @@ from .chains import (
     partial_vec,
     positive_idempotents,
     tau,
+    unit,
+    validate_elem,
+    x_down,
+    x_up,
 )
 from .errors import (
     InvalidElement,
@@ -115,24 +132,218 @@ IDEM_BRANCH = "IdemBranch"
 NONIDEM_BRANCH = "NonIdemBranch"
 
 
-class RepLevel(NamedTuple):
-    """One peeling step: shape, distinguished subgroup, kernel hull and
-    middle-column restriction, all over the rebuilt child coordinates."""
+# ---------------------------------------------------------------------------
+# kinds around the least strictly positive idempotent
+#
+# Let u be the least strictly positive idempotent and call x*u the upper
+# part.  Follow the second factors from the root down to the node n whose
+# Y is a group leaf (_upper_node): u is n's top column over the unit, seen
+# through the middle columns of the nodes above, which hold whole copies
+# of their Y; their marker columns absorb u and its complement: non-tops
+# (Prop 8.2).  At n the upper part is its top columns and, for 'tb', its
+# bottom columns, non-tops.  A top column over an invertible f closes a
+# component when f carries middle columns, else it is a pseudo-top; over
+# a non-invertible f (family 't' only) it absorbs the complement of u and
+# is a non-top.  So BaseChain reads the kind of x*u off x's slots
+# (upper_kind, in the kind names above), tells from n's constraints
+# whether any pseudo-top exists (lacks_pseudo_tops), and x*u == t for
+# invertible x: x turned top at n (lifts_to).
 
-    iota: str  # 'I' (quotient step) or 'II' (restriction step)
-    z: object  # constraint tuple, or 'gr' for restriction steps
-    g: GroupDesc
-    h: FullH | ProdH
+
+def _constr_within(desc_kinds, small, big) -> bool:
+    """Every vector satisfying small satisfies big (graph entries must
+    agree exactly)."""
+    for kind, sm, bg in zip(desc_kinds, small, big):
+        if sm == bg:
+            continue
+        if sm[0] == "graph" or bg[0] == "graph" or \
+                not entry_leq(kind, sm, bg):
+            return False
+    return True
 
 
-class RepTree(NamedTuple):
-    base: GroupDesc
-    levels: tuple  # RepLevel, innermost step first
+def _upper_node(a: Algebra):
+    """(n of the notes above, the number of nodes above n)."""
+    n, depth = a, 0
+    while not n.y.is_leaf:
+        n, depth = n.y, depth + 1
+    return n, depth
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        from .parsing import print_reptree
 
-        return print_reptree(self)
+def _lacks_pseudo_tops(a: Algebra) -> bool:
+    """The structure of a rules pseudo-tops out (see above): every first
+    coordinate carrying a top column at n also carries middle columns."""
+    if a.is_leaf:
+        return False
+    n = _upper_node(a)[0]
+    s = n._structure
+    x_amb, x_entries = ladder(n.x)
+    tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
+    return _constr_within(x_amb, tops, s.vconstr)
+
+
+# ---------------------------------------------------------------------------
+# the view protocol
+#
+# BaseChain wraps an algebra; a peel step (_Step, below) wraps another
+# view, so a step runs on its own output; lawcheck.Mutant is a BaseChain
+# with corrupted primitives.
+
+
+class ChainView:
+    """Shared derived operations; subclasses provide the primitives."""
+
+    def le(self, p, q) -> bool:
+        return self.cmp(p, q) <= 0
+
+    def lt(self, p, q) -> bool:
+        return self.cmp(p, q) < 0
+
+    def res(self, p, q):
+        return self.comp(self.mul(p, self.comp(q)))
+
+    def tau(self, p):
+        return self.res(p, p)
+
+    def fconst(self):
+        """Falsity constant; equals the unit in these odd chains."""
+        return self.unit()
+
+    def x_up(self, p):
+        """Cover above, mirrored from the cover below by the complement."""
+        return self.comp(self.x_down(self.comp(p)))
+
+    # tests and a builder for elements the caller drew or computed itself;
+    # BaseChain answers them structurally, other views by arithmetic
+
+    def invertible(self, u):
+        """Test x -> tau(x) < u, which for u the least strictly positive
+        idempotent says that x is invertible."""
+        return lambda x: self.lt(self.tau(x), u)
+
+    def absorber(self, e):
+        """Test x -> not x*e < x, which for e at most the unit says that
+        x*e == x."""
+        return lambda x: not self.lt(self.mul(x, e), x)
+
+    def fill_prefix(self, h: tuple):
+        """elem_from_prefix for a prefix known to name an element."""
+        return self.elem_from_prefix(h)
+
+    def lacks_pseudo_tops(self, u) -> bool:
+        """One-sided presence test: True when no element x*u of the upper
+        part around u, the least strictly positive idempotent, is a
+        pseudo-top; False when one exists or the view cannot tell.  Only
+        BaseChain answers from structure."""
+        return False
+
+    def upper_kind(self, u):
+        """x -> the kind of x*u: TOP_C, TOP_PS or NON_TOP."""
+        kind = classifier(self, u)
+
+        def upper(x):
+            k = kind(self.mul(x, u))
+            return k if k in (TOP_C, TOP_PS) else NON_TOP
+        return upper
+
+    def lifts_to(self, u):  # (x, t) -> x*u == t, for x invertible
+        return lambda x, t: self.mul(x, u) == t
+
+    @property
+    def clean(self) -> "ChainView":
+        """The uncorrupted view, which sampling predicates, classification
+        and windows read: the view itself, except for a view that corrupts
+        its own primitives on purpose."""
+        return self
+
+    @property
+    def prefix(self) -> int:
+        return self.entries[0].prefix
+
+
+class BaseChain(ChainView):
+    """View of a concrete algebra.  Its primitives mul, comp and cmp are
+    the algebra's closures, bound per view: a subclass rebinds one in
+    __init__, since a method on the class would be shadowed."""
+
+    def __init__(self, a: Algebra):
+        self.a = a
+        self.ambient, self.entries = ladder(a)
+        ops = a._ops
+        self.mul, self.comp, self.cmp = ops.mul, ops.comp, ops.cmp
+
+    def describe(self) -> str:
+        return repr(self.a)
+
+    def unit(self):
+        return unit(self.a)
+
+    def x_down(self, p):
+        return x_down(self.a, p)
+
+    def x_up(self, p):
+        return x_up(self.a, p)
+
+    def pos_idems(self) -> tuple:
+        return positive_idempotents(self.a)
+
+    def partial_vec(self, p) -> tuple:
+        return partial_vec(self.a, p)
+
+    def elem_from_prefix(self, h: tuple):
+        return elem_from_prefix(self.a, h)
+
+    def invertible(self, u):
+        # tau(x) is a positive idempotent, so it is below the least strictly
+        # positive one exactly when it is the unit: x is marker-free
+        return self.a._ops.free
+
+    def absorber(self, e):
+        return absorber(self.a, e)
+
+    def fill_prefix(self, h: tuple):
+        return _elem_from_prefix_raw(self.a, h)
+
+    def validate(self, p) -> bool:
+        return validate_elem(self.a, p)
+
+    def lacks_pseudo_tops(self, u) -> bool:
+        return _lacks_pseudo_tops(self.a)
+
+    def upper_kind(self, u):
+        n, depth = _upper_node(self.a)
+        free, mid_ok = n.x._ops.free, n._coords.mid
+        def kind(x):
+            for _ in range(depth):
+                if not isinstance(x[1], tuple):  # a marker column above n
+                    return NON_TOP
+                x = x[1][1]
+            if x[1] == BOT or not free(x[0]):
+                return NON_TOP
+            return TOP_C if mid_ok(x[0]) else TOP_PS
+        return kind
+
+    def lifts_to(self, u):
+        depth = _upper_node(self.a)[1]
+        def lifts(x, t):
+            for _ in range(depth):
+                if x[0] != t[0] or not isinstance(t[1], tuple):
+                    return False
+                x, t = x[1][1], t[1][1]
+            return t[1] == TOP and x[0] == t[0]
+        return lifts
+
+    def sampler(self, rng):
+        """Zero-argument draw bound to rng: sample_elem with its defaults."""
+        from .sampling import _sampler
+
+        return partial(_sampler(self.a, 6, 8, 0.25), rng.random,
+                       rng.getrandbits)
+
+
+def _as_view(a):
+    """A BaseChain for an Algebra; anything else is taken as a view."""
+    return BaseChain(a) if isinstance(a, Algebra) else a
 
 
 # ---------------------------------------------------------------------------
@@ -600,27 +811,6 @@ def representation_embedding(a: Algebra):
     levels."""
     tree, lex = _walk(a)
     return tree, rebuild(tree), lambda x: _nest(lex(x))
-
-
-def _stack_level(node: Algebra, level: RepLevel) -> Algebra:
-    kind = "SL" + level.iota  # the sublex kind of shape I (SLI) or II (SLII)
-    if kind not in NODE_KINDS:
-        raise PreconditionFailed("level shape must be I or II")
-    if NODE_KINDS[kind][0] == "t":
-        if level.z != "gr":
-            raise PreconditionFailed(
-                "restriction levels take the whole child group")
-        return build_sublex(kind, node, leaf(level.g), level.h)
-    if level.z == "gr":
-        raise PreconditionFailed("quotient levels need an explicit subgroup")
-    return build_sublex(kind, node, leaf(level.g), level.h, zsub=level.z)
-
-
-def rebuild(tree: RepTree) -> Algebra:
-    node = leaf(tree.base)
-    for level in tree.levels:
-        node = _stack_level(node, level)
-    return node
 
 
 # ---------------------------------------------------------------------------

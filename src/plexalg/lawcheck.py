@@ -8,8 +8,8 @@ homomorphism checks for the decomposition maps.
 
 Sampling is deterministic: a 64-bit seed fixes the element stream, so
 the report for a given (algebra, law, budget, seed) is reproducible.
-The stream itself is part of that contract (see the sampling notes in
-plexalg.chains): a faster sampler or probe must leave every draw where
+The stream itself is part of that contract (see the notes of
+plexalg.sampling): a faster sampler or probe must leave every draw where
 it was.  Element kinds that an algebra simply does not contain
 (pseudo-top gaps in a dense chain, say) make the affected cells vacuous;
 vacuous cells are counted and reported rather than silently passed.
@@ -17,14 +17,15 @@ vacuous cells are counted and reported rather than silently passed.
 Special kinds are found by rejection: a probe of 400 draws that finds
 none declares the kind absent.  The laws that need pseudo-tops return
 before drawing where the structure rules them out
-(chains.ChainView.lacks_pseudo_tops, Prop 8.2).  Every other probe makes
-its draws and reads each candidate's kind with ChainView.upper_kind (and
-lifts_to for prop7.2.eqs' same-component draw): off its slots on an
-algebra, by lifting and classifying on a peel level.
+(decompose.ChainView.lacks_pseudo_tops, Prop 8.2).  Every other probe
+makes its draws and reads each candidate's kind with
+ChainView.upper_kind (and lifts_to for prop7.2.eqs' same-component
+draw): off its slots on an algebra, by lifting and classifying on a peel
+level.
 
 Every check routes the arithmetic under test through a chain view
-(plexalg.chains), so every suite runs on an algebra or on any peel level
-of one.  Sampling predicates, classification and windows read the view's
+(plexalg.decompose), so every suite runs on an algebra or on any peel
+level of one.  Sampling predicates, classification and windows read the view's
 `clean` view, which is the view itself except under `Mutant`, a view that
 corrupts one operation on a deterministic subset of calls: a mutation
 corrupts only the arithmetic under test, and a mutated run must produce
@@ -55,9 +56,6 @@ from . import kernel as kn
 from .chains import (
     BOT,
     TOP,
-    BaseChain,
-    ChainView,
-    _as_view,
     comp,
     mid,
     mid_capable,
@@ -65,6 +63,7 @@ from .chains import (
     slice_member,
     zset_member,
 )
+from .decompose import BaseChain, ChainView, _as_view
 from .errors import UnknownLaw, WrongBranch
 from .parsing import print_elem
 

@@ -29,7 +29,7 @@ import re
 from typing import NamedTuple
 
 from . import kernel as kn
-from .build import build_sublex, build_type, group_leaf
+from .build import RepLevel, RepTree, build_sublex, build_type, group_leaf
 from .chains import (BOT, NODE_KINDS, TOP, Algebra, FullH, GraphH, ProdH,
                      elem_check, gr_ambient, mid, unit)
 from .errors import ParseError, PreconditionFailed
@@ -432,8 +432,6 @@ def parse_reptree(text: str):
 
 
 def _parse_tree(s: _Stream):
-    from .decompose import RepLevel, RepTree
-
     if not s.take("base"):
         s.fail("expected 'base:'")
     s.expect(":")

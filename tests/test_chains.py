@@ -291,11 +291,11 @@ def _canonical_fills(a, xs):
     the elements xs and their complements: coset representatives of the
     invertible ones and, in the idempotent branch, their gamma classes."""
     u = dec.smallest_pos_idem(a)
-    kind = dec.classifier(ch.BaseChain(a), u)
+    kind = dec.classifier(dec.BaseChain(a), u)
     q = (dec.QuotientChain(a, u) if dec.branch(a, u) == dec.IDEM_BRANCH
          else None)
     fills = []
-    raw = ch._elem_from_prefix_raw
+    raw = dec._elem_from_prefix_raw  # the builder BaseChain.fill_prefix calls
 
     def recording(b, h):
         el = raw(b, h)
@@ -303,11 +303,11 @@ def _canonical_fills(a, xs):
             fills.append((h, el))
         return el
 
-    with mock.patch.object(ch, "_elem_from_prefix_raw", recording):
+    with mock.patch.object(dec, "_elem_from_prefix_raw", recording):
         for x in xs:
             for y in (x, ch.comp(a, x)):
                 if kind(y) == dec.GROUP_BELOW:
-                    dec._rep_of(ch.BaseChain(a), y)
+                    dec._rep_of(dec.BaseChain(a), y)
                 if q is not None:
                     q.to_class(y)
     return fills
@@ -958,7 +958,7 @@ def test_a_view_calls_the_compiled_closures(name):
     # a primitive called through a view is its algebra's closure, one call,
     # and every peel level below the view orders by that same closure
     a = ps.parse_algebra(case_spec(name))
-    view = ch.BaseChain(a)
+    view = dec.BaseChain(a)
     assert view.mul is a._ops.mul
     assert view.comp is a._ops.comp
     assert view.cmp is a._ops.cmp

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
+import argparse
 import io
 import json
 import os
@@ -332,15 +333,17 @@ def test_embed_lex_reports_target(capsys, spec_file):
     assert lines[1].startswith("LAW embed-lex PASS")
 
 
-# runs in a fresh interpreter: which of the peeling and law modules are
-# loaded after the import and after each call
+# runs in a fresh interpreter: which of the peeling, sampling and law
+# modules, and of the standard modules they may pull in, are loaded after
+# the import and after each call
 _FOOTPRINT = """
 import contextlib, io, json, sys
 from plexalg import cli
 
 def loaded():
     return [m for m in ("plexalg.decompose", "plexalg.lawcheck",
-                        "dataclasses", "inspect")
+                        "plexalg.sampling", "argparse", "dataclasses",
+                        "inspect")
             if m in sys.modules]
 
 steps = [["import", loaded()]]
@@ -354,12 +357,14 @@ print(json.dumps(steps))
 
 def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
     # the values of the start-up path are declared without dataclasses,
-    # whose import loads inspect, ast, dis and tokenize
+    # whose import loads inspect, ast, dis and tokenize; the command line
+    # is read without argparse; rebuild runs before the peeling verbs, so
+    # that what it loads shows
     spec = spec_file("II(Z, Q)")
     tree = spec_file("base: Z\nlevel 2: iota=II Z=gr G=Q H=fullH", "tree")
     calls = [["build", "-f", spec], ["eval", "-f", spec, "-e", "idems"],
-             ["represent", "-f", spec], ["decompose", "-f", spec],
-             ["rebuild", "-f", tree],
+             ["rebuild", "-f", tree], ["represent", "-f", spec],
+             ["decompose", "-f", spec],
              ["check", "-f", spec, "--laws", "fle", "--budget", "5"]]
     steps = json.loads(fresh_python(_FOOTPRINT, json.dumps(calls)))
     *steps, check = steps
@@ -367,12 +372,184 @@ def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
         ["import", []],
         ["build", 0, []],
         ["eval", 0, []],
+        ["rebuild", 0, []],
         ["represent", 0, ["plexalg.decompose"]],
         ["decompose", 0, ["plexalg.decompose"]],
-        ["rebuild", 0, ["plexalg.decompose"]],
     ]
-    # check may load them, through lawcheck
+    # check may load them, through lawcheck and its draws, but not argparse
     assert check[:2] == ["check", 0] and "plexalg.lawcheck" in check[2]
+    assert set(check[2]) <= {"plexalg.decompose", "plexalg.lawcheck",
+                             "plexalg.sampling", "dataclasses", "inspect"}
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser against argparse, which read the command line
+# until the parser took its place: the reference below is the argparse
+# parser as it was, and the budget check that ran after it
+
+
+class _RefUsage(Exception):
+    pass
+
+
+class _RefParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _RefUsage(message)
+
+
+def _reference_parser() -> _RefParser:
+    p = _RefParser(prog="plexalg")
+    sub = p.add_subparsers(dest="verb", required=True)
+
+    def verb(name, expr=False, laws=False, budget=None):
+        v = sub.add_parser(name)
+        v.add_argument("-f", dest="spec", required=True, metavar="FILE")
+        if expr:
+            v.add_argument("-e", dest="expr", required=True, metavar="EXPR")
+        if laws:
+            v.add_argument("--laws", default="all", metavar="ID")
+            v.add_argument("--format", dest="fmt", default="text",
+                           choices=("text", "tsv"))
+            v.add_argument("--stats", action="store_true")
+        if budget is not None:
+            v.add_argument("--budget", type=int, default=budget)
+            v.add_argument("--seed", type=int, default=0)
+
+    verb("build")
+    verb("eval", expr=True)
+    verb("check", laws=True, budget=1000)
+    verb("decompose")
+    verb("represent")
+    verb("rebuild")
+    verb("embed-lex", budget=1000)
+    return p
+
+
+def _reference(argv):
+    """("ok", values), ("help",) or ("usage",), as argparse read argv."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            values = vars(_reference_parser().parse_args(argv))
+    except _RefUsage:
+        return ("usage",)
+    except SystemExit as e:
+        assert e.code == 0
+        return ("help",)
+    if values.get("budget", 1) < 1:
+        return ("usage",)
+    return ("ok", values)
+
+
+def _parsed(argv):
+    """The same outcome of the parser of the program."""
+    try:
+        return ("ok", vars(cli._parse(argv)))
+    except cli._Help:
+        return ("help",)
+    except cli._UsageError:
+        return ("usage",)
+
+
+WELL_FORMED = [
+    ["build", "-f", "s.alg"],
+    ["build", "-fs.alg"],
+    ["build", "-f=s.alg"],
+    ["build", "-f", ""],
+    ["build", "-f", "-3"],
+    ["eval", "-f", "s.alg", "-e", "comp (0, T)"],
+    ["eval", "-e", "idems", "-f", "s.alg"],
+    ["eval", "-f", "s.alg", "-e", "-x y"],
+    ["check", "-f", "s.alg"],
+    ["check", "--laws", "eq2.2", "-f", "s.alg", "--budget", "50",
+     "--seed", "1"],
+    ["check", "-f", "s.alg", "--laws=all", "--format=tsv", "--stats"],
+    ["check", "--stats", "--seed", "9", "--format", "tsv", "-f", "s.alg"],
+    ["check", "-f", "s.alg", "--bud", "5", "--se", "-3", "--st", "--fo",
+     "tsv", "--la", "fle"],
+    ["check", "-f", "s.alg", "--bud=5", "--seed=-3"],
+    ["check", "-f", "s.alg", "--seed", "-3"],
+    ["check", "-f", "s.alg", "--budget", "5", "--budget", "7"],
+    ["check", "-f", "a.alg", "-f", "b.alg", "--stats", "--stats"],
+    ["check", "-f", "s.alg", "--format", "tsv", "--format", "text"],
+    ["check", "-f", "s.alg", "--budget", " 12", "--seed", "+4"],
+    ["decompose", "-f", "s.alg"],
+    ["represent", "-f", "s.alg"],
+    ["rebuild", "-f", "tree.txt"],
+    ["embed-lex", "-f", "s.alg", "--budget", "200", "--seed", "3"],
+    ["embed-lex", "--seed", "-1", "--budget=1", "-f", "s.alg"],
+]
+
+MALFORMED = [
+    [],                                              # no verb
+    ["bogus", "-f", "s.alg"],                        # an unknown verb
+    ["-f", "s.alg", "build"],
+    ["build", "-f", "s.alg", "--nope"],              # an unknown option
+    ["build", "-f", "s.alg", "-x"],
+    ["build", "-f", "s.alg", "extra"],
+    ["check", "-f", "s.alg", "--s"],                 # an ambiguous prefix
+    ["build"],                                       # a missing -f or -e
+    ["eval", "-f", "s.alg"],
+    ["build", "-f"],                                 # a missing value
+    ["check", "-f", "s.alg", "--budget"],
+    ["check", "-f", "s.alg", "--laws", "--stats"],
+    ["check", "-f", "s.alg", "--budget", "x"],       # not an integer
+    ["check", "-f", "s.alg", "--seed", "1.5"],
+    ["embed-lex", "-f", "s.alg", "--budget", ""],
+    ["check", "-f", "s.alg", "--format", "xml"],     # not a choice
+    ["check", "-f", "s.alg", "--budget", "0"],       # a budget below 1
+    ["embed-lex", "-f", "s.alg", "--budget=-5"],
+    ["check", "-f", "s.alg", "--stats=yes"],         # a value for a switch
+    ["build", "-f", "s.alg", "--"],
+    ["--"],
+]
+
+HELP = [["-h"], ["--help"], ["--he"], ["build", "-h"],
+        ["check", "-f", "s.alg", "--help"], ["eval", "-hf", "s.alg"],
+        ["check", "--budget", "0", "-h"]]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_parser_reads_what_argparse_read(argv):
+    want = _reference(argv)
+    assert want[0] == "ok"
+    assert _parsed(argv) == want
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_command_lines_are_one_usage_error(argv):
+    assert _reference(argv) == ("usage",)
+    code, out, err = _main(argv)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
+def test_help_prints_the_usage_and_exits_0(argv):
+    assert _reference(argv) == ("help",)
+    code, out, err = _main(argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    verb = argv[0] if argv[0] in cli._VERBS else "VERB"
+    assert out.startswith(f"usage: plexalg {verb} ")
+    # every verb, or every option of the verb, has its line
+    names = ([name for name in cli._VERBS] if verb == "VERB"
+             else [opt[0] for opt in cli._VERBS[verb][2]])
+    rows = [line.split()[0] for line in out.splitlines()
+            if line.startswith("  ")]
+    assert rows == ["-h,"] * (verb != "VERB") + names
+
+
+_TOKENS = ("build", "eval", "check", "embed-lex", "bogus", "-f", "-e",
+           "-fs.alg", "-f=", "--laws", "--la", "--format", "--fo", "--f",
+           "--stats", "--st", "--s", "--stats=1", "--budget", "--bud",
+           "--budget=0", "--seed", "--se", "--seed=-2", "-h", "--help",
+           "--he", "-hf", "-hx", "--", "-", "", "s.alg", "x y", "-x y", "5",
+           "0", "-3", "-1.5", "1.5", "tsv", "xml", "fle", "-x", "--nope")
+
+
+@settings(max_examples=400)
+@given(argv=st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_parser_agrees_with_argparse_on_any_tokens(argv):
+    assert _parsed(argv) == _reference(argv)
 
 
 STATS_LINE = re.compile(r"stats law=(\S+) elapsed_ms=\d+\.\d{3} "

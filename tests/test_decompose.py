@@ -17,12 +17,14 @@ from hypothesis import HealthCheck, event, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import SPECS
+from plexalg import build as bd
 from plexalg import chains as ch
 from plexalg import decompose as dec
 from plexalg import groups as gr
 from plexalg import kernel as kn
 from plexalg import lawcheck as lc
 from plexalg import parsing as ps
+from plexalg import sampling
 from plexalg.build import build_sublex
 from plexalg.errors import (InvalidElement, OnlyUnitIdempotent, PlexError,
                             PreconditionFailed, StructuralMismatch,
@@ -94,7 +96,7 @@ def test_classification_consistent_with_tau(alg):
     for name in ("A", "B", "C", "G", "E", "V3", "V4"):
         a = alg[name]
         u = dec.smallest_pos_idem(a)
-        kind_of = dec.classifier(ch.BaseChain(a), u)  # built once
+        kind_of = dec.classifier(dec.BaseChain(a), u)  # built once
         rng = random.Random(21)
         for _ in range(300):
             x = ch.sample_elem(a, rng)
@@ -182,7 +184,7 @@ def test_peel_steps_and_their_errors_are_the_recorded_ones():
                 _recorded(lambda: dec.RestrictionChain(a, u).describe())]
         # on every level, peel builds the step that smallest_pos_idem and
         # branch pick
-        view = ch.BaseChain(a)
+        view = dec.BaseChain(a)
         for level in _peel_levels(view):
             u = dec.smallest_pos_idem(view)
             idem = dec.branch(view, u) == dec.IDEM_BRANCH
@@ -225,14 +227,14 @@ def test_quotient_builds_each_canonical_member_once_per_head(alg,
     # component extreme among them (10,360)
     E = alg["E"]
     heads = []
-    real = ch._elem_from_prefix_raw
+    real = dec._elem_from_prefix_raw  # the builder BaseChain.fill_prefix calls
 
     def recording(b, h):
         if b is E:
             heads.append(h)
         return real(b, h)
 
-    monkeypatch.setattr(ch, "_elem_from_prefix_raw", recording)
+    monkeypatch.setattr(dec, "_elem_from_prefix_raw", recording)
     for _ in range(2):  # the memo dies with its step: no carry-over
         heads.clear()
         r = lc.check_named(E, "prop9.2", budget=50, seed=1)
@@ -379,7 +381,7 @@ def test_only_the_embedding_into_the_rebuilt_algebra_builds_it(monkeypatch):
         built.append(args[0])
         return build_sublex(*args, **kw)
 
-    monkeypatch.setattr(dec, "build_sublex", counted)
+    monkeypatch.setattr(bd, "build_sublex", counted)  # rebuild's builder
     dec.group_representation(a)
     dec.lex_embedding(a)
     assert built == []
@@ -468,7 +470,7 @@ def _tower(depth):
 def _peels(spec):
     """Algebra, oracle peel and one-pass peels of a spec, built once."""
     a = ps.parse_algebra(spec)
-    return (a, _view_walk(ch.BaseChain(a)), dec.representation_embedding(a),
+    return (a, _view_walk(dec.BaseChain(a)), dec.representation_embedding(a),
             dec.lex_embedding(a))
 
 
@@ -614,7 +616,7 @@ def _assert_random_spec_peels_agree(spec, rngs) -> str:
     except PlexError:
         reject()
     try:
-        _view_walk(ch.BaseChain(a))
+        _view_walk(dec.BaseChain(a))
     except PlexError as exc:
         for peel in (dec.group_representation, dec.representation_embedding,
                      dec.lex_embedding):
@@ -701,7 +703,7 @@ def _outcome(fn, *args):
 
 
 def _assert_classifier_matches_oracle(a, rngs, mutants=False):
-    view = ch.BaseChain(a)
+    view = dec.BaseChain(a)
     u = dec.smallest_pos_idem(a)
     nu = view.comp(u)
     views = [view]
@@ -758,7 +760,7 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
     rng = random.Random(29)
     xs = [ch.sample_elem(a, rng, marker_p=p) for p in (0.25, 0.6)
           for _ in range(100)]
-    kind = dec.classifier(ch.BaseChain(a), u)
+    kind = dec.classifier(dec.BaseChain(a), u)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -767,9 +769,9 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    for owner, name in ((ch, "tau"), (ch, "res"), (ch.ChainView, "tau"),
-                        (ch.ChainView, "res"), (ch, "g_member"),
-                        (gr, "g_member")):
+    for owner, name in ((ch, "tau"), (ch, "res"), (dec, "tau"),
+                        (dec.ChainView, "tau"), (dec.ChainView, "res"),
+                        (ch, "g_member"), (gr, "g_member")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     kinds = collections.Counter(kind(x) for x in xs)
     assert not calls, calls
@@ -802,7 +804,7 @@ def _assert_covers_mutual(view, xs):
 
 def _assert_covers_mutual_everywhere(a, rngs):
     xs = [ch.sample_elem(a, rng, marker_p=p) for rng, p in rngs]
-    view = ch.BaseChain(a)
+    view = dec.BaseChain(a)
     _assert_covers_mutual(view, xs)
     for level in _peel_levels(view):
         # carry the samples down: a quotient takes their classes, a
@@ -852,7 +854,7 @@ def _contains_mismatches(spec):
     """Restriction levels of a spec's peel, and the sampled base elements
     on which contains disagrees with u <= tau(x)."""
     levels, bad = 0, []
-    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
         if not isinstance(level, dec.RestrictionChain):
             continue
         levels += 1
@@ -892,7 +894,7 @@ def test_contains_oracle_catches_a_negated_contains(monkeypatch):
 
 
 def _assert_levels_keep_input_elements(a, rngs):
-    for level in _peel_levels(ch.BaseChain(a)):
+    for level in _peel_levels(dec.BaseChain(a)):
         xs = [level.sampler(rng)() for rng in rngs]
         win = lc.window_elems(level, 1, 2)
         elems = xs + win + [level.unit()] + list(level.pos_idems())
@@ -964,7 +966,7 @@ def _step_contract_breaches(spec):
     """(level, what, element) wherever a peel level of spec breaks the
     step contract."""
     bad = []
-    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
         name = level.describe()
         unit, idems, from_prefix, projected, validate = \
             _shape_reference(level)
@@ -1117,7 +1119,7 @@ def _assert_sampler_matches_oracle(view, seed=0, n=500):
 @pytest.mark.parametrize("name", SAMPLER_CASES)
 def test_bound_sampler_draws_what_one_call_per_draw_drew(name):
     a = ps.parse_algebra(case_spec(name))
-    views = [ch.BaseChain(a), lc.Mutant(a, "mul")]
+    views = [dec.BaseChain(a), lc.Mutant(a, "mul")]
     views += _peel_levels(views[0])
     for seed, view in enumerate(views):
         _assert_sampler_matches_oracle(view, seed)
@@ -1129,10 +1131,12 @@ def test_sampler_oracle_catches_a_moved_draw(alg, monkeypatch):
     _assert_sampler_matches_oracle(q)
     with monkeypatch.context() as m:
         # the base draws with another marker probability
-        m.setattr(ch.BaseChain, "sampler", lambda self, rng: functools.partial(
-            ch._sampler(self.a, 6, 8, 0.3), rng.random, rng.getrandbits))
+        m.setattr(dec.BaseChain, "sampler",
+                  lambda self, rng: functools.partial(
+                      sampling._sampler(self.a, 6, 8, 0.3), rng.random,
+                      rng.getrandbits))
         with pytest.raises(AssertionError):
-            _assert_sampler_matches_oracle(ch.BaseChain(E))
+            _assert_sampler_matches_oracle(dec.BaseChain(E))
     with monkeypatch.context() as m:
         # the quotient hands out base elements, not their class members
         m.setattr(dec.QuotientChain, "sampler",
@@ -1178,7 +1182,7 @@ def test_to_class_matches_the_gamma_map(name):
     # the (2, 2) window below tower 5's first quotient holds 369,050
     # elements, and its deeper windows take seconds each to peel
     bound, max_den = (1, 2) if name == "tower5" else (2, 2)
-    for q in _peel_levels(ch.BaseChain(a)):
+    for q in _peel_levels(dec.BaseChain(a)):
         if isinstance(q, dec.QuotientChain):
             _assert_to_class_is_gamma(q, lc.window_elems(q.base, bound,
                                                          max_den))

@@ -261,7 +261,7 @@ def test_report_is_frozen(alg):
 def test_fle_laws_hold_on_every_peel_level(alg, spec):
     # each peeling step leaves an odd involutive chain with one positive
     # idempotent fewer, so the residuated-monoid axioms hold on it again
-    view = ch.BaseChain(alg[spec] if spec in alg else ps.parse_algebra(spec))
+    view = dec.BaseChain(alg[spec] if spec in alg else ps.parse_algebra(spec))
     levels = _peel_levels(view)
     count = len(view.pos_idems())
     assert [len(v.pos_idems()) for v in levels] == \
@@ -304,7 +304,7 @@ def test_every_law_holds_on_every_peel_level(name):
     # every peel level is again an odd involutive chain, so every named
     # law and product table holds on it, read through the view alone
     spec = case_spec(name)
-    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
         group_level = len(level.pos_idems()) == 1
         br = None if group_level else \
             dec.branch(level, dec.smallest_pos_idem(level))
@@ -331,7 +331,7 @@ def test_every_law_holds_on_every_peel_level(name):
                                   "II(II(Z, Z), II(Z, Q))"])
 def test_window_of_a_peel_level_is_valid_and_ascending(name):
     spec = case_spec(name)
-    for level in _peel_levels(ch.BaseChain(ps.parse_algebra(spec))):
+    for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
         win = lc.window_elems(level, bound=1, max_den=2)
         assert win and all(level.validate(x) for x in win)
         assert all(level.lt(p, q) for p, q in zip(win, win[1:]))
@@ -455,7 +455,7 @@ def _kinds_in_window(c, u):
 
 
 def _assert_ruled_out_kinds_are_absent(a):
-    c = ch.BaseChain(a)
+    c = dec.BaseChain(a)
     u = dec.smallest_pos_idem(c)
     found = _kinds_in_window(c, u)
     assert not (c.lacks_pseudo_tops(u) and dec.TOP_PS in found)
@@ -485,8 +485,8 @@ def test_an_answer_of_always_absent_fails_the_soundness_check(monkeypatch):
     # caught on every case where the structure leaves pseudo-tops
     # possible: there the window holds one
     algs = [ps.parse_algebra(spec) for spec in ABSENCE_CASES]
-    possible = [a for a in algs if not ch._lacks_pseudo_tops(a)]
-    monkeypatch.setattr(ch.BaseChain, "lacks_pseudo_tops",
+    possible = [a for a in algs if not dec._lacks_pseudo_tops(a)]
+    monkeypatch.setattr(dec.BaseChain, "lacks_pseudo_tops",
                         lambda self, u: True)
     failed = 0
     for a in algs:
@@ -498,7 +498,7 @@ def test_an_answer_of_always_absent_fails_the_soundness_check(monkeypatch):
 
 
 def test_structure_rules_out_the_kinds_the_fixtures_lack(alg):
-    got = {name: ch._lacks_pseudo_tops(alg[name])
+    got = {name: dec._lacks_pseudo_tops(alg[name])
            for name in ("A", "B", "C", "G", "E", "V3", "V3b", "V4", "V4b")}
     assert got == {"A": True, "B": True, "C": True, "G": True, "E": True,
                    "V3": False, "V3b": False, "V4": False, "V4b": False}
@@ -518,7 +518,8 @@ def _assert_outcomes_unchanged(name, monkeypatch, *methods):
     seeds = (0, 7, 1 << 20)
     fast = {(law, s): _outcome(a, law, s) for law in ALL_LAWS for s in seeds}
     for method in methods:
-        monkeypatch.setattr(ch.BaseChain, method, getattr(ch.ChainView, method))
+        monkeypatch.setattr(dec.BaseChain, method,
+                            getattr(dec.ChainView, method))
     slow = {(law, s): _outcome(a, law, s) for law in ALL_LAWS for s in seeds}
     assert fast == slow
 
@@ -538,10 +539,10 @@ def _assert_upper_tests_match_arithmetic(a, bound=2, max_den=2,
                                          upper_kind=None):
     """BaseChain's upper_kind (or the given stand-in for it) and lifts_to
     answer as the ChainView defaults on 2,000 draws and a window."""
-    c = ch.BaseChain(a)
+    c = dec.BaseChain(a)
     u = dec.smallest_pos_idem(c)
     fast = (upper_kind or c.upper_kind)(u)
-    slow = ch.ChainView.upper_kind(c, u)
+    slow = dec.ChainView.upper_kind(c, u)
     lifts, grp = c.lifts_to(u), c.invertible(u)
     draw = c.sampler(random.Random(0))
     xs = [draw() for _ in range(2000)] + lc.window_elems(c, bound, max_den)
@@ -580,7 +581,7 @@ def _upper_rule(mid_test=True, tb_bottom=True):
     """BaseChain.upper_kind, with its mid test or its bottom-column test
     left out when asked."""
     def upper_kind(a):
-        n, depth = ch._upper_node(a)
+        n, depth = dec._upper_node(a)
         free, mid_ok = n.x._ops.free, n._coords.mid
 
         def kind(x):
@@ -627,7 +628,7 @@ def test_a_probe_on_an_algebra_lifts_only_what_it_keeps(alg, monkeypatch):
     # view's mul is its algebra's closure, bound on the view
     kinds = lc._Kinds(dec.peel(alg["V3b"]), lc.SampleStream(alg["V3b"], 1))
     muls = _counted(monkeypatch, kinds.clean, "mul")
-    downs = _counted(monkeypatch, ch.BaseChain, "x_down")
+    downs = _counted(monkeypatch, dec.BaseChain, "x_down")
     draws = _counted(monkeypatch, lc.SampleStream, "draw")
     assert kinds.pseudo_top() is not None
     assert draws[0] > 1 and muls[0] == 1 and downs[0] == 0

@@ -42,7 +42,7 @@ def test_exports_load_on_first_use(fresh_python):
         "from_import": True,
         "submodules": {m: True for m in (
             "build", "chains", "cli", "decompose", "errors", "groups",
-            "kernel", "lawcheck", "parsing")},
+            "kernel", "lawcheck", "parsing", "sampling")},
         "mismatched": [],
         "star_missing": [],
         "dir_missing": [],
