@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import kernel as kn
 from .chains import (NODE_KINDS, Algebra, FullH, GraphH, ProdH,
                      discretely_embedded, gr_ambient, ladder, leaf,
                      positive_idempotents, tau, unit)
@@ -47,8 +48,9 @@ def _check_sub(amb: GroupDesc, sub, what: str):
 
 
 def _check_cut(amb: GroupDesc, own, sub, top, what: str):
-    """A validated sub cuts the group part own (none of it graph-linked,
-    unless sub is full) inside top."""
+    """A validated sub cuts the group part own inside top.  A graph-linked
+    own cannot be cut: a sub other than full is rejected here, and full is
+    not contained in a graph entry (groups.entry_leq)."""
     if any(c[0] == "graph" for c in own) and not sub_is_full(amb, sub):
         raise InvalidSubgroup(f"{what}: cannot cut a graph-linked group part")
     if not sub_leq(amb, sub, top):
@@ -138,7 +140,7 @@ def _check_restriction(amb: GroupDesc, own, top, y: Algebra, h, family: str):
             raise PreconditionFailed(
                 "graph restriction needs a rank-one divisible second factor"
             )
-        if not (isinstance(h.c, tuple) and len(h.c) == 2 and h.c[1] >= 1):
+        if not kn.is_rat(h.c):
             raise PreconditionFailed("graph slope must be a normalized rational pair")
         if family == "tb" and not sub_is_full(amb, top):
             # the first side of the graph runs over the whole group part

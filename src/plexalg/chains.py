@@ -123,16 +123,13 @@ class GraphH(NamedTuple):
     """Graph restriction {(n, n*c)}: one integer first coordinate, the
     single second coordinate determined by it."""
 
-    c: tuple  # rational pair
+    c: object  # a kernel rational
 
 
 # ---------------------------------------------------------------------------
-# per-coordinate constraints (ladder entries and merged node data)
-#
-# ('full',)          whole coordinate
-# ('triv',)          pinned to 0
-# ('idx', m)         multiples of m
-# ('graph', c, src)  value = c * value of ambient coordinate src
+# per-coordinate constraints (ladder entries and merged node data): the
+# subgroup entries of plexalg.groups, full, triv, ('idx', m) and
+# ('graph', c, src), value = c * value of ambient coordinate src
 
 
 def merge_constr(a, b):
@@ -166,15 +163,11 @@ def _checks(constraints) -> tuple:
 def _checks_ok(checks, vec) -> bool:
     for i, con in checks:
         v = vec[i]
-        if con == TRIV:
-            if v != kn.ZERO:
-                return False
-        elif con[0] == "idx":
-            if not coord_in_sub(con, v):
-                return False
-        else:  # graph
+        if con[0] == "graph":
             if v != kn.rmul(con[1], vec[con[2]]):
                 return False
+        elif not coord_in_sub(con, v):
+            return False
     return True
 
 

@@ -100,13 +100,13 @@ from .groups import (
     GroupDesc,
     TRIV_GROUP,
     divisible_hull,
-    entry_leq,
     g_add,
     g_cmp,
     g_member,
     g_zero,
     idx,
     sub_is_full,
+    sub_leq,
 )
 
 # classification of an element relative to the least positive idempotent
@@ -150,18 +150,6 @@ NONIDEM_BRANCH = "NonIdemBranch"
 # invertible x: x turned top at n (lifts_to).
 
 
-def _constr_within(desc_kinds, small, big) -> bool:
-    """Every vector satisfying small satisfies big (graph entries must
-    agree exactly)."""
-    for kind, sm, bg in zip(desc_kinds, small, big):
-        if sm == bg:
-            continue
-        if sm[0] == "graph" or bg[0] == "graph" or \
-                not entry_leq(kind, sm, bg):
-            return False
-    return True
-
-
 def _upper_node(a: Algebra):
     """(n of the notes above, the number of nodes above n)."""
     n, depth = a, 0
@@ -179,7 +167,7 @@ def _lacks_pseudo_tops(a: Algebra) -> bool:
     s = n._structure
     x_amb, x_entries = ladder(n.x)
     tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
-    return _constr_within(x_amb, tops, s.vconstr)
+    return sub_leq(GroupDesc(x_amb), tops, s.vconstr)
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +674,6 @@ def phi_nucleus(a, u, x):
 # representation trees
 
 
-def _entry_eq(kind: str, p, q) -> bool:
-    return entry_leq(kind, p, q) and entry_leq(kind, q, p)
-
-
 def _in_hull(con, ambient_kind: str, kind: str):
     """A constraint on an ambient coordinate, read in a rebuilt coordinate
     of the given kind: the whole of an integer direction kept as its hull
@@ -720,8 +704,8 @@ def _level_record(ambient, e0, e1, coords, idem_branch: bool):
         if zsrc is None:
             raise StructuralMismatch("quotient step without top-column data")
         z = tuple(_in_hull(zsrc[j], ambient[j], k) for j, k in coords)
-        full_ok = all(_entry_eq(k, p, q)
-                      for (_, k), p, q in zip(coords, zpart, z))
+        full_ok = (sub_leq(child_desc, zpart, z)
+                   and sub_leq(child_desc, z, zpart))
     else:
         if e0.zconstr is not None:
             raise StructuralMismatch("restriction step with top-column data")

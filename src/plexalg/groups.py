@@ -3,8 +3,10 @@
 A group is described by a tuple of coordinate kinds, each 'Z' (integers)
 or 'Q' (rationals), ordered lexicographically.  The trivial group is the
 empty tuple of kinds and its only element is the empty vector.  Elements
-are tuples of normalized (num, den) pairs, one per coordinate; on a 'Z'
-coordinate the denominator must be 1.
+are tuples of kernel rationals, one per coordinate, integral on a 'Z'
+coordinate; this module reads them only through plexalg.kernel.  It is
+also the one reader of per-coordinate subgroup entries (below), and a
+graph entry is contained only in an identical entry.
 
 Convex subgroups used here are coordinate tails: the last k coordinates.
 Splitting off a tail gives a quotient (the head coordinates) plus an
@@ -75,16 +77,7 @@ def g_member(desc: GroupDesc, elem) -> bool:
     if not isinstance(elem, tuple) or len(elem) != desc.rank:
         return False
     for kind, coord in zip(desc.kinds, elem):
-        if (
-            not isinstance(coord, tuple)
-            or len(coord) != 2
-            or not isinstance(coord[0], int)
-            or not isinstance(coord[1], int)
-            or coord[1] < 1
-            or kn.rnorm(*coord) != coord
-        ):
-            return False
-        if kind == INT and coord[1] != 1:
+        if not kn.is_rat(coord) or kind == INT and not kn.is_multiple(coord, 1):
             return False
     return True
 
@@ -104,6 +97,7 @@ def g_cmp(desc: GroupDesc, a, b) -> int:
 #   ('triv',)    only 0
 #   ('idx', m)   the multiples of m (m >= 1); on a 'Q' coordinate this is
 #                m-spaced integers sitting inside the rationals
+#   ('graph', c, src)  c times coordinate src (ladder constraints only)
 
 FULL = ("full",)
 TRIV = ("triv",)
@@ -134,9 +128,8 @@ def coord_in_sub(entry, coord) -> bool:
     if entry == FULL:
         return True
     if entry == TRIV:
-        return coord[0] == 0
-    m = entry[1]
-    return coord[1] == 1 and coord[0] % m == 0
+        return coord == kn.ZERO
+    return kn.is_multiple(coord, entry[1])
 
 
 def _entry_norm(kind: str, entry):
@@ -147,7 +140,10 @@ def _entry_norm(kind: str, entry):
 
 
 def entry_leq(kind: str, small, big) -> bool:
-    """Containment of per-coordinate subgroups, small within big."""
+    """Containment of per-coordinate subgroups, small within big.  A graph
+    entry is contained only in an identical entry."""
+    if small[0] == "graph" or big[0] == "graph":
+        return small == big
     small = _entry_norm(kind, small)
     big = _entry_norm(kind, big)
     if small == TRIV or big == FULL:

@@ -1,14 +1,20 @@
 """Exact rational and lex-vector primitives.
 
-Rationals are plain ``(num, den)`` int pairs, always normalized: den >= 1
-and gcd(num, den) == 1.  Vectors are tuples of such pairs compared
-lexicographically.  The kernel is pure Python; there is nothing to build.
+Here a rational is a normalized ``(num, den)`` int pair (den >= 1, gcd 1);
+everywhere else it is opaque.  Other modules make, combine, test
+(``is_rat``, ``is_multiple``) and read (``parts``) rationals only through
+the functions of ``__all__``, never indexing or unpacking one, and rely
+only on value semantics: equal rationals are ``==`` and hash alike, and
+``repr`` shows ``(num, den)`` (seeded reports and the benchmark's digests
+read it).  Vectors are tuples of rationals compared lexicographically.
+The kernel is pure Python; there is nothing to build.
 
 Callers import the module (``from . import kernel as kn``) and look each
 function up as ``kn.radd`` at call time, and the functions here reach one
 another through this module's globals.  So all rational arithmetic stays
 in this module, and a patched kernel (the benchmark's tracer wraps every
-function named in ``__all__``) sees every call.
+function named in ``__all__``; a test swaps in opaque rationals) sees
+every call.
 """
 
 from math import gcd
@@ -18,7 +24,8 @@ KERNEL_IMPL = "py"
 
 __all__ = [
     "KERNEL_IMPL", "ZERO", "ONE", "rnorm", "rmake", "radd", "rneg", "rsub",
-    "rmul", "rcmp", "vzero", "vadd", "vneg", "vsub", "vcmp",
+    "rmul", "rcmp", "is_rat", "is_multiple", "parts", "vzero", "vadd",
+    "vneg", "vsub", "vcmp",
 ]
 
 ZERO = (0, 1)
@@ -69,6 +76,22 @@ def rcmp(a, b):
     lhs = a[0] * b[1]
     rhs = b[0] * a[1]
     return (lhs > rhs) - (lhs < rhs)
+
+
+def is_rat(x) -> bool:
+    """x is a rational: a pair of ints (not bools), normalized."""
+    return (type(x) is tuple and len(x) == 2 and type(x[0]) is int
+            and type(x[1]) is int and x[1] >= 1 and gcd(x[0], x[1]) == 1)
+
+
+def is_multiple(a, m: int) -> bool:
+    """a is an integer multiple of the positive int m."""
+    return a[1] == 1 and a[0] % m == 0
+
+
+def parts(a) -> tuple:
+    """(numerator, denominator) of a."""
+    return a
 
 
 def vzero(n):

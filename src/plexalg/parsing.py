@@ -138,7 +138,7 @@ def _parse_rat(s: _Stream):
 
 
 def print_rat(r) -> str:
-    p, q = r
+    p, q = kn.parts(r)
     return _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
 
 

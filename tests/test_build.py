@@ -85,6 +85,15 @@ def test_graph_h_needs_compatible_shape():
         spec("SLII(Q, Q, graphH(1/2))")
 
 
+@pytest.mark.parametrize("c", [(2, 4), (1.5, 2), (True, 1)],
+                         ids=["unnormalized", "float", "bool"])
+def test_graph_slope_must_be_a_kernel_rational(c):
+    # such a slope once built, and printed as graphH(2/4) or graphH(1.5/2)
+    with pytest.raises(PreconditionFailed) as info:
+        build.build_sublex("SLII", Z, Q, GraphH(c))
+    assert str(info.value) == "graph slope must be a normalized rational pair"
+
+
 def test_structure_is_preserved_by_nesting():
     e = spec("I(II(Z, Q), full, Q)")
     assert not e.is_leaf

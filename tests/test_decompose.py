@@ -643,6 +643,60 @@ def test_one_pass_peel_regressions(spec):
     assert _assert_random_spec_peels_agree(spec, rngs) == "the view stack peels"
 
 
+# containment of ladder constraints: groups.sub_leq against the rule it
+# replaced in the pseudo-top test, under which a graph entry is contained
+# only in an identical entry
+
+
+def _constr_within(desc_kinds, small, big) -> bool:
+    for kind, sm, bg in zip(desc_kinds, small, big):
+        if sm == bg:
+            continue
+        if sm[0] == "graph" or bg[0] == "graph" or \
+                not gr.entry_leq(kind, sm, bg):
+            return False
+    return True
+
+
+def _lacks_pseudo_tops_oracle(a) -> bool:
+    if a.is_leaf:
+        return False
+    n = dec._upper_node(a)[0]
+    s = n._structure
+    x_amb, x_entries = ch.ladder(n.x)
+    tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
+    return _constr_within(x_amb, tops, s.vconstr)
+
+
+def _ladder_constraints(a) -> set:
+    """(ambient kinds, vector) of every constraint vector of a's nodes: a
+    vector of length k is over the first k ambient coordinates."""
+    out, stack = set(), [a]
+    while stack:
+        n = stack.pop()
+        s = n._structure
+        vecs = [s.vconstr, s.zconstr] + [v for e in s.entries
+                                         for v in (e.gconstr, e.zconstr)]
+        out.update((s.ambient[:len(v)], v) for v in vecs if v is not None)
+        if not n.is_leaf:
+            stack += [n.x, n.y]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SPECS)
+                         + [f"tower{d}" for d in range(1, 6)]
+                         + REGRESSION_SPECS)
+def test_sub_leq_answers_as_the_pseudo_top_rule_did(name):
+    a = ps.parse_algebra(case_spec(name))
+    assert dec._lacks_pseudo_tops(a) == _lacks_pseudo_tops_oracle(a)
+    vecs = _ladder_constraints(a)
+    for amb, small in vecs:
+        for amb_big, big in vecs:
+            if amb_big == amb:
+                assert gr.sub_leq(GroupDesc(amb), small, big) == \
+                    _constr_within(amb, small, big), (small, big)
+
+
 # the representation as a normal form: represent∘rebuild fixes every tree
 
 

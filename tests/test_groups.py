@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from plexalg import chains as ch
 from plexalg import groups as gr
 from plexalg import kernel as kn
 from plexalg.errors import InvalidSubgroup
@@ -48,6 +49,14 @@ def test_membership():
     assert gr.g_member(gr.TRIV_GROUP, ())
 
 
+def test_membership_needs_int_coordinates():
+    # True == 1, but a bool is no kernel integer: neither the group nor an
+    # algebra over it takes the coordinate
+    assert not gr.g_member(gr.Z_GROUP, ((True, 1),))
+    assert not gr.g_member(gr.Q_GROUP, ((1, True),))
+    assert not ch.validate_elem(ch.leaf(gr.Z_GROUP), ((True, 1),))
+
+
 @given(zz_elems, zz_elems, zz_elems)
 def test_group_laws(a, b, c):
     add = lambda x, y: gr.g_add(LZZ, x, y)
@@ -88,6 +97,22 @@ def test_subgroup_containment():
     assert not gr.entry_leq("Q", gr.FULL, gr.idx(1))
     assert gr.entry_leq("Q", gr.TRIV, gr.idx(5))
     assert gr.sub_is_full(LZZ, (gr.idx(1), gr.FULL))
+
+
+GRAPH = ("graph", kn.rmake(1, 2), 0)
+
+
+def test_a_graph_entry_is_contained_only_in_itself():
+    for kind in ("Z", "Q"):
+        assert gr.entry_leq(kind, GRAPH, ("graph", kn.rmake(1, 2), 0))
+        for other in (("graph", kn.rmake(1, 3), 0),
+                      ("graph", kn.rmake(1, 2), 1),
+                      gr.FULL, gr.TRIV, gr.idx(1), gr.idx(3)):
+            assert not gr.entry_leq(kind, GRAPH, other), other
+            assert not gr.entry_leq(kind, other, GRAPH), other
+    assert gr.sub_leq(LZQ, (gr.idx(2), GRAPH), (gr.FULL, GRAPH))
+    assert not gr.sub_leq(LZQ, (gr.idx(2), GRAPH), (gr.FULL, gr.FULL))
+    assert not gr.sub_leq(LZQ, (gr.FULL, gr.TRIV), (gr.FULL, GRAPH))
     assert not gr.sub_is_full(LZQ, (gr.FULL, gr.idx(1)))
 
 

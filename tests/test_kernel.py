@@ -72,6 +72,21 @@ def test_rcmp_matches_fractions(a, b):
     assert kn.rcmp(a, b) == want
 
 
+def test_is_rat_takes_only_normalized_int_pairs():
+    for r in (kn.ZERO, kn.ONE, kn.rmake(-3, 6), kn.rmake(10**30, 7)):
+        assert kn.is_rat(r)
+    for x in ((2, 4), (0, 2), (1, 0), (1, -2), (True, 1), (1, True),
+              (1.5, 2), [1, 2], (1, 2, 3), 1, None):
+        assert not kn.is_rat(x), x
+
+
+@given(rats, st.integers(1, 12))
+def test_is_multiple_and_parts_match_fractions(a, m):
+    f = to_frac(a)
+    assert kn.parts(a) == (f.numerator, f.denominator)
+    assert kn.is_multiple(a, m) == ((f / m).denominator == 1)
+
+
 def test_vzero():
     assert kn.vzero(3) == (kn.ZERO,) * 3
 
