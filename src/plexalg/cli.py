@@ -10,7 +10,6 @@ per report on stderr (law, elapsed ms, samples, vacuous cells).
 
 from __future__ import annotations
 
-import re
 import sys
 from types import SimpleNamespace
 
@@ -48,123 +47,77 @@ class _Help(Exception):
 # line, options).  An option is (flag, dest, default, value, help), where
 # value is the metavar of an option that takes a string, int for an
 # integer, a tuple of its choices, or None for a switch; a default of
-# None makes the option required.  The parser reads a command line by
-# argparse's rules for these shapes, so each one means what it meant when
-# argparse read it: a long flag may be any unique prefix of itself and
-# take its value after '=', a short one right after the flag, a negative
-# number or a word with a space is a value, the last of a repeated option
-# wins, and the first error ends the parse with one usage error.
-
-_HELP = {"-h": None, "--help": None}
-# compiled where a token first needs it, not on every start
-_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+# None makes the option required.  A command line in canonical form, the
+# verb and then exact flags, each but a switch followed by a value that
+# does not start with '-', is read directly; argparse, built from the same
+# table, reads every other line, so each line means what argparse makes
+# of it, and argparse is imported only when a line needs it.
 
 
-def _tokens(argv, flags) -> list:
-    """Each token read against a parser's flags: None for a value, "--"
-    for the token after which every token is a value, or (flag, or None
-    for an unknown option; the value joined to the token, or None)."""
-    out = []
-    for i, tok in enumerate(argv):
-        if tok == "--":
-            return out + ["--"] + [None] * (len(argv) - i - 1)
-        head, eq, tail = tok.partition("=")
-        if tok in flags:
-            hits = [(tok, None)]
-        elif tok[:1] != "-" or len(tok) == 1:
-            hits = [None]
-        elif eq and head in flags:
-            hits = [(head, tail)]
-        elif tok[1] == "-":  # a long flag: any unique prefix of it
-            hits = [(f, tail if eq else None) for f in flags
-                    if f.startswith(head)]
-        else:  # a short flag: its value may follow it directly
-            hits = [(f, tok[2:] if f == tok[:2] else None) for f in flags
-                    if f == tok[:2] or f.startswith(tok)]
-        if len(hits) > 1:
-            raise _UsageError("ambiguous option: %s could match %s"
-                              % (tok, ", ".join(f for f, _ in hits)))
-        if not hits:
-            hits = [None if re.match(_NEGATIVE, tok) or " " in tok
-                    else (None, None)]
-        out.append(hits[0])
-    return out
+def _canonical(argv):
+    """The values of a canonical command line, or None for any other."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    options = {opt[0]: opt for opt in _VERBS[argv[0]][2]}
+    args = {"verb": argv[0]} | {opt[1]: opt[2] for opt in options.values()}
+    i = 1
+    while i < len(argv):
+        if argv[i] not in options:
+            return None
+        _, dest, _, kind, _ = options[argv[i]]
+        value, i = True, i + 1
+        if kind is not None:
+            if i == len(argv) or argv[i][:1] == "-":
+                return None
+            value, i = argv[i], i + 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif isinstance(kind, tuple) and value not in kind:
+                return None
+        args[dest] = value
+    # a required option has the default None, and a value read is never None
+    return None if None in args.values() else args
 
 
-def _consume(argv, kinds, i, flags) -> tuple:
-    """(the (flag, value) pairs of the option token at i, the index after
-    them); a short switch may carry more short flags, as in -hf FILE."""
-    flag, explicit = kinds[i]
-    i += 1
-    taken = []
-    while explicit is not None and flags[flag] is None:
-        if flag[1] == "-" or explicit == "" or "-" + explicit[0] not in flags:
-            raise _UsageError("argument %s: ignored explicit argument %r"
-                              % (flag, explicit))
-        taken.append((flag, None))
-        flag, explicit = "-" + explicit[0], explicit[1:] or None
-    if flags[flag] is None or explicit is not None:
-        taken.append((flag, explicit))
-    elif i < len(argv) and kinds[i] is None:
-        taken.append((flag, argv[i]))
-        i += 1
-    else:
-        raise _UsageError("argument %s: expected one argument" % flag)
-    return taken, i
+def _argparse(argv):
+    """The values of any command line as argparse reads it from _VERBS;
+    raises _Help for -h or --help and _UsageError for a malformed line."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    class Help(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise _Help(_usage(self.const))
+
+    def helped(p, verb=None):
+        p.add_argument("-h", "--help", action=Help, nargs=0, const=verb,
+                       default=argparse.SUPPRESS)
+        return p
+
+    top = helped(Parser(prog="plexalg", add_help=False))
+    sub = top.add_subparsers(dest="verb", required=True)
+    for verb, (_, _, options) in _VERBS.items():
+        p = helped(sub.add_parser(verb, add_help=False), verb)
+        for flag, dest, default, value, _ in options:
+            kind = ({"action": "store_true"} if value is None
+                    else {"type": int} if value is int
+                    else {"choices": value} if isinstance(value, tuple)
+                    else {})
+            p.add_argument(flag, dest=dest, default=default,
+                           required=default is None, **kind)
+    return vars(top.parse_args(argv))
 
 
 def _parse(argv):
     """The verb and option values of a command line; raises _Help for -h
     or --help and _UsageError for a malformed line."""
-    kinds = _tokens(argv, _HELP)
-    extras, i = [], 0
-    while i < len(argv) and isinstance(kinds[i], tuple):
-        if kinds[i][0] is not None:
-            _consume(argv, kinds, i, _HELP)
-            raise _Help(_usage())
-        extras.append(argv[i])
-        i += 1
-    if argv[i:] in ([], ["--"]):
-        raise _UsageError("the following arguments are required: verb")
-    verb, rest = argv[i], argv[i + 1:]
-    if verb not in _VERBS:
-        raise _UsageError("argument verb: invalid choice: %r (choose from %s)"
-                          % (verb, ", ".join(map(repr, _VERBS))))
-    options = {opt[0]: opt for opt in _VERBS[verb][2]}
-    flags = _HELP | {flag: opt[3] for flag, opt in options.items()}
-    args = {"verb": verb} | {opt[1]: opt[2] for opt in options.values()}
-    kinds, seen, i = _tokens(rest, flags), set(), 0
-    while i < len(rest):
-        if not isinstance(kinds[i], tuple) or kinds[i][0] is None:
-            extras.append(rest[i])
-            i += 1
-            continue
-        taken, i = _consume(rest, kinds, i, flags)
-        for flag, value in taken:
-            if flag in _HELP:
-                raise _Help(_usage(verb))
-            kind = flags[flag]
-            if kind is None:
-                value = True
-            elif kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise _UsageError("argument %s: invalid int value: %r"
-                                      % (flag, value)) from None
-            elif isinstance(kind, tuple) and value not in kind:
-                raise _UsageError(
-                    "argument %s: invalid choice: %r (choose from %s)"
-                    % (flag, value, ", ".join(map(repr, kind))))
-            seen.add(flag)
-            args[options[flag][1]] = value
-    missing = [f for f, opt in options.items()
-               if opt[2] is None and f not in seen]
-    if missing:
-        raise _UsageError("the following arguments are required: "
-                          + ", ".join(missing))
-    if extras:
-        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    args = _canonical(argv) or _argparse(argv)
     if args.get("budget", 1) < 1:
         raise _UsageError("argument --budget: must be at least 1, got %d"
                           % args["budget"])

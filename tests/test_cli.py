@@ -358,16 +358,18 @@ print(json.dumps(steps))
 def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
     # the values of the start-up path are declared without dataclasses,
     # whose import loads inspect, ast, dis and tokenize; the command line
-    # is read without argparse; rebuild runs before the peeling verbs, so
-    # that what it loads shows
+    # in canonical form is read without argparse, and a line in any other
+    # form loads it; rebuild runs before the peeling verbs, so that what it
+    # loads shows
     spec = spec_file("II(Z, Q)")
     tree = spec_file("base: Z\nlevel 2: iota=II Z=gr G=Q H=fullH", "tree")
     calls = [["build", "-f", spec], ["eval", "-f", spec, "-e", "idems"],
              ["rebuild", "-f", tree], ["represent", "-f", spec],
              ["decompose", "-f", spec],
-             ["check", "-f", spec, "--laws", "fle", "--budget", "5"]]
+             ["check", "-f", spec, "--laws", "fle", "--budget", "5"],
+             ["build", "-f=" + spec]]
     steps = json.loads(fresh_python(_FOOTPRINT, json.dumps(calls)))
-    *steps, check = steps
+    *steps, check, fallback = steps
     assert steps == [
         ["import", []],
         ["build", 0, []],
@@ -380,12 +382,17 @@ def test_verbs_import_only_the_modules_they_run(fresh_python, spec_file):
     assert check[:2] == ["check", 0] and "plexalg.lawcheck" in check[2]
     assert set(check[2]) <= {"plexalg.decompose", "plexalg.lawcheck",
                              "plexalg.sampling", "dataclasses", "inspect"}
+    assert fallback[:2] == ["build", 0]
+    assert set(fallback[2]) == set(check[2]) | {"argparse"}
 
 
 # ---------------------------------------------------------------------------
-# the command-line parser against argparse, which read the command line
-# until the parser took its place: the reference below is the argparse
-# parser as it was, and the budget check that ran after it
+# the command-line parser against argparse: the program reads a line in
+# canonical form itself and hands any other line to an argparse parser
+# built from its table of verbs.  The reference below is an argparse
+# parser written out by hand, apart from that table, followed by the
+# budget check.  A usage error's wording is that of the running
+# interpreter's argparse, on both sides, so only the outcome is compared.
 
 
 class _RefUsage(Exception):
@@ -550,6 +557,55 @@ _TOKENS = ("build", "eval", "check", "embed-lex", "bogus", "-f", "-e",
 @given(argv=st.lists(st.sampled_from(_TOKENS), max_size=7))
 def test_parser_agrees_with_argparse_on_any_tokens(argv):
     assert _parsed(argv) == _reference(argv)
+
+
+# a canonical command line: a verb, then its exact flags in any order,
+# each required one at least once, each but a switch with a value that
+# does not start with '-'
+_TEXT = st.one_of(st.sampled_from(["", " ", "s.alg", "x y", "a=b", "=",
+                                   " 12", "+4", "all", "text", "tsv"]),
+                  st.text(max_size=6).filter(lambda t: t[:1] != "-"))
+_INT = st.one_of(st.integers(0, 10**6).map(str),
+                 st.sampled_from([" 12", "+4", "0", "007"]))
+
+
+@st.composite
+def _canonical_lines(draw):
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    options = []
+    for flag, _, default, value, _ in cli._VERBS[verb][2]:
+        for _ in range(draw(st.integers(default is None, 2))):
+            options.append([flag] if value is None else [flag, draw(
+                _INT if value is int
+                else st.sampled_from(value) if isinstance(value, tuple)
+                else _TEXT)])
+    return [verb] + [tok for opt in draw(st.permutations(options))
+                     for tok in opt]
+
+
+def _no_argparse(argv):
+    raise AssertionError(f"{argv} is canonical but went to argparse")
+
+
+@settings(max_examples=300)
+@given(argv=_canonical_lines())
+def test_canonical_lines_are_read_without_argparse(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_argparse", _no_argparse)
+        got = _parsed(argv)
+    assert got == _reference(argv)
+
+
+def test_readme_usage_names_every_verb_and_flag():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    rows = [line.split() for line in block.splitlines() if line]
+    usage = {row[1]: sorted(tok.strip("[]") for tok in row[2:]
+                            if tok.lstrip("[").startswith("-"))
+             for row in rows}
+    assert len(usage) == len(rows) and all(r[0] == "plexalg" for r in rows)
+    assert usage == {verb: sorted(opt[0] for opt in entry[2])
+                     for verb, entry in cli._VERBS.items()}
 
 
 STATS_LINE = re.compile(r"stats law=(\S+) elapsed_ms=\d+\.\d{3} "
