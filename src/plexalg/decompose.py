@@ -53,7 +53,9 @@ this module, turns the tree back into a concrete algebra.  The full peel
 chain in one pass instead of stacking views: the local unit of x names
 the first step at which x is invertible, from there on each slot is a
 slice of the raw coordinates of x, and below it each slot is a marker.
-Mapping one element costs O(depth) chain operations.  Everything here
+Mapping one element reads its slots and computes no chain operation: its
+raw coordinates, O(log depth) absorption tests for its local unit and at
+most one absorption test per level below it.  Everything here
 consumes chains only through the generic operations and the coordinate
 ladder, never by inspecting the construction tree of the input.
 """
@@ -72,6 +74,7 @@ from .chains import (
     FullH,
     ProdH,
     _elem_from_prefix_raw,
+    _never,
     absorber,
     comp,
     elem_from_prefix,
@@ -81,7 +84,6 @@ from .chains import (
     mul,  # not called here; perfbench's tracer test reads decompose.mul
     partial_vec,
     positive_idempotents,
-    tau,
     unit,
     validate_elem,
     x_down,
@@ -732,7 +734,15 @@ def _walk(a: Algebra):
     representatives of all earlier steps keep.  At the steps below j its
     slot is a marker: T for a restriction step, and for a quotient step
     T or B as x does or does not absorb the complement of the step
-    idempotent."""
+    idempotent.
+
+    j is read by absorption, not by computing tau(x): a positive
+    idempotent e gives x * e >= x, and x * e <= x exactly when
+    e <= res(x, x) = tau(x), by residuation.  So j is the greatest k with
+    x * idems[k] == x, and a binary search over idems finds it with
+    ceil(log2 n) tests for n positive idempotents.  Every test reads x's
+    slots (chains.absorber) and builds no product; the tests are built
+    on the first map, so a caller that wants only the tree builds none."""
     ambient, entries = ladder(a)
     idems = positive_idempotents(a)
     if len(idems) != len(entries):
@@ -752,20 +762,31 @@ def _walk(a: Algebra):
         level, free = _level_record(ambient, entries[k], entries[k + 1],
                                     coords, idem_b)
         levels.append(level)
-        steps.append((k, idem_b, absorber(a, comp(a, u)), free))
+        steps.append((k, idem_b, u, free))
         coords += [(j, "Q") for j in free]
-    unit_step = {e: j for j, e in enumerate(idems)}
+    # built on the first map: ups[k - 1] tests x * idems[k] == x, and each
+    # step's marker test whether x absorbs the complement of its idempotent
+    ups = marked = None
 
     def lex(x):
-        j = unit_step.get(tau(a, x))
-        if j is None:
-            raise StructuralMismatch("local unit is not a positive idempotent")
+        nonlocal ups, marked
+        if ups is None:
+            ups = [absorber(a, e) for e in idems[1:]]
+            marked = [(k, absorber(a, comp(a, u)) if idem_b else _never, free)
+                      for k, idem_b, u, free in steps]
+        lo, hi = 0, len(ups)  # x * idems[0] == x: the unit
+        while lo < hi:
+            m = (lo + hi + 1) >> 1
+            if ups[m - 1](x):
+                lo = m
+            else:
+                hi = m - 1
         vec = partial_vec(a, x)
         out = [vec[:head]]
-        for k, idem, absorbs, free in steps:
-            if k >= j:
+        for k, absorbs, free in marked:
+            if k >= lo:
                 out.append(tuple(vec[i] for i in free))
-            elif idem and absorbs(x):
+            elif absorbs(x):
                 out.append(BOT)
             else:
                 out.append(TOP)

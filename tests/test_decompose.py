@@ -9,6 +9,7 @@ import collections
 import functools
 import inspect
 import json
+import math
 import random
 from pathlib import Path
 
@@ -712,6 +713,148 @@ def test_represent_rebuild_fixed_point(name):
 
 
 # ---------------------------------------------------------------------------
+# the lex map's local unit, read by absorption, against the tau lookup
+#
+# The oracle is the lex map as it read the local unit before: tau(x),
+# computed with three chain operations, looked up among the positive
+# idempotents.
+
+
+def _tau_lex(a):
+    """The lex coordinates of elements of a, with the local unit found by
+    computing tau."""
+    ambient, entries = ch.ladder(a)
+    idems = ch.positive_idempotents(a)
+    head = entries[-1].prefix
+    coords = list(zip(range(head), ambient[:head]))
+    steps = []
+    for k in range(len(idems) - 2, -1, -1):
+        u = idems[k + 1]
+        idem_b = dec.branch(a, u) == dec.IDEM_BRANCH
+        _, free = dec._level_record(ambient, entries[k], entries[k + 1],
+                                    coords, idem_b)
+        steps.append((k, idem_b, ch.absorber(a, ch.comp(a, u)), free))
+        coords += [(j, "Q") for j in free]
+    unit_step = {e: j for j, e in enumerate(idems)}
+
+    def lex(x):
+        j = unit_step.get(ch.tau(a, x))
+        if j is None:
+            raise StructuralMismatch("local unit is not a positive idempotent")
+        vec = ch.partial_vec(a, x)
+        out = [vec[:head]]
+        for k, idem, absorbs, free in steps:
+            if k >= j:
+                out.append(tuple(vec[i] for i in free))
+            elif idem and absorbs(x):
+                out.append(ch.BOT)
+            else:
+                out.append(ch.TOP)
+        return tuple(out)
+
+    return lex
+
+
+def _assert_lex_matches_tau_lookup(a, seed) -> set:
+    """The local-unit steps met, after checking that the lex map agrees
+    with the oracle on samples at marker_p 0.25 and 0.6, their products
+    with every positive idempotent (which reach the high local units that
+    samples of a deep tower seldom do), and the window of bound 2 and
+    denominators up to 2 where the ambient rank is 3 or less."""
+    _, lex = dec.lex_embedding(a)
+    want = _tau_lex(a)
+    rng = random.Random(seed)
+    xs = [ch.sample_elem(a, rng, marker_p=p) for p in (0.25, 0.6)
+          for _ in range(40)]
+    xs += [ch.mul(a, x, e) for x in xs[::8]
+           for e in ch.positive_idempotents(a)]
+    if len(ch.ladder(a)[0]) <= 3:
+        xs += lc.window_elems(a, 2, 2)
+    met = set()
+    for x in xs:
+        flat = lex(x)
+        assert flat == want(x), ps.print_elem(a, x)
+        met.add(sum(s in (ch.TOP, ch.BOT) for s in flat))
+    return met
+
+
+# accepted specs on which a law fails: prop8.2.2 on the input for the first
+# two, prop9.2 and remark11.4 on the first peel level for the other two
+LAW_FAILURE_SPECS = [
+    "III(Z, full, triv, Z)", "III(Z, full, idx 2, Q)",
+    "I(Lex(Z, Q), (full, idx 1), I(Q, idx 3, I(1, triv, Q)))",
+    "I(II(Z, Lex(Z, Z)), triv, SLI(1, full, Lex(Z, Q), fullH))"]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS)
+                         + [f"tower{d}" for d in range(1, 6)]
+                         + REGRESSION_SPECS + LAW_FAILURE_SPECS)
+def test_lex_map_matches_the_tau_lookup(name):
+    a = ps.parse_algebra(case_spec(name))
+    met = _assert_lex_matches_tau_lookup(a, 5)
+    assert met == set(range(len(ch.positive_idempotents(a)))), met
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), seed=st.integers(0, 2**16))
+def test_lex_map_matches_the_tau_lookup_on_random_specs(spec, seed):
+    try:
+        a = ps.parse_algebra(spec[0])
+        dec.lex_embedding(a)
+    except PlexError:
+        reject()
+    _assert_lex_matches_tau_lookup(a, seed)
+
+
+@pytest.mark.parametrize("name",
+                         ["tower5", "E", "V4b", "I(Q, idx 3, II(Z, Z))"])
+def test_lex_map_reads_the_local_unit_by_absorption(monkeypatch, name):
+    # the tree builds no absorption test; a map builds each once, on the
+    # first element, computes no tau, and makes at most ceil(log2 n)
+    # absorption tests for n positive idempotents
+    a = ps.parse_algebra(case_spec(name))
+    idems = ch.positive_idempotents(a)
+    built, tested = collections.Counter(), collections.Counter()
+    absorber = ch.absorber
+
+    def counted(b, e):
+        pred = absorber(b, e)
+        if b is not a:  # the recursion over the factors of a
+            return pred
+        built[e] += 1
+
+        def test(x):
+            tested[e] += 1
+            return pred(x)
+        return test
+
+    def forbidden(*args):
+        raise AssertionError("the lex map computed a residual")
+
+    for owner in (ch, dec):
+        monkeypatch.setattr(owner, "absorber", counted)
+    dec.group_representation(a)
+    _, lex = dec.lex_embedding(a)
+    assert not built
+    monkeypatch.setattr(ch, "tau", forbidden)
+    monkeypatch.setattr(ch, "res", forbidden)
+    rng = random.Random(31)
+    steps = set()
+    for p in (0.25, 0.6):
+        for _ in range(100):
+            tested.clear()
+            flat = lex(ch.sample_elem(a, rng, marker_p=p))
+            assert sum(tested[e] for e in idems) <= \
+                math.ceil(math.log2(len(idems)))
+            steps.add(sum(s in (ch.TOP, ch.BOT) for s in flat))
+    assert steps == set(range(len(idems))), steps  # every local unit
+    assert set(built) >= set(idems[1:])
+    assert set(built.values()) == {1}, built
+
+
+# ---------------------------------------------------------------------------
 # the structural classifier against the arithmetic one
 #
 # The oracle is the classification as first written: tau(x) < u for
@@ -823,7 +966,7 @@ def test_classifier_computes_no_tau_and_does_not_revalidate(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    for owner, name in ((ch, "tau"), (ch, "res"), (dec, "tau"),
+    for owner, name in ((ch, "tau"), (ch, "res"),
                         (dec.ChainView, "tau"), (dec.ChainView, "res"),
                         (ch, "g_member"), (gr, "g_member")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
