@@ -14,20 +14,20 @@ Two shapes occur, as branch decides:
 * it is not: the skeleton itself is a chain under the restricted
   operations (RestrictionChain).
 
-peel(view) builds the step that applies.  Either shape builds once what
-its readers need: u, its complement, the invertibility test and the
-classifier around u, so every law at u reads one step.
-
-A step is its base seen through one projection: the member of its class
-for a quotient, x -> x * u for a restriction.  Its unit, draws, positive
-idempotents and elements built from a prefix are the base's, projected,
-and its elements are the base elements that the projection fixes, ordered
-as there.  A class is an interval of the base and is named by its
-canonical member, so every element of every peel level is an element of
-the input algebra.  The member of a component is the canonical fill of
-its elements' head (their raw coordinates above the step kernel), so a
-QuotientChain builds each head's fill once, in a bounded memo owned by
-that step: nothing carries over to another step or another report.
+peel(view) builds the step that applies; one class, _Step, holds both
+shapes.  A step is its base seen through one projection: the member of
+its class for a quotient, x -> x * u for a restriction.  Its elements are
+the base elements that the projection fixes, ordered as there; a class
+is an interval of the base, named by its canonical member.  So every
+element of every peel level is an element of the input algebra a, and a
+step reads its constants off a, however deep it sits: u is a positive
+idempotent of a, nu its complement there, the invertibility test x * u
+!= x and the classifier around u are a's, each built once, so every law
+at u reads one step.  An element the step hands out is built on a and
+mapped onto the base once, by the base's projection; only the covers
+descend through the base.  The member of a component is the canonical
+fill of its elements' head (their raw coordinates above the step
+kernel), built once per head in a bounded memo owned by the step.
 
 Every consumer reaches a chain through one view protocol, defined here:
 ChainView derives le, lt, res, tau, fconst and x_up from the primitives a
@@ -38,11 +38,12 @@ shadowed).  Law suites, homomorphism checks and peeling steps all use
 it, so each runs unchanged on an algebra, a peel level or a mutated
 algebra (whose `clean` view is the uncorrupted one).  A view's
 sampler(rng) is a zero-argument draw bound to rng, which a sample stream
-binds once.  The view's invertibility, absorption and upper-kind tests
-(upper_kind, lifts_to) and its fill_prefix builder are arithmetic by
-default, and lacks_pseudo_tops says False; BaseChain answers them by
-structure.  A single step must run on its own output, so it takes any
-view and the step chains are views themselves.
+binds once, and its project maps an element of its algebra a onto the
+view.  The view's invertibility, absorption and upper-kind tests
+(upper_kind, lifts_to) are arithmetic by default, and lacks_pseudo_tops
+says False; BaseChain answers them by structure, the invertibility test
+at every positive idempotent.  A single step must run on its own output,
+so it takes any view and the step chains are views themselves.
 
 Iterating the step yields a representation tree (plexalg.build.RepTree):
 a base group plus one level record per step, each holding the step
@@ -81,7 +82,7 @@ from .chains import (
     ladder,
     leaf,
     mid,
-    mul,  # not called here; perfbench's tracer test reads decompose.mul
+    mul,
     partial_vec,
     positive_idempotents,
     unit,
@@ -176,8 +177,9 @@ def _lacks_pseudo_tops(a: Algebra) -> bool:
 # the view protocol
 #
 # BaseChain wraps an algebra; a peel step (_Step, below) wraps another
-# view, so a step runs on its own output; lawcheck.Mutant is a BaseChain
-# with corrupted primitives.
+# view, so a step runs on its own output, but reads its constants and
+# builds its elements on the algebra a below every view, which each view
+# keeps; lawcheck.Mutant is a BaseChain with corrupted primitives.
 
 
 class ChainView:
@@ -203,8 +205,8 @@ class ChainView:
         """Cover above, mirrored from the cover below by the complement."""
         return self.comp(self.x_down(self.comp(p)))
 
-    # tests and a builder for elements the caller drew or computed itself;
-    # BaseChain answers them structurally, other views by arithmetic
+    # tests for elements the caller drew or computed itself; BaseChain
+    # answers them structurally, other views by arithmetic
 
     def invertible(self, u):
         """Test x -> tau(x) < u, which for u the least strictly positive
@@ -215,10 +217,6 @@ class ChainView:
         """Test x -> not x*e < x, which for e at most the unit says that
         x*e == x."""
         return lambda x: not self.lt(self.mul(x, e), x)
-
-    def fill_prefix(self, h: tuple):
-        """elem_from_prefix for a prefix known to name an element."""
-        return self.elem_from_prefix(h)
 
     def lacks_pseudo_tops(self, u) -> bool:
         """One-sided presence test: True when no element x*u of the upper
@@ -283,16 +281,22 @@ class BaseChain(ChainView):
     def elem_from_prefix(self, h: tuple):
         return elem_from_prefix(self.a, h)
 
+    def project(self, x):
+        """Every element of the algebra is an element of this view."""
+        return x
+
     def invertible(self, u):
         # tau(x) is a positive idempotent, so it is below the least strictly
-        # positive one exactly when it is the unit: x is marker-free
-        return self.a._ops.free
+        # positive one exactly when it is the unit: x is marker-free.  At a
+        # greater positive idempotent u, tau(x) < u says x * u != x: x * u
+        # >= x, and x * u <= x exactly when u <= tau(x), by residuation
+        if self.pos_idems()[1:2] == (u,):
+            return self.a._ops.free
+        absorbs = absorber(self.a, u)
+        return lambda x: not absorbs(x)
 
     def absorber(self, e):
         return absorber(self.a, e)
-
-    def fill_prefix(self, h: tuple):
-        return _elem_from_prefix_raw(self.a, h)
 
     def validate(self, p) -> bool:
         return validate_elem(self.a, p)
@@ -387,7 +391,9 @@ def _check_least(view: ChainView, u):
 # absorption tests, so on a BaseChain it reads marker slots instead of
 # computing tau(x) and x * comp(u), and multiplies only to tell a
 # pseudo-top from a component top.  Other views derive both tests from
-# their primitives.
+# their primitives.  A peel step deeper down classifies on its input
+# algebra at its own u, a greater positive idempotent there: the kinds
+# around u are those on the level where u is the least.
 
 
 def classify(a, u, x) -> str:
@@ -405,8 +411,9 @@ def classify(a, u, x) -> str:
 
 def classifier(view: ChainView, u):
     """Map x -> class kind of x around u, for u the least strictly
-    positive idempotent of the view and x an element of it; neither is
-    checked here."""
+    positive idempotent of the view, or any strictly positive one of an
+    algebra's BaseChain, and x an element of it; neither is checked
+    here."""
     nu = view.comp(u)
     invertible = view.invertible(u)
     absorbs = view.absorber(nu)
@@ -452,8 +459,10 @@ def classifier(view: ChainView, u):
 
 
 def _canonical_fill(view: ChainView, head: tuple):
-    """Element whose coordinates extend head canonically: free and indexed
-    kernel directions at zero, graph-tied ones at their forced value."""
+    """Element of the view whose coordinates extend head canonically: free
+    and indexed kernel directions at zero, graph-tied ones at their forced
+    value.  It is built on the view's algebra a, where the prefix names an
+    element, and the view's project maps it onto the view."""
     e0 = view.entries[0]
     if len(head) != view.entries[1].prefix:
         raise StructuralMismatch("representative head has the wrong arity")
@@ -464,7 +473,7 @@ def _canonical_fill(view: ChainView, head: tuple):
             vec.append(kn.rmul(con[1], vec[con[2]]))
         else:
             vec.append(kn.ZERO)
-    return view.fill_prefix(tuple(vec))
+    return view.project(_elem_from_prefix_raw(view.a, tuple(vec)))
 
 
 def _rep_of(view: ChainView, x):
@@ -499,31 +508,51 @@ def gamma(a, u, b):
 
 
 class _Step(ChainView):
-    """One peeling step of a view at its least strictly positive u: the
-    base seen through project, which maps a base element onto the step and
-    fixes exactly the step's elements.  The step builds once what both
-    shapes read: u, its complement nu, the invertibility test grp and the
-    classifier kind around u.  grp is not named invertible: a step
-    stacked on this one calls this view's invertible(u), the generic test
-    of ChainView."""
+    """One peeling step of a view at its least strictly positive
+    idempotent u: the base seen through project, which maps an element of
+    the input algebra a onto the step and fixes exactly the step's
+    elements.  grp is the test x * u != x, which says tau(x) < u, and kind
+    the classifier around u on a.  branch fixes the shape: a quotient
+    (QuotientChain) or a restriction (RestrictionChain)."""
 
     branch: str  # the branch this step shape peels
     needs: str  # the message of WrongBranch for the other branch
 
     def __init__(self, base, u):
-        self.base = _as_view(base)
+        self.base = base = _as_view(base)
         # a direct call may pass any u, so check it even after peel did
-        _check_least(self.base, u)
-        self.nu = self.base.comp(u)
-        if _branch_at(self.base, self.nu) != self.branch:
+        _check_least(base, u)
+        self.a = a = base.a
+        root = BaseChain(a)
+        self.u, self.nu = u, comp(a, u)
+        if _branch_at(root, self.nu) != self.branch:
             raise WrongBranch(self.needs)
-        self.u = u
-        self.cmp = self.base.cmp
-        self.ambient = self.base.ambient
-        self.entries = self.base.entries[1:]
+        self.cmp = root.cmp
+        self.ambient = base.ambient
+        self.entries = base.entries[1:]
         self._idems = None
-        self.grp = self.base.invertible(u)
-        self.kind = classifier(self.base, u)
+        self.grp = root.invertible(u)
+        self.kind = classifier(root, u)
+        self._lift = base.project
+        self._glued = self.branch == IDEM_BRANCH
+        if self._glued:
+            self._head_len = base.entries[1].prefix
+            # a class's canonical member depends only on the head of its
+            # elements: build it once per head, in a memo that lives and
+            # dies with this step
+            self._fill = lru_cache(maxsize=FILL_MEMO)(
+                partial(_canonical_fill, base))
+
+    def describe(self) -> str:
+        shape = "glued quotient" if self._glued else "local-unit restriction"
+        return "%s of %s" % (shape, self.base.describe())
+
+    def project(self, x):
+        """The member of the class of x, for a quotient; x * u, for a
+        restriction."""
+        if self._glued:
+            return self.to_class(x)
+        return self._lift(mul(self.a, x, self.u))
 
     def unit(self):
         return self.project(self.base.unit())
@@ -544,33 +573,37 @@ class _Step(ChainView):
     def validate(self, x) -> bool:
         return self.base.validate(x) and self.project(x) == x
 
+    def mul(self, p, q):
+        # a restriction is closed under the base's product
+        r = mul(self.a, p, q)
+        return self.to_class(r) if self._glued else self._lift(r)
 
-class QuotientChain(_Step):
-    """Chain of gamma classes: components glued to their extremes, gaps to
-    their upper ends.  A class is an interval of the base, named by its
-    canonical member, which is an element of the base: to_class maps an
-    element of the base to the member of its class, and the projection is
-    a memo of it."""
+    def comp(self, p):
+        a = self.a
+        if self._glued:
+            return self.to_class(comp(a, p))
+        # uniform form of the two-case complement: top-like elements step
+        # down inside their column first, everything else is fixed by *nu
+        return self._lift(comp(a, mul(a, p, self.nu)))
 
-    branch = IDEM_BRANCH
-    needs = "the quotient step needs an idempotent complement of u"
+    def x_down(self, p):
+        if self._glued:
+            low = self.class_min(p)
+            below = self.base.x_down(low)
+            return p if below == low else self.to_class(below)
+        d = self._lift(mul(self.a, p, self.nu))
+        if self.cmp(d, p) < 0:
+            return d
+        below = self.base.x_down(p)
+        if below != p and not self.contains(below):
+            raise StructuralMismatch("cover below leaves the restriction")
+        return below
 
-    def __init__(self, base, u):
-        super().__init__(base, u)
-        self._head_len = self.base.entries[1].prefix
-        # a class's canonical member depends only on the head of its
-        # elements: build it once per head, in a memo that lives and dies
-        # with this step
-        self._fill = lru_cache(maxsize=FILL_MEMO)(
-            partial(_canonical_fill, self.base))
-        # a quotient of a quotient classifies the same few base elements
-        # over and over: each class operation classifies one level down.
-        # A window scan meets each element once, so to_class itself stays
-        # plain
-        self.project = lru_cache(maxsize=64)(self.to_class)
+    def partial_vec(self, p) -> tuple:
+        vec = self.base.partial_vec(p)
+        return vec[: self.prefix] if self._glued else vec
 
-    def describe(self) -> str:
-        return "glued quotient of %s" % self.base.describe()
+    # the quotient's classes, intervals of the base
 
     def to_class(self, x):
         """Canonical member of the gamma class of x: the coset
@@ -580,85 +613,49 @@ class QuotientChain(_Step):
         pseudo-tops), so the member fixes the class.  The representative
         is the fill of the head of an invertible x, read with no
         classification, and of the whole prefix of a component top, which
-        is as long."""
-        base, fill = self.base, self._fill
+        is as long.  x may be any element of a: the member is built on a
+        and mapped onto the base once."""
+        a, fill = self.a, self._fill
         if self.grp(x):
-            return fill(base.partial_vec(x)[:self._head_len])
+            return fill(partial_vec(a, x)[:self._head_len])
         kind = self.kind(x)
         if kind == TOP_C:
-            return fill(base.partial_vec(x))
+            return fill(partial_vec(a, x))
         if kind == BOT_C:
-            top_rep = fill(base.partial_vec(base.comp(x)))
-            return fill(base.partial_vec(base.comp(top_rep))[:self._head_len])
+            top_rep = fill(partial_vec(a, comp(a, x)))
+            return fill(partial_vec(a, comp(a, top_rep))[:self._head_len])
         if kind == BOT_PS:
-            return base.x_up(x)
-        return x
-
-    def mul(self, p, q):
-        return self.project(self.base.mul(p, q))
-
-    def comp(self, p):
-        return self.project(self.base.comp(p))
+            return self._lift(x_up(a, x))
+        return self._lift(x)
 
     def class_min(self, c):
         if self.grp(c):
-            return self.base.mul(c, self.nu)
+            return self._lift(mul(self.a, c, self.nu))
         return self.base.x_down(c) if self.kind(c) == TOP_PS else c
 
     def class_max(self, c):
-        return self.base.mul(c, self.u) if self.grp(c) else c
+        return self._lift(mul(self.a, c, self.u)) if self.grp(c) else c
 
-    def x_down(self, c):
-        low = self.class_min(c)
-        below = self.base.x_down(low)
-        return c if below == low else self.project(below)
-
-    def partial_vec(self, c) -> tuple:
-        return self.base.partial_vec(c)[: self.prefix]
+    def contains(self, x) -> bool:
+        # the restriction: x * u fixes x exactly when u <= tau(x), the
+        # local unit of x, that is when x is not invertible
+        return not self.grp(x)
 
 
-# ---------------------------------------------------------------------------
-# the restriction to elements with local unit at least u
+class QuotientChain(_Step):
+    """Chain of gamma classes: components glued to their extremes, gaps to
+    their upper ends; to_class is the projection."""
+
+    branch = IDEM_BRANCH
+    needs = "the quotient step needs an idempotent complement of u"
 
 
 class RestrictionChain(_Step):
-    """Elements whose local unit is at least u, with u as the new unit:
-    the projection x -> x * u fixes exactly them, since u <= tau(x) gives
-    x * u == x, and an invertible y has y * u != y."""
+    """Elements whose local unit is at least u, the new unit; the
+    projection is x -> x * u."""
 
     branch = NONIDEM_BRANCH
     needs = "the restriction step needs a non-idempotent complement of u"
-
-    def describe(self) -> str:
-        return "local-unit restriction of %s" % self.base.describe()
-
-    def project(self, x):
-        return self.base.mul(x, self.u)
-
-    def contains(self, x) -> bool:
-        # the local unit tau(x) is at least u exactly when x is not
-        # invertible
-        return not self.grp(x)
-
-    def mul(self, p, q):
-        return self.base.mul(p, q)
-
-    def comp(self, p):
-        # uniform form of the two-case complement: top-like elements step
-        # down inside their column first, everything else is fixed by *nu
-        return self.base.comp(self.base.mul(p, self.nu))
-
-    def x_down(self, p):
-        d = self.base.mul(p, self.nu)
-        if self.base.lt(d, p):
-            return d
-        below = self.base.x_down(p)
-        if below != p and not self.contains(below):
-            raise StructuralMismatch("cover below leaves the restriction")
-        return below
-
-    def partial_vec(self, p) -> tuple:
-        return self.base.partial_vec(p)
 
 
 # ---------------------------------------------------------------------------

@@ -243,13 +243,11 @@ def _shown(printer, v):
 
 
 def _printer(view):
-    """Element printer of a view: print_elem on the algebra below its
-    peel levels, whose elements are elements of that algebra."""
-    while not hasattr(view, "a"):
-        view = getattr(view, "base", None)
-        if view is None:
-            return repr
-    return partial(print_elem, view.a)
+    """Element printer of a view: print_elem on its algebra a, which holds
+    the elements of every peel level of it; repr for a target without one
+    (a LexMonoid)."""
+    a = getattr(view, "a", None)
+    return repr if a is None else partial(print_elem, a)
 
 
 def _start(a, law, seed, target=None):

@@ -548,6 +548,51 @@ def test_chains_calls_per_element_grow_linearly_in_depth(monkeypatch):
     assert per_elem[5] * 3 <= per_elem[3] * 5, per_elem
 
 
+def _level_op_costs(a, draws=40):
+    """Per peel level of a, the calls of a's compiled mul, comp and x_down
+    that one mul, comp and x_down of the level make, averaged over draws
+    of the level."""
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    ops, covers = a._ops, a._covers
+    # the views bind a's closures when they are built: wrap them first
+    vars(a)["_ops"] = ops._replace(mul=counted(ops.mul),
+                                   comp=counted(ops.comp))
+    vars(a)["_covers"] = covers._replace(down=counted(covers.down))
+    costs = []
+    for k, level in enumerate(_peel_levels(dec.BaseChain(a)), start=1):
+        draw = level.sampler(random.Random(k))
+        xs = [draw() for _ in range(draws + 1)]
+        cost = {}
+        for name, args in (("mul", zip(xs, xs[1:])),
+                           ("comp", ((x,) for x in xs[1:])),
+                           ("x_down", ((x,) for x in xs[1:]))):
+            op = getattr(level, name)
+            calls.clear()
+            for arg in args:
+                op(*arg)
+            cost[name] = calls[0] / draws
+        costs.append(cost)
+    return costs
+
+
+def test_level_operations_cost_at_most_linear_in_the_level():
+    # each level builds its elements on the input algebra and maps them
+    # onto its base once, instead of computing through the level below:
+    # level 5 of II(Z, Q) wrapped five times in I(., full, Q) costs
+    # 28, 4 and 18 calls per mul, comp and x_down (348, 162 and 221
+    # through the level below)
+    costs = _level_op_costs(ps.parse_algebra(_tower(6)))
+    for name in ("mul", "comp", "x_down"):
+        assert costs[4][name] <= 4 * costs[2][name], (name, costs)
+
+
 # random specs of depth 1-3, with their ambient rank alongside the text
 
 _LEAVES = (("Z", 1), ("Q", 1), ("1", 0), ("Lex(Z, Z)", 2), ("Lex(Z, Q)", 2),

@@ -11,7 +11,8 @@ import pytest
 from conftest import SPECS
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from test_decompose import REGRESSION_SPECS, _peel_levels, _specs, case_spec
+from test_decompose import (LAW_FAILURE_SPECS, REGRESSION_SPECS, _peel_levels,
+                            _specs, case_spec)
 
 from plexalg import chains as ch
 from plexalg import decompose as dec
@@ -285,7 +286,7 @@ PSEUDO_TOP_LAWS = ("prop8.2.1", "prop8.2.4", "prop8.2.5", "prop8.2.6")
 
 # the two specs at the end have a restriction level with an idempotent
 # above its unit, which neither the fixtures nor the towers have
-EVERY_LEVEL_CASES = (sorted(SPECS) + [f"tower{d}" for d in range(1, 5)]
+EVERY_LEVEL_CASES = (sorted(SPECS) + [f"tower{d}" for d in range(1, 6)]
                      + ["II(II(Z, Z), II(Z, Q))",
                         "IV(I(Z, idx 2, Z), triv, Q)"])
 
@@ -309,8 +310,9 @@ def test_every_law_holds_on_every_peel_level(name):
         br = None if group_level else \
             dec.branch(level, dec.smallest_pos_idem(level))
         for law in ALL_LAWS:
-            # the tower-4 window is about 13.8M elements
-            if law == "prop9.2" and name == "tower4":
+            # the tower-4 window is about 13.8M elements, and tower 5's
+            # is larger still
+            if law == "prop9.2" and name in ("tower4", "tower5"):
                 continue
             where = f"{law} on the {level.describe()}"
             try:
@@ -325,6 +327,20 @@ def test_every_law_holds_on_every_peel_level(name):
             assert r.verdict != "FAIL", f"{where}: {r.render()}"
             if law not in PSEUDO_TOP_LAWS:
                 assert r.samples > 0, f"{where}: {r.render()}"
+
+
+# ROADMAP item 1: on the first peel level of these two accepted specs, a
+# quotient, prop9.2 and remark11.4 fail (class members outside their own
+# class interval, and a nucleus off the class ceilings).  The mark comes
+# off when item 1 mends them
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: prop9.2 and "
+                   "remark11.4 fail on the first peel level of stacked specs")
+@pytest.mark.parametrize("law", ["prop9.2", "remark11.4"])
+@pytest.mark.parametrize("spec", LAW_FAILURE_SPECS[2:])
+def test_class_laws_hold_on_the_first_level_of_stacked_specs(spec, law):
+    level = dec.peel(ps.parse_algebra(spec))
+    r = lc.check_named(level, law, budget=10, seed=1)
+    assert r.verdict == "PASS", r.render()
 
 
 @pytest.mark.parametrize("name", ["B", "E", "V3", "V4", "tower3",
