@@ -592,7 +592,7 @@ class _Step(ChainView):
             below = self.base.x_down(low)
             return p if below == low else self.to_class(below)
         d = self._lift(mul(self.a, p, self.nu))
-        if self.cmp(d, p) < 0:
+        if self.lt(d, p):
             return d
         below = self.base.x_down(p)
         if below != p and not self.contains(below):
