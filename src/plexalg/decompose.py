@@ -14,20 +14,21 @@ Two shapes occur, as branch decides:
 * it is not: the skeleton itself is a chain under the restricted
   operations (RestrictionChain).
 
-peel(view) builds the step that applies; one class, _Step, holds both
-shapes.  A step is its base seen through one projection: the member of
-its class for a quotient, x -> x * u for a restriction.  Its elements are
-the base elements that the projection fixes, ordered as there; a class
-is an interval of the base, named by its canonical member.  So every
-element of every peel level is an element of the input algebra a, and a
-step reads its constants off a, however deep it sits: u is a positive
-idempotent of a, nu its complement there, the invertibility test x * u
-!= x and the classifier around u are a's, each built once, so every law
-at u reads one step.  An element the step hands out is built on a and
-mapped onto the base once, by the base's projection; only the covers
-descend through the base.  The member of a component is the canonical
-fill of its elements' head (their raw coordinates above the step
-kernel), built once per head in a bounded memo owned by the step.
+peel(view) builds the step that applies.  _Step holds what both shapes
+share, and each shape adds its projection and its operations.  A step is
+its base seen through one projection: the member of its class for a
+quotient, x -> x * u for a restriction.  Its elements are the base
+elements that the projection fixes, ordered as there; a class is an
+interval of the base, named by its canonical member.  So every element of
+every peel level is an element of the input algebra a, and a step reads
+its constants off a, however deep it sits: u is a positive idempotent of
+a, nu its complement there, the invertibility test x * u != x and the
+classifier around u are a's, each built once, so every law at u reads one
+step.  An element the step hands out is built on a and mapped onto the
+base once, by the base's projection; only the covers descend through the
+base.  The member of a component is the canonical fill of its elements'
+head (their raw coordinates above the step kernel), built once per head
+in a bounded memo owned by the step.
 
 Every consumer reaches a chain through one view protocol, defined here:
 ChainView derives le, lt, res, tau, fconst and x_up from the primitives a
@@ -286,12 +287,8 @@ class BaseChain(ChainView):
         return x
 
     def invertible(self, u):
-        # tau(x) is a positive idempotent, so it is below the least strictly
-        # positive one exactly when it is the unit: x is marker-free.  At a
-        # greater positive idempotent u, tau(x) < u says x * u != x: x * u
+        # for a positive idempotent u, tau(x) < u says x * u != x: x * u
         # >= x, and x * u <= x exactly when u <= tau(x), by residuation
-        if self.pos_idems()[1:2] == (u,):
-            return self.a._ops.free
         absorbs = absorber(self.a, u)
         return lambda x: not absorbs(x)
 
@@ -511,12 +508,13 @@ class _Step(ChainView):
     """One peeling step of a view at its least strictly positive
     idempotent u: the base seen through project, which maps an element of
     the input algebra a onto the step and fixes exactly the step's
-    elements.  grp is the test x * u != x, which says tau(x) < u, and kind
-    the classifier around u on a.  branch fixes the shape: a quotient
-    (QuotientChain) or a restriction (RestrictionChain)."""
+    elements.  The step builds once, on a, what both shapes read: u, its
+    complement nu, the test grp, x * u != x, which says tau(x) < u, and the
+    classifier kind around u."""
 
     branch: str  # the branch this step shape peels
     needs: str  # the message of WrongBranch for the other branch
+    shape: str  # what describe calls the step
 
     def __init__(self, base, u):
         self.base = base = _as_view(base)
@@ -534,25 +532,9 @@ class _Step(ChainView):
         self.grp = root.invertible(u)
         self.kind = classifier(root, u)
         self._lift = base.project
-        self._glued = self.branch == IDEM_BRANCH
-        if self._glued:
-            self._head_len = base.entries[1].prefix
-            # a class's canonical member depends only on the head of its
-            # elements: build it once per head, in a memo that lives and
-            # dies with this step
-            self._fill = lru_cache(maxsize=FILL_MEMO)(
-                partial(_canonical_fill, base))
 
     def describe(self) -> str:
-        shape = "glued quotient" if self._glued else "local-unit restriction"
-        return "%s of %s" % (shape, self.base.describe())
-
-    def project(self, x):
-        """The member of the class of x, for a quotient; x * u, for a
-        restriction."""
-        if self._glued:
-            return self.to_class(x)
-        return self._lift(mul(self.a, x, self.u))
+        return "%s of %s" % (self.shape, self.base.describe())
 
     def unit(self):
         return self.project(self.base.unit())
@@ -573,37 +555,27 @@ class _Step(ChainView):
     def validate(self, x) -> bool:
         return self.base.validate(x) and self.project(x) == x
 
-    def mul(self, p, q):
-        # a restriction is closed under the base's product
-        r = mul(self.a, p, q)
-        return self.to_class(r) if self._glued else self._lift(r)
 
-    def comp(self, p):
-        a = self.a
-        if self._glued:
-            return self.to_class(comp(a, p))
-        # uniform form of the two-case complement: top-like elements step
-        # down inside their column first, everything else is fixed by *nu
-        return self._lift(comp(a, mul(a, p, self.nu)))
+class QuotientChain(_Step):
+    """Chain of gamma classes: components glued to their extremes, gaps to
+    their upper ends; to_class, the projection, maps an element of a to
+    the canonical member of its class."""
 
-    def x_down(self, p):
-        if self._glued:
-            low = self.class_min(p)
-            below = self.base.x_down(low)
-            return p if below == low else self.to_class(below)
-        d = self._lift(mul(self.a, p, self.nu))
-        if self.lt(d, p):
-            return d
-        below = self.base.x_down(p)
-        if below != p and not self.contains(below):
-            raise StructuralMismatch("cover below leaves the restriction")
-        return below
+    branch = IDEM_BRANCH
+    needs = "the quotient step needs an idempotent complement of u"
+    shape = "glued quotient"
 
-    def partial_vec(self, p) -> tuple:
-        vec = self.base.partial_vec(p)
-        return vec[: self.prefix] if self._glued else vec
+    def __init__(self, base, u):
+        super().__init__(base, u)
+        self._head_len = self.base.entries[1].prefix
+        # a class's canonical member depends only on the head of its
+        # elements: build it once per head, in a memo that lives and dies
+        # with this step
+        self._fill = lru_cache(maxsize=FILL_MEMO)(
+            partial(_canonical_fill, self.base))
 
-    # the quotient's classes, intervals of the base
+    def project(self, x):
+        return self.to_class(x)
 
     def to_class(self, x):
         """Canonical member of the gamma class of x: the coset
@@ -628,6 +600,12 @@ class _Step(ChainView):
             return self._lift(x_up(a, x))
         return self._lift(x)
 
+    def mul(self, p, q):
+        return self.to_class(mul(self.a, p, q))
+
+    def comp(self, p):
+        return self.to_class(comp(self.a, p))
+
     def class_min(self, c):
         if self.grp(c):
             return self._lift(mul(self.a, c, self.nu))
@@ -636,26 +614,52 @@ class _Step(ChainView):
     def class_max(self, c):
         return self._lift(mul(self.a, c, self.u)) if self.grp(c) else c
 
-    def contains(self, x) -> bool:
-        # the restriction: x * u fixes x exactly when u <= tau(x), the
-        # local unit of x, that is when x is not invertible
-        return not self.grp(x)
+    def x_down(self, c):
+        low = self.class_min(c)
+        below = self.base.x_down(low)
+        return c if below == low else self.to_class(below)
 
-
-class QuotientChain(_Step):
-    """Chain of gamma classes: components glued to their extremes, gaps to
-    their upper ends; to_class is the projection."""
-
-    branch = IDEM_BRANCH
-    needs = "the quotient step needs an idempotent complement of u"
+    def partial_vec(self, c) -> tuple:
+        return self.base.partial_vec(c)[: self.prefix]
 
 
 class RestrictionChain(_Step):
-    """Elements whose local unit is at least u, the new unit; the
-    projection is x -> x * u."""
+    """Elements whose local unit is at least u, with u as the new unit:
+    the projection x -> x * u fixes exactly them, since u <= tau(x) gives
+    x * u == x, and an invertible y has y * u != y."""
 
     branch = NONIDEM_BRANCH
     needs = "the restriction step needs a non-idempotent complement of u"
+    shape = "local-unit restriction"
+
+    def project(self, x):
+        return self._lift(mul(self.a, x, self.u))
+
+    def contains(self, x) -> bool:
+        # the local unit tau(x) is at least u exactly when x is not
+        # invertible
+        return not self.grp(x)
+
+    def mul(self, p, q):
+        # the base's product: a restriction is closed under it
+        return self._lift(mul(self.a, p, q))
+
+    def comp(self, p):
+        # uniform form of the two-case complement: top-like elements step
+        # down inside their column first, everything else is fixed by *nu
+        return self._lift(comp(self.a, mul(self.a, p, self.nu)))
+
+    def x_down(self, p):
+        d = self._lift(mul(self.a, p, self.nu))
+        if self.lt(d, p):
+            return d
+        below = self.base.x_down(p)
+        if below != p and not self.contains(below):
+            raise StructuralMismatch("cover below leaves the restriction")
+        return below
+
+    def partial_vec(self, p) -> tuple:
+        return self.base.partial_vec(p)
 
 
 # ---------------------------------------------------------------------------

@@ -584,13 +584,13 @@ def _level_op_costs(a, draws=40):
 
 def test_level_operations_cost_at_most_linear_in_the_level():
     # each level builds its elements on the input algebra and maps them
-    # onto its base once, instead of computing through the level below:
-    # level 5 of II(Z, Q) wrapped five times in I(., full, Q) costs
-    # 28, 4 and 18 calls per mul, comp and x_down (348, 162 and 221
-    # through the level below)
+    # onto its base once: level 5 of II(Z, Q) wrapped five times in
+    # I(., full, Q) costs 28, 4 and 18 calls per mul, comp and x_down,
+    # 2.2, 0.9 and 1.8 times level 3.  Linear growth gives 5/3 and
+    # quadratic growth 25/9, so the bound 2.5 lets only the first pass
     costs = _level_op_costs(ps.parse_algebra(_tower(6)))
     for name in ("mul", "comp", "x_down"):
-        assert costs[4][name] <= 4 * costs[2][name], (name, costs)
+        assert costs[4][name] <= 2.5 * costs[2][name], (name, costs)
 
 
 # random specs of depth 1-3, with their ambient rank alongside the text

@@ -6,12 +6,12 @@ unit and positive idempotents; digests of the level's operations over
 seeded draws of the level, and of the step's classifier, invertibility
 test and projection over seeded draws of its base; a digest of the
 level's (1, 2) window where the input's ladder has at most three
-entries; and every named law and product table at a small budget
-(prop9.2, whose window is the input's, on the first level of such a
-spec only).  The
-file was recorded before the peel steps read their constants off the
-input algebra, and is only read.  To print the grid of the code at
-hand, run this file with the package on the path:
+entries; and the report line of every named law and product table at a
+small budget (prop9.2, whose window is the input's, on the first level
+of such a spec only), with one digest of all their check counts and
+violation totals.  The file holds one line per level and is only read.
+To print the grid of the code at hand, run this file with the package on
+the path:
 
     PYTHONPATH=src python tests/test_level_grid.py > grid.json
 """
@@ -70,14 +70,17 @@ def _level_entry(a, level, index, small):
     out["ops"] = {name: _digest(vals) for name, vals in sorted(ops.items())}
     if small:
         out["window"] = _digest(lc.window_elems(level, 1, 2))
-    laws = {}
+    laws, counts = {}, []
     for law in ALL_LAWS:
         if law == "prop9.2" and (index > 1 or not small):
             continue
         r = _outcome(_check, level, law, LAW_BUDGET, 1)
-        laws[law] = _shown(r) if isinstance(r, type) else \
-            [r.render(), list(map(list, r.counts)), len(r.violations)]
-    out["laws"] = laws
+        if isinstance(r, type):
+            laws[law] = _shown(r)
+        else:
+            laws[law] = r.render()
+            counts.append((law, r.counts, len(r.violations)))
+    out["laws"], out["law_counts"] = laws, _digest(counts)
     return out
 
 
@@ -101,4 +104,7 @@ def test_every_peel_level_is_the_recorded_one():
 
 
 if __name__ == "__main__":
-    print(json.dumps(level_grid(), indent=1, sort_keys=True))
+    grid = level_grid()
+    print("{\n" + ",\n".join(
+        "%s: %s" % (json.dumps(key), json.dumps(grid[key], sort_keys=True))
+        for key in sorted(grid)) + "\n}")
