@@ -25,7 +25,8 @@ The operations mul, comp, cmp_elems and the marker test (_Ops.free) are
 compiled once per node into closures over its children's closures and
 cached on the node, so a call reads no node kind.  Compilation runs
 bottom-up, in one iterative pass over the nodes not yet compiled, as do
-the ladder and the positive idempotents (_cache_below): a lazy lookup at
+the ladder, the positive idempotents and, aligned with them, whether each
+one's complement is idempotent (_cache_below): a lazy lookup at
 every level would stack several frames per level and overflow on
 nestings the parser accepts.  The coordinate maps (to_gvec, partial_vec,
 _Coords.from_gvec, _elem_from_prefix_raw) with the column tests
@@ -46,6 +47,8 @@ predicates take valid elements and do not re-check them:
   group part (invertibility) is just the absence of any T/B marker;
 * zset_member and mid_capable: the marker test plus one constraint check;
 * absorber(a, e): the test x -> x*e == x, read off x's marker slots;
+  compiled by one recursion over e, and at a positive idempotent or its
+  complement once per algebra, on first use (Algebra._idem_tests);
 * _elem_from_prefix_raw and _Coords.from_gvec: elem_from_prefix and its
   full-length case without checks (but the arity), for prefixes known to
   name an element;
@@ -261,6 +264,17 @@ class Algebra:
     def _pos_idems(self) -> tuple:
         _cache_below(self, "_pos_idems")
         return _lift_idems(self)
+
+    @cached_property
+    def _idem_branches(self) -> tuple:
+        _cache_below(self, "_idem_branches")
+        return _lift_branches(self)
+
+    # filled test by test on first use, each compiled by one recursion over
+    # its idempotent (absorber), so no node below needs a table of its own
+    @cached_property
+    def _idem_tests(self) -> "_IdemTests":
+        return _IdemTests(self)
 
     @cached_property
     def _ops(self) -> "_Ops":
@@ -940,6 +954,45 @@ def _lift_idems(a: Algebra) -> tuple:
             raise StructuralMismatch("idempotents out of order")
         out += piece
     return out
+
+
+def _lift_branches(a: Algebra) -> tuple:
+    """Per positive idempotent e of a, in the order of _lift_idems, whether
+    comp(e) is idempotent, read off the structure with no product.  A
+    middle column (tx, M(e)) over the unit tx of X has complement
+    (tx, M(comp(e))), so it takes Y's answer at e.  A column lifted from
+    X, (e, T) or (e, B), has a marker in e, so its complement keeps the
+    marker over comp(e), and it takes X's answer at e.  The node's own
+    top column (tx, T) has complement (tx, B) on a 'tb' node, which is
+    idempotent, and (x_down(tx), T) on a 't' node, whose square lies
+    lower still."""
+    if a.is_leaf:
+        return (True,)  # the unit is its own complement
+    return a.y._idem_branches + (a.family == "tb",) + a.x._idem_branches[1:]
+
+
+class _IdemTests:
+    """The absorption tests of an algebra at its positive idempotents e_i
+    and at their complements, each compiled on first use and kept: up(i)
+    is x -> x * e_i == x and down(i) is x -> x * comp(e_i) == x; index
+    maps each e_i to i.  The unit is its own complement, and x * unit ==
+    x."""
+
+    def __init__(self, a: Algebra):
+        self._a, self._idems = a, a._pos_idems
+        self.index = {e: i for i, e in enumerate(self._idems)}
+        self._ups = [_always] + [None] * (len(self._idems) - 1)
+        self._downs = list(self._ups)
+
+    def up(self, i: int):
+        if self._ups[i] is None:
+            self._ups[i] = absorber(self._a, self._idems[i])
+        return self._ups[i]
+
+    def down(self, i: int):
+        if self._downs[i] is None:
+            self._downs[i] = absorber(self._a, comp(self._a, self._idems[i]))
+        return self._downs[i]
 
 
 # ---------------------------------------------------------------------------

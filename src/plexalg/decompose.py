@@ -42,9 +42,10 @@ sampler(rng) is a zero-argument draw bound to rng, which a sample stream
 binds once, and its project maps an element of its algebra a onto the
 view.  The view's invertibility, absorption and upper-kind tests
 (upper_kind, lifts_to) are arithmetic by default, and lacks_pseudo_tops
-says False; BaseChain answers them by structure, the invertibility test
-at every positive idempotent.  A single step must run on its own output,
-so it takes any view and the step chains are views themselves.
+says False; BaseChain answers them by structure, and an algebra compiles
+its absorption test at each positive idempotent and at its complement
+once, on first use.  A single step must run on its own output, so it
+takes any view and the step chains are views themselves.
 
 Iterating the step yields a representation tree (plexalg.build.RepTree):
 a base group plus one level record per step, each holding the step
@@ -57,7 +58,9 @@ the first step at which x is invertible, from there on each slot is a
 slice of the raw coordinates of x, and below it each slot is a marker.
 Mapping one element reads its slots and computes no chain operation: its
 raw coordinates, O(log depth) absorption tests for its local unit and at
-most one absorption test per level below it.  Everything here
+most one absorption test per level below it.  Reading the tree computes
+none either: each step's branch is cached on the algebra, read off its
+structure.  Everything here
 consumes chains only through the generic operations and the coordinate
 ladder, never by inspecting the construction tree of the input.
 """
@@ -289,11 +292,18 @@ class BaseChain(ChainView):
     def invertible(self, u):
         # for a positive idempotent u, tau(x) < u says x * u != x: x * u
         # >= x, and x * u <= x exactly when u <= tau(x), by residuation
-        absorbs = absorber(self.a, u)
+        absorbs = self.absorber(u)
         return lambda x: not absorbs(x)
 
     def absorber(self, e):
-        return absorber(self.a, e)
+        # compiled once per algebra where e is a positive idempotent or the
+        # complement of one (so comp(e) is one), on the spot elsewhere
+        tests = self.a._idem_tests
+        i = tests.index.get(e)
+        if i is not None:
+            return tests.up(i)
+        i = tests.index.get(self.comp(e))
+        return absorber(self.a, e) if i is None else tests.down(i)
 
     def validate(self, p) -> bool:
         return validate_elem(self.a, p)
@@ -351,7 +361,9 @@ def smallest_pos_idem(a):
 
 
 def branch(a, u) -> str:
-    """Which peeling step applies at u."""
+    """Which peeling step applies at u, by arithmetic: whether comp(u) is
+    idempotent.  The full peel (_walk) reads the same answer off the
+    structure (chains._lift_branches), with no product."""
     view = _as_view(a)
     return _branch_at(view, view.comp(u))
 
@@ -396,9 +408,10 @@ def _check_least(view: ChainView, u):
 def classify(a, u, x) -> str:
     """Class kind of one element x around u, with x and u checked.
 
-    Each call validates x on the view, recomputes the positive idempotents
-    to check that u is the least strictly positive one, and builds a
-    classifier: to classify many elements, read the kind of peel(a) once."""
+    Each call validates x on the view, checks that u is the least strictly
+    positive idempotent (cached on an algebra, projected once per step on
+    a peel level) and builds a classifier, whose tests an algebra compiles
+    once: to classify many elements, read the kind of peel(a) once."""
     view = _as_view(a)
     if not view.validate(x):
         raise InvalidElement("classify: not an element")
@@ -700,20 +713,25 @@ def _level_record(ambient, e0, e1, coords, idem_branch: bool):
     else:
         gdesc = TRIV_GROUP
     ypart = tuple(_in_hull(g0[j], ambient[j], "Q") for j in free)
-    child_desc = GroupDesc(tuple(k for _, k in coords))
     zpart = tuple(_in_hull(g0[j], ambient[j], k) for j, k in coords)
+    # equal entries name equal subgroups, and full entries the whole group:
+    # only where the entries say neither are they compared as subgroups of
+    # the rebuilt coordinates, whose count grows with the depth
     if idem_branch:
         zsrc = e0.zconstr
         if zsrc is None:
             raise StructuralMismatch("quotient step without top-column data")
         z = tuple(_in_hull(zsrc[j], ambient[j], k) for j, k in coords)
-        full_ok = (sub_leq(child_desc, zpart, z)
-                   and sub_leq(child_desc, z, zpart))
+        full_ok = zpart == z
+        if not full_ok:
+            child = GroupDesc(tuple(k for _, k in coords))
+            full_ok = sub_leq(child, zpart, z) and sub_leq(child, z, zpart)
     else:
         if e0.zconstr is not None:
             raise StructuralMismatch("restriction step with top-column data")
         z = "gr"
-        full_ok = sub_is_full(child_desc, zpart)
+        full_ok = zpart.count(FULL) == len(zpart) or sub_is_full(
+            GroupDesc(tuple(k for _, k in coords)), zpart)
     if full_ok and all(c == FULL for c in ypart):
         h = FullH()
     else:
@@ -724,26 +742,33 @@ def _level_record(ambient, e0, e1, coords, idem_branch: bool):
 
 def _walk(a: Algebra):
     """(representation tree, lex coordinates of elements), in one pass
-    that reads each step's constants once.  The tree alone names the
-    rebuilt algebra; representation_embedding, the only caller that needs
-    it, stacks it with rebuild.
+    that reads each step's constants once and computes no chain operation.
+    The tree alone names the rebuilt algebra; representation_embedding,
+    the only caller that needs it, stacks it with rebuild.
 
     Step k works at the positive idempotent idems[k + 1] and splits
-    ladder entry k from entry k + 1.  An element x whose local unit is
-    idems[j] is invertible at steps j, j + 1, ...; there its slot is the
-    free kernel slice of its raw coordinates, which the class
-    representatives of all earlier steps keep.  At the steps below j its
-    slot is a marker: T for a restriction step, and for a quotient step
-    T or B as x does or does not absorb the complement of the step
-    idempotent.
+    ladder entry k from entry k + 1.  Its branch is read off the structure
+    (chains._lift_branches), and its level record compares the rebuilt
+    coordinates' constraints as subgroups only where their entries differ,
+    so a step costs no product and, in the common case, no containment
+    test over the coordinates below it.
+
+    An element x whose local unit is idems[j] is invertible at steps j,
+    j + 1, ...; there its slot is the free kernel slice of its raw
+    coordinates, which the class representatives of all earlier steps
+    keep.  At the steps below j its slot is a marker: T for a restriction
+    step, and for a quotient step T or B as x does or does not absorb the
+    complement of the step idempotent.
 
     j is read by absorption, not by computing tau(x): a positive
     idempotent e gives x * e >= x, and x * e <= x exactly when
     e <= res(x, x) = tau(x), by residuation.  So j is the greatest k with
     x * idems[k] == x, and a binary search over idems finds it with
     ceil(log2 n) tests for n positive idempotents.  Every test reads x's
-    slots (chains.absorber) and builds no product; the tests are built
-    on the first map, so a caller that wants only the tree builds none."""
+    slots (chains.absorber) and builds no product.  The algebra compiles
+    each test once, on first use (by the first map of any walk, or by a
+    classifier), so a caller that wants only the tree builds none and a
+    second walk builds none again."""
     ambient, entries = ladder(a)
     idems = positive_idempotents(a)
     if len(idems) != len(entries):
@@ -756,29 +781,30 @@ def _walk(a: Algebra):
     # the rebuilt coordinates so far: the base group, then each step's
     # free kernel directions, which live in their hull
     coords = list(zip(range(head), base.kinds))
+    branches = a._idem_branches
     levels, steps = [], []
     for k in range(len(idems) - 2, -1, -1):  # innermost step first
-        u = idems[k + 1]
-        idem_b = branch(a, u) == IDEM_BRANCH
+        idem_b = branches[k + 1]
         level, free = _level_record(ambient, entries[k], entries[k + 1],
                                     coords, idem_b)
         levels.append(level)
-        steps.append((k, idem_b, u, free))
+        steps.append((k, idem_b, free))
         coords += [(j, "Q") for j in free]
-    # built on the first map: ups[k - 1] tests x * idems[k] == x, and each
+    # read on the first map: ups[k] tests x * idems[k] == x, and each
     # step's marker test whether x absorbs the complement of its idempotent
     ups = marked = None
 
     def lex(x):
         nonlocal ups, marked
         if ups is None:
-            ups = [absorber(a, e) for e in idems[1:]]
-            marked = [(k, absorber(a, comp(a, u)) if idem_b else _never, free)
-                      for k, idem_b, u, free in steps]
-        lo, hi = 0, len(ups)  # x * idems[0] == x: the unit
+            tests = a._idem_tests
+            ups = [tests.up(i) for i in range(len(idems))]
+            marked = [(k, tests.down(k + 1) if idem_b else _never, free)
+                      for k, idem_b, free in steps]
+        lo, hi = 0, len(ups) - 1  # x * idems[0] == x: the unit
         while lo < hi:
             m = (lo + hi + 1) >> 1
-            if ups[m - 1](x):
+            if ups[m](x):
                 lo = m
             else:
                 hi = m - 1

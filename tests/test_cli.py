@@ -128,6 +128,23 @@ def test_depth_300_spec_evaluates_and_checks(capsys, spec_file, text):
         assert (code, err) == (0, "") and out, argv
 
 
+@pytest.mark.parametrize("text", DEPTH_300, ids=["first", "second"])
+def test_depth_300_spec_peels_and_rebuilds(capsys, spec_file, text):
+    # the per-algebra caches of the peel (branches, absorption tests) are
+    # built without deep recursion; the tree of the second spec is about
+    # 330 KB, quadratic in the depth, as its level constraints are
+    path = spec_file(text)
+    for verb in ("represent", "decompose"):
+        code, out, err = run(capsys, verb, "-f", path)
+        assert (code, err) == (0, "") and out, verb
+        if verb == "represent":
+            tree = out
+    code, out, err = run(capsys, "rebuild", "-f", spec_file(tree, "tree.rep"))
+    assert (code, err) == (0, "") and out
+    code, again, err = run(capsys, "represent", "-f", spec_file(out, "re.alg"))
+    assert (code, err, again) == (0, "", tree)
+
+
 def test_bad_usage_exits_1(capsys, spec_file):
     code, _, err = run(capsys, "check", "-f", spec_file("Z"), "--format", "xml")
     assert code == 1

@@ -800,14 +800,11 @@ def _tau_lex(a):
     return lex
 
 
-def _assert_lex_matches_tau_lookup(a, seed) -> set:
-    """The local-unit steps met, after checking that the lex map agrees
-    with the oracle on samples at marker_p 0.25 and 0.6, their products
-    with every positive idempotent (which reach the high local units that
-    samples of a deep tower seldom do), and the window of bound 2 and
-    denominators up to 2 where the ambient rank is 3 or less."""
-    _, lex = dec.lex_embedding(a)
-    want = _tau_lex(a)
+def _lex_probes(a, seed) -> list:
+    """Samples at marker_p 0.25 and 0.6, their products with every positive
+    idempotent (which reach the high local units that samples of a deep
+    tower seldom do), and the window of bound 2 and denominators up to 2
+    where the ambient rank is 3 or less."""
     rng = random.Random(seed)
     xs = [ch.sample_elem(a, rng, marker_p=p) for p in (0.25, 0.6)
           for _ in range(40)]
@@ -815,8 +812,16 @@ def _assert_lex_matches_tau_lookup(a, seed) -> set:
            for e in ch.positive_idempotents(a)]
     if len(ch.ladder(a)[0]) <= 3:
         xs += lc.window_elems(a, 2, 2)
+    return xs
+
+
+def _assert_lex_matches_tau_lookup(a, seed) -> set:
+    """The local-unit steps met, after checking that the lex map agrees
+    with the oracle on the probes of _lex_probes."""
+    _, lex = dec.lex_embedding(a)
+    want = _tau_lex(a)
     met = set()
-    for x in xs:
+    for x in _lex_probes(a, seed):
         flat = lex(x)
         assert flat == want(x), ps.print_elem(a, x)
         met.add(sum(s in (ch.TOP, ch.BOT) for s in flat))
@@ -897,6 +902,180 @@ def test_lex_map_reads_the_local_unit_by_absorption(monkeypatch, name):
     assert steps == set(range(len(idems))), steps  # every local unit
     assert set(built) >= set(idems[1:])
     assert set(built.values()) == {1}, built
+
+
+# ---------------------------------------------------------------------------
+# the one-pass walk against the walk it replaced
+#
+# The oracle is _walk as it was before a step's branch and absorption tests
+# were read off the algebra: branch(a, u), a full-depth complement and
+# product, at every step, a level record that compares the rebuilt
+# coordinates below the step as subgroups, and the tests compiled again on
+# each walk's first map.
+
+
+def _oracle_level_record(ambient, e0, e1, coords, idem_branch: bool):
+    g0 = e0.gconstr
+    free = tuple(j for j in range(e1.prefix, e0.prefix)
+                 if g0[j] != gr.TRIV and g0[j][0] != "graph")
+    if free:
+        gdesc = gr.divisible_hull(GroupDesc(tuple(ambient[j] for j in free)))
+    else:
+        gdesc = gr.TRIV_GROUP
+    ypart = tuple(dec._in_hull(g0[j], ambient[j], "Q") for j in free)
+    child_desc = GroupDesc(tuple(k for _, k in coords))
+    zpart = tuple(dec._in_hull(g0[j], ambient[j], k) for j, k in coords)
+    if idem_branch:
+        zsrc = e0.zconstr
+        if zsrc is None:
+            raise StructuralMismatch("quotient step without top-column data")
+        z = tuple(dec._in_hull(zsrc[j], ambient[j], k) for j, k in coords)
+        full_ok = (gr.sub_leq(child_desc, zpart, z)
+                   and gr.sub_leq(child_desc, z, zpart))
+    else:
+        if e0.zconstr is not None:
+            raise StructuralMismatch("restriction step with top-column data")
+        z = "gr"
+        full_ok = gr.sub_is_full(child_desc, zpart)
+    if full_ok and all(c == FULL for c in ypart):
+        h = ch.FullH()
+    else:
+        h = ch.ProdH(zpart, ypart)
+    level = bd.RepLevel(iota="I" if idem_branch else "II", z=z, g=gdesc, h=h)
+    return level, free
+
+
+def _oracle_walk(a):
+    ambient, entries = ch.ladder(a)
+    idems = ch.positive_idempotents(a)
+    if len(idems) != len(entries):
+        raise StructuralMismatch(
+            "idempotent count disagrees with the coordinate ladder")
+    if any(c != FULL for c in entries[-1].gconstr):
+        raise StructuralMismatch("group level with nontrivial constraints")
+    head = entries[-1].prefix
+    base = GroupDesc(tuple(ambient[:head]))
+    coords = list(zip(range(head), base.kinds))
+    levels, steps = [], []
+    for k in range(len(idems) - 2, -1, -1):
+        u = idems[k + 1]
+        idem_b = dec.branch(a, u) == dec.IDEM_BRANCH
+        level, free = _oracle_level_record(ambient, entries[k],
+                                           entries[k + 1], coords, idem_b)
+        levels.append(level)
+        steps.append((k, idem_b, u, free))
+        coords += [(j, "Q") for j in free]
+    ups = marked = None
+
+    def lex(x):
+        nonlocal ups, marked
+        if ups is None:
+            ups = [ch.absorber(a, e) for e in idems[1:]]
+            marked = [(k, ch.absorber(a, ch.comp(a, u)) if idem_b
+                       else ch._never, free)
+                      for k, idem_b, u, free in steps]
+        lo, hi = 0, len(ups)
+        while lo < hi:
+            m = (lo + hi + 1) >> 1
+            if ups[m - 1](x):
+                lo = m
+            else:
+                hi = m - 1
+        vec = ch.partial_vec(a, x)
+        out = [vec[:head]]
+        for k, absorbs, free in marked:
+            if k >= lo:
+                out.append(tuple(vec[i] for i in free))
+            elif absorbs(x):
+                out.append(ch.BOT)
+            else:
+                out.append(ch.TOP)
+        return tuple(out)
+
+    return dec.RepTree(base=base, levels=tuple(levels)), lex
+
+
+def _assert_walk_matches_oracle(a, seed):
+    """The branch read off the structure is branch(a, u) at every positive
+    idempotent u, and the walk gives the oracle's tree and lex map (on the
+    probes of _lex_probes), or raises as it does."""
+    idems = ch.positive_idempotents(a)
+    assert a._idem_branches == tuple(dec.branch(a, u) == dec.IDEM_BRANCH
+                                     for u in idems)
+    try:
+        want_tree, want_lex = _oracle_walk(a)
+    except PlexError as exc:
+        _assert_raises_like(exc, dec._walk, a)
+        return
+    tree, lex = dec._walk(a)
+    assert tree == want_tree
+    assert dec.group_representation(a) == tree
+    for x in _lex_probes(a, seed):
+        assert lex(x) == want_lex(x), ps.print_elem(a, x)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS)
+                         + [f"tower{d}" for d in range(1, 6)]
+                         + REGRESSION_SPECS + LAW_FAILURE_SPECS)
+def test_walk_matches_the_walk_it_replaced(name):
+    _assert_walk_matches_oracle(ps.parse_algebra(case_spec(name)), 7)
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), seed=st.integers(0, 2**16))
+def test_walk_matches_the_walk_it_replaced_on_random_specs(spec, seed):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_walk_matches_oracle(a, seed)
+
+
+def _represent_calls(monkeypatch, depth) -> dict:
+    """Calls of the compiled mul, comp and cmp of every node, and of
+    groups.entry_leq, that one group_representation of the depth-d tower
+    makes, on an algebra parsed just before."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def compile_counted(a, _real=ch._compile_ops):
+        ops = _real(a)
+        return ops._replace(**{n: counting("ops", getattr(ops, n))
+                               for n in ("mul", "comp", "cmp")})
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ch, "_compile_ops", compile_counted)
+        mp.setattr(gr, "entry_leq", counting("entry_leq", gr.entry_leq))
+        a = ps.parse_algebra(_tower(depth))
+        calls.clear()
+        dec.group_representation(a)
+        got = dict(calls)
+        # the counters are live: a branch test walks every level of u, and
+        # a containment test reads each entry
+        dec.branch(a, ch.positive_idempotents(a)[1])
+        gr.sub_leq(GroupDesc(("Z",)), (FULL,), (FULL,))
+    assert calls["ops"] - got.get("ops", 0) >= depth, calls
+    assert calls["entry_leq"] == got.get("entry_leq", 0) + 1, calls
+    return got
+
+
+def test_represent_calls_grow_at_most_linearly_in_depth(monkeypatch):
+    # the walk reads each step's branch off the structure and compares the
+    # rebuilt coordinates as subgroups only where their entries differ; a
+    # branch test per step, or a containment test over the coordinates
+    # below each step, grows four times per doubling
+    calls = {d: _represent_calls(monkeypatch, d) for d in (50, 100, 200)}
+    for d in (50, 100):
+        for name in ("ops", "entry_leq"):
+            assert calls[2 * d].get(name, 0) <= 2.5 * calls[d].get(name, 0), \
+                calls
 
 
 # ---------------------------------------------------------------------------
