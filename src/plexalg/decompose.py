@@ -714,9 +714,8 @@ def _level_record(ambient, e0, e1, coords, idem_branch: bool):
         gdesc = TRIV_GROUP
     ypart = tuple(_in_hull(g0[j], ambient[j], "Q") for j in free)
     zpart = tuple(_in_hull(g0[j], ambient[j], k) for j, k in coords)
-    # equal entries name equal subgroups, and full entries the whole group:
-    # only where the entries say neither are they compared as subgroups of
-    # the rebuilt coordinates, whose count grows with the depth
+    # equal entries name equal subgroups: only where they differ are the
+    # two constraints compared as subgroups of the rebuilt coordinates
     if idem_branch:
         zsrc = e0.zconstr
         if zsrc is None:
@@ -730,8 +729,7 @@ def _level_record(ambient, e0, e1, coords, idem_branch: bool):
         if e0.zconstr is not None:
             raise StructuralMismatch("restriction step with top-column data")
         z = "gr"
-        full_ok = zpart.count(FULL) == len(zpart) or sub_is_full(
-            GroupDesc(tuple(k for _, k in coords)), zpart)
+        full_ok = sub_is_full(GroupDesc(tuple(k for _, k in coords)), zpart)
     if full_ok and all(c == FULL for c in ypart):
         h = FullH()
     else:
@@ -748,10 +746,11 @@ def _walk(a: Algebra):
 
     Step k works at the positive idempotent idems[k + 1] and splits
     ladder entry k from entry k + 1.  Its branch is read off the structure
-    (chains._lift_branches), and its level record compares the rebuilt
+    (chains._lift_branches), and a quotient step compares the rebuilt
     coordinates' constraints as subgroups only where their entries differ,
-    so a step costs no product and, in the common case, no containment
-    test over the coordinates below it.
+    so a step costs no product.  Its level record still reads the
+    constraint on every rebuilt coordinate below it, so the pass, like the
+    tree it returns, grows with the square of the depth.
 
     An element x whose local unit is idems[j] is invertible at steps j,
     j + 1, ...; there its slot is the free kernel slice of its raw
