@@ -21,12 +21,14 @@ quotient, x -> x * u for a restriction.  Its elements are the base
 elements that the projection fixes, ordered as there; a class is an
 interval of the base, named by its canonical member.  So every element of
 every peel level is an element of the input algebra a, and a step reads
-its constants off a, however deep it sits: u is a positive idempotent of
-a, nu its complement there, the invertibility test x * u != x and the
-classifier around u are a's, each built once, so every law at u reads one
-step.  An element the step hands out is built on a and mapped onto the
-base once, by the base's projection; only the covers descend through the
-base.  The member of a component is the canonical fill of its elements'
+its constants off a, however deep it sits.  A view's level k counts the
+steps between it and a, and the step at level k works at
+u = positive_idempotents(a)[k]: it reads its shape and the idempotents
+above u off a's tables, and builds nu, the complement of u in a, the test
+x * u != x and the classifier around u on a, once, so every law at u
+reads one step.  A restriction computes on a alone, since every
+projection below it fixes x * u; a quotient maps the members it builds
+on a onto the base, and its covers descend through the base.  The member of a component is the canonical fill of its elements'
 head (their raw coordinates above the step kernel), built once per head
 in a bounded memo owned by the step.
 
@@ -79,10 +81,8 @@ from .chains import (
     FullH,
     ProdH,
     _elem_from_prefix_raw,
-    _never,
     absorber,
     comp,
-    elem_from_prefix,
     ladder,
     leaf,
     mid,
@@ -258,6 +258,8 @@ class BaseChain(ChainView):
     the algebra's closures, bound per view: a subclass rebinds one in
     __init__, since a method on the class would be shadowed."""
 
+    k = 0  # the peel level; a step sits one level below its base
+
     def __init__(self, a: Algebra):
         self.a = a
         self.ambient, self.entries = ladder(a)
@@ -281,9 +283,6 @@ class BaseChain(ChainView):
 
     def partial_vec(self, p) -> tuple:
         return partial_vec(self.a, p)
-
-    def elem_from_prefix(self, h: tuple):
-        return elem_from_prefix(self.a, h)
 
     def project(self, x):
         """Every element of the algebra is an element of this view."""
@@ -361,32 +360,23 @@ def smallest_pos_idem(a):
 
 
 def branch(a, u) -> str:
-    """Which peeling step applies at u, by arithmetic: whether comp(u) is
-    idempotent.  The full peel (_walk) reads the same answer off the
-    structure (chains._lift_branches), with no product."""
+    """Which peeling step applies at any u, by arithmetic: whether comp(u)
+    is idempotent.  peel, the steps and _walk read it at each positive
+    idempotent off the algebra's table (chains._lift_branches)."""
     view = _as_view(a)
-    return _branch_at(view, view.comp(u))
-
-
-def _branch_at(view: ChainView, nu) -> str:
-    """The branch at u, from its complement nu: whether nu is idempotent."""
+    nu = view.comp(u)
     return IDEM_BRANCH if view.mul(nu, nu) == nu else NONIDEM_BRANCH
 
 
 def peel(a):
     """The peel level of an algebra or view at its least strictly positive
-    idempotent u: a QuotientChain or a RestrictionChain, as branch says."""
+    idempotent u, positive_idempotents(a)[k + 1] on a view of level k: a
+    QuotientChain or a RestrictionChain, as a's branch table says there."""
     view = _as_view(a)
     u = smallest_pos_idem(view)
-    if branch(view, u) == IDEM_BRANCH:
+    if view.a._idem_branches[view.k + 1]:
         return QuotientChain(view, u)
     return RestrictionChain(view, u)
-
-
-def _check_least(view: ChainView, u):
-    if u != smallest_pos_idem(view):
-        raise PreconditionFailed(
-            "the step idempotent must be the least strictly positive one")
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +399,15 @@ def classify(a, u, x) -> str:
     """Class kind of one element x around u, with x and u checked.
 
     Each call validates x on the view, checks that u is the least strictly
-    positive idempotent (cached on an algebra, projected once per step on
-    a peel level) and builds a classifier, whose tests an algebra compiles
-    once: to classify many elements, read the kind of peel(a) once."""
+    positive idempotent (read off the input algebra's list, also on a peel
+    level) and builds a classifier, whose tests an algebra compiles once:
+    to classify many elements, read the kind of peel(a) once."""
     view = _as_view(a)
     if not view.validate(x):
         raise InvalidElement("classify: not an element")
-    _check_least(view, u)
+    if u != smallest_pos_idem(view):
+        raise PreconditionFailed(
+            "the step idempotent must be the least strictly positive one")
     return classifier(view, u)(x)
 
 
@@ -503,9 +495,10 @@ def beta(a, u, x):
 def gamma(a, u, b):
     """Member of the gamma class of the beta class b.
 
-    Each call checks the branch, then that u is the least strictly
-    positive idempotent, and builds the quotient step: to map many
-    elements, build QuotientChain(a, u) once and use its to_class."""
+    Each call checks the branch by arithmetic at u, then that u is the
+    least strictly positive idempotent, and builds the quotient step: to
+    map many elements, build QuotientChain(a, u) once and use its
+    to_class."""
     view = _as_view(a)
     if branch(view, u) != IDEM_BRANCH:
         raise WrongBranch(
@@ -521,9 +514,10 @@ class _Step(ChainView):
     """One peeling step of a view at its least strictly positive
     idempotent u: the base seen through project, which maps an element of
     the input algebra a onto the step and fixes exactly the step's
-    elements.  The step builds once, on a, what both shapes read: u, its
-    complement nu, the test grp, x * u != x, which says tau(x) < u, and the
-    classifier kind around u."""
+    elements.  At level k, one below its base, u is
+    positive_idempotents(a)[k].  The step builds once, on a, what both
+    shapes read: u, its complement nu, the test grp, x * u != x, which
+    says tau(x) < u, and the classifier kind around u."""
 
     branch: str  # the branch this step shape peels
     needs: str  # the message of WrongBranch for the other branch
@@ -532,19 +526,20 @@ class _Step(ChainView):
     def __init__(self, base, u):
         self.base = base = _as_view(base)
         # a direct call may pass any u, so check it even after peel did
-        _check_least(base, u)
+        if u != smallest_pos_idem(base):
+            raise PreconditionFailed(
+                "the step idempotent must be the least strictly positive one")
         self.a = a = base.a
+        self.k = base.k + 1
+        if a._idem_branches[self.k] != (self.branch == IDEM_BRANCH):
+            raise WrongBranch(self.needs)
         root = BaseChain(a)
         self.u, self.nu = u, comp(a, u)
-        if _branch_at(root, self.nu) != self.branch:
-            raise WrongBranch(self.needs)
         self.cmp = root.cmp
         self.ambient = base.ambient
         self.entries = base.entries[1:]
-        self._idems = None
         self.grp = root.invertible(u)
         self.kind = classifier(root, u)
-        self._lift = base.project
 
     def describe(self) -> str:
         return "%s of %s" % (self.shape, self.base.describe())
@@ -557,13 +552,8 @@ class _Step(ChainView):
         return lambda: project(draw())
 
     def pos_idems(self) -> tuple:
-        if self._idems is None:
-            self._idems = tuple(
-                self.project(e) for e in self.base.pos_idems()[1:])
-        return self._idems
-
-    def elem_from_prefix(self, h: tuple):
-        return self.project(self.base.elem_from_prefix(h))
+        # the projections down to this step fix every idempotent above u
+        return (self.unit(),) + positive_idempotents(self.a)[self.k + 1:]
 
     def validate(self, x) -> bool:
         return self.base.validate(x) and self.project(x) == x
@@ -580,6 +570,7 @@ class QuotientChain(_Step):
 
     def __init__(self, base, u):
         super().__init__(base, u)
+        self._lift = self.base.project  # a member built on a, onto the base
         self._head_len = self.base.entries[1].prefix
         # a class's canonical member depends only on the head of its
         # elements: build it once per head, in a memo that lives and dies
@@ -639,14 +630,15 @@ class QuotientChain(_Step):
 class RestrictionChain(_Step):
     """Elements whose local unit is at least u, with u as the new unit:
     the projection x -> x * u fixes exactly them, since u <= tau(x) gives
-    x * u == x, and an invertible y has y * u != y."""
+    x * u == x, and an invertible y has y * u != y.  The projections
+    below fix x * u, so the step never maps through its base."""
 
     branch = NONIDEM_BRANCH
     needs = "the restriction step needs a non-idempotent complement of u"
     shape = "local-unit restriction"
 
     def project(self, x):
-        return self._lift(mul(self.a, x, self.u))
+        return mul(self.a, x, self.u)
 
     def contains(self, x) -> bool:
         # the local unit tau(x) is at least u exactly when x is not
@@ -654,16 +646,16 @@ class RestrictionChain(_Step):
         return not self.grp(x)
 
     def mul(self, p, q):
-        # the base's product: a restriction is closed under it
-        return self._lift(mul(self.a, p, q))
+        # a's product: the restriction is closed under it
+        return mul(self.a, p, q)
 
     def comp(self, p):
         # uniform form of the two-case complement: top-like elements step
         # down inside their column first, everything else is fixed by *nu
-        return self._lift(comp(self.a, mul(self.a, p, self.nu)))
+        return comp(self.a, mul(self.a, p, self.nu))
 
     def x_down(self, p):
-        d = self._lift(mul(self.a, p, self.nu))
+        d = mul(self.a, p, self.nu)
         if self.lt(d, p):
             return d
         below = self.base.x_down(p)
@@ -765,9 +757,8 @@ def _walk(a: Algebra):
     x * idems[k] == x, and a binary search over idems finds it with
     ceil(log2 n) tests for n positive idempotents.  Every test reads x's
     slots (chains.absorber) and builds no product.  The algebra compiles
-    each test once, on first use (by the first map of any walk, or by a
-    classifier), so a caller that wants only the tree builds none and a
-    second walk builds none again."""
+    each test once, when a map or a classifier first reads it, so a caller
+    that wants only the tree builds none and a second walk none again."""
     ambient, entries = ladder(a)
     idems = positive_idempotents(a)
     if len(idems) != len(entries):
@@ -789,30 +780,24 @@ def _walk(a: Algebra):
         levels.append(level)
         steps.append((k, idem_b, free))
         coords += [(j, "Q") for j in free]
-    # read on the first map: ups[k] tests x * idems[k] == x, and each
-    # step's marker test whether x absorbs the complement of its idempotent
-    ups = marked = None
+    # up(k) tests x * idems[k] == x, and down(k + 1) whether x absorbs the
+    # complement of step k's idempotent
+    up, down = a._idem_tests.up, a._idem_tests.down
 
     def lex(x):
-        nonlocal ups, marked
-        if ups is None:
-            tests = a._idem_tests
-            ups = [tests.up(i) for i in range(len(idems))]
-            marked = [(k, tests.down(k + 1) if idem_b else _never, free)
-                      for k, idem_b, free in steps]
-        lo, hi = 0, len(ups) - 1  # x * idems[0] == x: the unit
+        lo, hi = 0, len(idems) - 1  # x * idems[0] == x: the unit
         while lo < hi:
             m = (lo + hi + 1) >> 1
-            if ups[m](x):
+            if up(m)(x):
                 lo = m
             else:
                 hi = m - 1
         vec = partial_vec(a, x)
         out = [vec[:head]]
-        for k, absorbs, free in marked:
+        for k, idem_b, free in steps:
             if k >= lo:
                 out.append(tuple(vec[i] for i in free))
-            elif absorbs(x):
+            elif idem_b and down(k + 1)(x):
                 out.append(BOT)
             else:
                 out.append(TOP)

@@ -861,8 +861,8 @@ def test_lex_map_matches_the_tau_lookup_on_random_specs(spec, seed):
 @pytest.mark.parametrize("name",
                          ["tower5", "E", "V4b", "I(Q, idx 3, II(Z, Z))"])
 def test_lex_map_reads_the_local_unit_by_absorption(monkeypatch, name):
-    # the tree builds no absorption test; a map builds each once, on the
-    # first element, computes no tau, and makes at most ceil(log2 n)
+    # the tree builds no absorption test; a map builds each once, when it
+    # first reads it, computes no tau, and makes at most ceil(log2 n)
     # absorption tests for n positive idempotents
     a = ps.parse_algebra(case_spec(name))
     idems = ch.positive_idempotents(a)
@@ -902,6 +902,27 @@ def test_lex_map_reads_the_local_unit_by_absorption(monkeypatch, name):
     assert steps == set(range(len(idems))), steps  # every local unit
     assert set(built) >= set(idems[1:])
     assert set(built.values()) == {1}, built
+
+
+def test_lex_map_compiles_only_the_tests_it_reads(monkeypatch):
+    # on the 300-deep I-tower the unit is invertible at every step, so its
+    # map reads only the binary search's tests, at most ceil(log2 301) = 9,
+    # and no marker test; compiling every test up front took 600
+    a = ps.parse_algebra("I(" * 300 + "Z" + ", full, Q)" * 300)
+    built = []
+    absorber = ch.absorber
+
+    def counted(b, e):
+        if b is a:  # not the recursion over the factors of a
+            built.append(e)
+        return absorber(b, e)
+
+    monkeypatch.setattr(ch, "absorber", counted)
+    _, lex = dec.lex_embedding(a)
+    assert not built
+    flat = lex(ch.unit(a))
+    assert ch.TOP not in flat and ch.BOT not in flat
+    assert 0 < len(built) <= 9, len(built)
 
 
 # ---------------------------------------------------------------------------
@@ -1358,28 +1379,20 @@ def test_peel_levels_keep_input_elements_on_random_specs(spec, rngs):
 
 # ---------------------------------------------------------------------------
 # the step contract: a step is its base seen through project, and the one
-# definition of unit, sampler, pos_idems, elem_from_prefix and validate on
-# dec._Step gives what each shape once defined for itself
+# definition of unit, sampler and validate on dec._Step gives what each
+# shape once defined for itself; pos_idems is checked with the table reads
+# below
 
 
 def _shape_reference(level):
-    """(unit, pos_idems, elem_from_prefix, projection of a draw, validate)
-    as the quotient and the restriction each once defined them."""
+    """(unit, projection of a draw, validate) as the quotient and the
+    restriction each once defined them."""
     base, u = level.base, level.u
     if isinstance(level, dec.QuotientChain):
         to = level.to_class
-        return (to(base.unit()), tuple(to(e) for e in base.pos_idems()[1:]),
-                lambda h: to(base.elem_from_prefix(h)), to,
+        return (to(base.unit()), to,
                 lambda c: base.validate(c) and to(c) == c)
-
-    def from_prefix(h):
-        x = base.mul(base.elem_from_prefix(h), u)
-        if not level.contains(x):
-            raise InvalidElement("prefix lands outside the restriction")
-        return x
-
-    return (u, tuple(base.pos_idems()[1:]), from_prefix,
-            lambda x: base.mul(x, u),
+    return (u, lambda x: base.mul(x, u),
             lambda p: base.validate(p) and level.contains(p))
 
 
@@ -1389,17 +1402,9 @@ def _step_contract_breaches(spec):
     bad = []
     for level in _peel_levels(dec.BaseChain(ps.parse_algebra(spec))):
         name = level.describe()
-        unit, idems, from_prefix, projected, validate = \
-            _shape_reference(level)
+        unit, projected, validate = _shape_reference(level)
         if level.unit() != unit:
             bad.append((name, "unit", unit))
-        if level.pos_idems() != idems:
-            bad.append((name, "pos_idems", idems))
-        for e in idems:
-            h = level.partial_vec(e)
-            if (_outcome(level.elem_from_prefix, h)
-                    != _outcome(from_prefix, h)):
-                bad.append((name, "elem_from_prefix", h))
         draw, ref = level.sampler(random.Random(7)), level.base.sampler(
             random.Random(7))
         for _ in range(50):
@@ -1434,6 +1439,57 @@ def test_step_contract_catches_a_validate_that_ignores_project(monkeypatch):
     for name in ("A", "E"):
         assert any(what == "validate accepts" for _, what, _ in
                    _step_contract_breaches(case_spec(name))), name
+
+
+# a step reads u, its shape and the positive idempotents above u off the
+# input algebra's tables, and a restriction maps x * u straight onto
+# itself; the arithmetic these replaced stays here as the oracle
+
+
+def _table_read_breaches(a, rngs):
+    """(level, what) wherever a peel level's reads disagree with the
+    arithmetic: u against the input algebra's list, the shape against
+    branch on the base, pos_idems against the base's list projected, and
+    a restriction's projection against the base's projection of x * u,
+    on sampled and window elements of a."""
+    idems = ch.positive_idempotents(a)
+    xs = ([ch.sample_elem(a, rng, marker_p=p) for rng, p in rngs]
+          + lc.window_elems(a, 1, 1))
+    bad, want_idems = [], idems
+    for k, level in enumerate(_peel_levels(dec.BaseChain(a)), start=1):
+        base, u, name = level.base, level.u, level.describe()
+        if level.k != k or u != idems[k]:
+            bad.append((name, "u"))
+        idem = dec.branch(base, u) == dec.IDEM_BRANCH
+        if type(level) is not (dec.QuotientChain if idem
+                               else dec.RestrictionChain):
+            bad.append((name, "shape"))
+        want_idems = tuple(level.project(e) for e in want_idems[1:])
+        if level.pos_idems() != want_idems:
+            bad.append((name, "pos_idems"))
+        if not idem:
+            bad += [(name, "project", x) for x in xs if level.project(x)
+                    != base.project(ch.mul(a, x, u))]
+    return bad
+
+
+@pytest.mark.parametrize("name", STEP_CASES + LAW_FAILURE_SPECS)
+def test_steps_read_what_the_arithmetic_gives(name):
+    rngs = [(random.Random(s), p) for s in range(10) for p in (0.25, 0.6)]
+    a = ps.parse_algebra(case_spec(name))
+    assert _table_read_breaches(a, rngs) == []
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(spec=st.integers(1, 3).flatmap(_specs), rngs=_element_draws(4))
+def test_steps_read_what_the_arithmetic_gives_on_random_specs(spec, rngs):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    assert _table_read_breaches(a, rngs) == []
 
 
 def test_classify_checks_the_element_on_a_peel_level(alg, el):
