@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import kernel as kn
-from .chains import (NODE_KINDS, Algebra, FullH, GraphH, ProdH,
-                     discretely_embedded, gr_ambient, ladder, leaf,
+from .chains import (NODE_KINDS, Algebra, FullH, GraphH, ProdH, _checks,
+                     discretely_embedded, gr_ambient, leaf,
                      positive_idempotents, tau, unit)
 from .errors import (DiscretenessViolated, InvalidSubgroup,
                      PreconditionFailed, SubgroupChainViolated)
@@ -42,16 +42,16 @@ def group_leaf(desc: GroupDesc) -> Algebra:
 
 def _check_sub(amb: GroupDesc, sub, what: str):
     try:
-        return sub_validate(amb, sub)
+        return _checks(sub_validate(amb, sub), amb.rank)
     except InvalidSubgroup as exc:
         raise InvalidSubgroup(f"{what}: {exc}") from None
 
 
 def _check_cut(amb: GroupDesc, own, sub, top, what: str):
-    """A validated sub cuts the group part own inside top.  A graph-linked
-    own cannot be cut: a sub other than full is rejected here, and full is
-    not contained in a graph entry (groups.entry_leq)."""
-    if any(c[0] == "graph" for c in own) and not sub_is_full(amb, sub):
+    """A validated sub cuts the group part own inside top (constraint
+    vectors).  A graph-linked own cannot be cut: a sub other than full is
+    rejected here, and full is not contained in a graph entry."""
+    if any(c[0] == "graph" for _, c in own) and not sub_is_full(amb, sub):
         raise InvalidSubgroup(f"{what}: cannot cut a graph-linked group part")
     if not sub_leq(amb, sub, top):
         raise SubgroupChainViolated(f"{what} is not contained where required")
@@ -101,19 +101,19 @@ def _build(kind: str, x: Algebra, y: Algebra, zsub, vsub, h) -> Algebra:
     if cut == "h" and not y.is_leaf:
         raise PreconditionFailed("sublex constructions need a group leaf second factor")
     amb = gr_ambient(x)
-    own = top = ladder(x)[1][0].gconstr  # x's group part, then the top set
+    own = top = x._structure.gconstr  # x's group part, then the top set
     if family == "tb":
         if zsub is None:
             raise PreconditionFailed(f"kind {kind} needs a top-column subgroup")
-        zsub = top = _check_sub(amb, zsub, "top-column subgroup")
-        _check_cut(amb, own, zsub, own, "top-column subgroup")
+        top = _check_sub(amb, zsub, "top-column subgroup")
+        _check_cut(amb, own, top, own, "top-column subgroup")
     elif zsub is not None:
         raise PreconditionFailed(f"kind {kind} takes no top-column subgroup")
     if cut == "vsub":
         if vsub is None:
             raise PreconditionFailed(f"kind {kind} needs a middle-column subgroup")
-        vsub = _check_sub(amb, vsub, "middle-column subgroup")
-        _check_cut(amb, own, vsub, top, "middle-column subgroup")
+        v = _check_sub(amb, vsub, "middle-column subgroup")
+        _check_cut(amb, own, v, top, "middle-column subgroup")
     elif vsub is not None:
         raise PreconditionFailed(f"kind {kind} takes no middle-column subgroup")
     if cut == "h":
@@ -128,9 +128,9 @@ def _build(kind: str, x: Algebra, y: Algebra, zsub, vsub, h) -> Algebra:
 def _check_restriction(amb: GroupDesc, own, top, y: Algebra, h, family: str):
     if isinstance(h, ProdH):
         zpart = _check_sub(amb, h.zpart, "first side of the restriction")
-        ypart = _check_sub(y.group, h.ypart, "second side of the restriction")
+        _check_sub(y.group, h.ypart, "second side of the restriction")
         _check_cut(amb, own, zpart, top, "first side of the restriction")
-        return ProdH(zpart, ypart)
+        return h
     if isinstance(h, GraphH):
         if amb.rank != 1 or amb.kinds[0] != "Z":
             raise PreconditionFailed(

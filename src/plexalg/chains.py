@@ -25,17 +25,18 @@ The operations mul, comp, cmp_elems and the marker test (_Ops.free) are
 compiled once per node into closures over its children's closures and
 cached on the node, so a call reads no node kind.  Compilation runs
 bottom-up, in one iterative pass over the nodes not yet compiled, as do
-the ladder, the positive idempotents and, aligned with them, whether each
-one's complement is idempotent (_cache_below): a lazy lookup at
-every level would stack several frames per level and overflow on
-nestings the parser accepts.  The coordinate maps (to_gvec, partial_vec,
-_Coords.from_gvec, _elem_from_prefix_raw) with the column tests
-(mid_capable, zset_member), and the cover x_down with the least element
-(universe_min), are compiled the same way, with the node's constraints,
-slice step and slice bounds folded in, but only on first use: builders
-and rebuild make fresh nodes on every call, most of which never step a
-cover.  A module function is the one entry point to its closure; the
-marker test and from_gvec have none, and are read off the node.
+the structure (constraint vectors and unit), the positive idempotents
+and, aligned with them, whether each one's complement is idempotent
+(_cache_below): a lazy lookup at every level would stack several frames
+per level and overflow on nestings the parser accepts.  The coordinate
+maps (to_gvec, partial_vec, _Coords.from_gvec, _elem_from_prefix_raw)
+with the column tests (mid_capable, zset_member), and the cover x_down
+with the least element (universe_min), are compiled the same way, with
+the node's constraints, slice step and slice bounds folded in, but only
+on first use: builders and rebuild make fresh nodes on every call, most
+of which never step a cover.  A module function is the one entry point
+to its closure; the marker test and from_gvec have none, and are read
+off the node.
 
 Validation happens at the boundary only: parsing (elem_check),
 sampling (sample_elem), building (build), validate_elem and
@@ -64,10 +65,13 @@ comp(universe_min).
 The module also computes, per algebra, a structural "ladder": one flat
 coordinate view of the group part per reduction level, recording how many
 ambient coordinates that level keeps and which per-coordinate constraints
-cut the level's group out of them.  The decomposition layer consumes
-algebras only through the generic operations plus this ladder, never by
-inspecting the construction tree of the input.  H is read only to build
-the ladder: sublex slices read the Y part of the outermost entry.
+cut the level's group out of them.  A node holds the constraint vectors
+(entries not full) of its group part and columns, sharing its children's
+where it cuts nothing; the ladder is read off them for the node asked
+only.  The decomposition layer consumes algebras only through the
+generic operations plus this ladder, never by inspecting the
+construction tree of the input.  H is read only to build the ladder:
+sublex slices read the Y part of the outermost entry.
 
 sample_elem draws through the samplers of plexalg.sampling, and
 consumers reach the operations through the view protocol of
@@ -76,7 +80,6 @@ plexalg.decompose; neither is loaded before its first use.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import lcm
 from typing import Callable, NamedTuple
 
@@ -132,7 +135,8 @@ class GraphH(NamedTuple):
 # ---------------------------------------------------------------------------
 # per-coordinate constraints (ladder entries and merged node data): the
 # subgroup entries of plexalg.groups, full, triv, ('idx', m) and
-# ('graph', c, src), value = c * value of ambient coordinate src
+# ('graph', c, src), value = c * value of ambient coordinate src; a
+# constraint vector holds its non-full ones as (index, entry), by index.
 
 
 def merge_constr(a, b):
@@ -148,22 +152,41 @@ def merge_constr(a, b):
 
 
 def merge_constr_vec(a, b):
-    if len(a) != len(b):
-        raise InvalidSubgroup("subgroup arity %d, expected %d" % (len(b), len(a)))
-    return tuple(merge_constr(x, y) for x, y in zip(a, b))
+    """Both vectors' cuts; one that cuts nothing leaves the other, shared."""
+    if not a or not b:
+        return a or b
+    out = dict(a)
+    out.update((i, merge_constr(out.get(i, FULL), con)) for i, con in b)
+    return tuple(sorted(out.items()))
 
 
-def constr_ok(constraints, vec) -> bool:
-    """Check a raw coordinate vector against per-coordinate constraints."""
-    return _checks_ok(_checks(constraints), vec)
+def _shift(vec, off: int) -> tuple:
+    """vec moved off coordinates up, graph sources with it."""
+    if not vec or not off:
+        return vec
+    return tuple((i + off, ("graph", con[1], con[2] + off)
+                  if con[0] == "graph" else con) for i, con in vec)
 
 
-def _checks(constraints) -> tuple:
-    """(index, constraint) of every coordinate that is not full."""
-    return tuple((i, con) for i, con in enumerate(constraints) if con != FULL)
+def _checks(sub, rank: int) -> tuple:
+    """The constraint vector of a dense subgroup spec over rank coordinates."""
+    if len(sub) != rank:
+        raise InvalidSubgroup("subgroup arity %d, expected %d" % (len(sub), rank))
+    if sub.count(FULL) == rank:  # the usual spec, read at C speed
+        return ()
+    return tuple((i, con) for i, con in enumerate(sub) if con != FULL)
+
+
+def _dense(vec, rank: int) -> tuple:
+    """vec with one entry per coordinate, as specs are; a later pair wins."""
+    out = [FULL] * rank
+    for i, con in vec:
+        out[i] = con
+    return tuple(out)
 
 
 def _checks_ok(checks, vec) -> bool:
+    """A raw coordinate vector satisfies the constraint vector checks."""
     for i, con in checks:
         v = vec[i]
         if con[0] == "graph":
@@ -178,9 +201,9 @@ class LevelView(NamedTuple):
     """Group view of one reduction level.
 
     prefix    number of ambient coordinates the level keeps
-    gconstr   constraints cutting the level's group out of them
-    zconstr   constraints of the level's distinguished subgroup over the
-              next level's prefix, or None for the whole next group
+    gconstr   constraint vector cutting the level's group out of them
+    zconstr   constraint vector of the level's distinguished subgroup over
+              the next level's prefix, or None for the whole next group
     """
 
     prefix: int
@@ -190,6 +213,26 @@ class LevelView(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # the algebra tree
+
+
+class _cached:
+    """functools.cached_property as Python 3.12 has it, with no lock: fn(node)
+    on the first read, kept in the node's dict.  With below, every node
+    below that lacks the value computes it first (_cache_below)."""
+
+    def __init__(self, fn, below=False):
+        self.fn, self.below = fn, below
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        if self.below:
+            _cache_below(obj, self.name)
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class Algebra:
@@ -202,15 +245,19 @@ class Algebra:
     vsub   III/IV: V over the same ambient
     h      sublex nodes: FullH, ProdH or GraphH
 
-    Only the cached properties below write to a node, straight into its
-    instance dict."""
+    The kind flags are set with the fields; then only the cached
+    attributes below write to a node, through the local _cached, as
+    functools.cached_property locks every first read on Python 3.10-3.11.
+    Nodes are immutable, so a race only computes an equal value twice."""
 
     def __init__(self, kind: str, group: GroupDesc | None = None,
                  x: Algebra | None = None, y: Algebra | None = None,
                  zsub: tuple | None = None, vsub: tuple | None = None,
                  h: FullH | ProdH | GraphH | None = None):
+        family, cut = NODE_KINDS.get(kind, (None, None))
         self.__dict__.update(kind=kind, group=group, x=x, y=y, zsub=zsub,
-                             vsub=vsub, h=h)
+                             vsub=vsub, h=h, is_leaf=kind == "grp",
+                             family=family, is_sublex=cut == "h")
 
     def _key(self) -> tuple:
         return (self.kind, self.group, self.x, self.y, self.zsub, self.vsub,
@@ -230,69 +277,23 @@ class Algebra:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # node kinds are read on every recursion step: compute them once
-    @cached_property
-    def is_leaf(self) -> bool:
-        return self.kind == "grp"
-
-    @cached_property
-    def family(self) -> str | None:
-        if self.is_leaf:
-            return None
-        return NODE_KINDS[self.kind][0]
-
-    @cached_property
-    def is_sublex(self) -> bool:
-        return not self.is_leaf and NODE_KINDS[self.kind][1] == "h"
-
-    @cached_property
-    def xlen(self) -> int:
-        return ladder(self.x)[1][0].prefix
-
-    @cached_property
-    def _structure(self):
-        _cache_below(self, "_structure")
-        return _build_structure(self)
-
-    @cached_property
-    def _samplers(self) -> dict:
-        """Compiled samplers (plexalg.sampling) by (magnitude,
-        denominator, marker_p)."""
-        return {}
-
-    @cached_property
-    def _pos_idems(self) -> tuple:
-        _cache_below(self, "_pos_idems")
-        return _lift_idems(self)
-
-    @cached_property
-    def _idem_branches(self) -> tuple:
-        _cache_below(self, "_idem_branches")
-        return _lift_branches(self)
-
+    # each builder is looked up on the call, so a patched one is seen
+    xlen = _cached(lambda a: len(a.x._structure.ambient))
+    _structure = _cached(lambda a: _build_structure(a), below=True)
+    _ladder = _cached(lambda a: _flat_ladder(a))
+    _pos_idems = _cached(lambda a: _lift_idems(a), below=True)
+    _idem_branches = _cached(lambda a: _lift_branches(a), below=True)
+    _ops = _cached(lambda a: _compile_ops(a), below=True)
+    # compiled samplers (plexalg.sampling) by (magnitude, denominator, marker_p)
+    _samplers = _cached(lambda a: {})
     # filled test by test on first use, each compiled by one recursion over
     # its idempotent (absorber), so no node below needs a table of its own
-    @cached_property
-    def _idem_tests(self) -> "_IdemTests":
-        return _IdemTests(self)
-
-    @cached_property
-    def _ops(self) -> "_Ops":
-        _cache_below(self, "_ops")
-        return _compile_ops(self)
-
+    _idem_tests = _cached(lambda a: _IdemTests(a))
     # compiled on first use, not on build: builders and rebuild make fresh
     # nodes on every call, and most of them never map a coordinate or step
     # a cover
-    @cached_property
-    def _coords(self) -> "_Coords":
-        _cache_below(self, "_coords")
-        return _compile_coords(self)
-
-    @cached_property
-    def _covers(self) -> "_Covers":
-        _cache_below(self, "_covers")
-        return _compile_covers(self)
+    _coords = _cached(lambda a: _compile_coords(a), below=True)
+    _covers = _cached(lambda a: _compile_covers(a), below=True)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         from .parsing import print_algebra
@@ -305,83 +306,86 @@ def leaf(desc: GroupDesc) -> Algebra:
 
 
 def _cache_below(a: Algebra, attr: str):
-    """Compute the cached property attr on every node below a that lacks
-    it, children first, in one iterative pass.  Each node's value is
-    built from its children's, so each computation then finds those
-    cached: reaching them through a lazy lookup at every level instead
-    would stack several frames per level and overflow the interpreter's
-    stack on nestings the parser accepts."""
+    """Compute the cached attribute attr on every inner node below a that
+    lacks it, children first, in one iterative pass, so each computation
+    finds its children's cached: a lazy lookup at every level would stack
+    several frames per level and overflow on nestings the parser accepts.
+    A leaf's value reads no node, so it is computed where first read, and
+    a node whose children hold attr or are leaves returns at once: a fresh
+    node over built children pays for its own level only."""
+    if a.is_leaf or ((a.x.is_leaf or attr in vars(a.x))
+                     and (a.y.is_leaf or attr in vars(a.y))):
+        return
     below, stack = [], [a]
     while stack:
         n = stack.pop()
-        if not n.is_leaf:
-            fresh = [c for c in (n.x, n.y) if attr not in vars(c)]
-            below += fresh
-            stack += fresh
+        fresh = [c for c in (n.x, n.y) if not c.is_leaf and attr not in vars(c)]
+        below += fresh
+        stack += fresh
     for n in reversed(below):
         getattr(n, attr)
 
 
 class _NodeStructure(NamedTuple):
     ambient: tuple  # coordinate kinds of the full group part
-    entries: tuple  # LevelView tuple, outermost level first
-    vconstr: tuple | None  # merged middle-column constraint over X's ambient
-    zconstr: tuple | None  # merged top-column constraint ('tb' only)
+    gconstr: tuple  # constraint vector cutting the group part out of them
+    vconstr: tuple | None  # middle-column constraint vector over X's ambient
+    zconstr: tuple | None  # top-column constraint vector ('tb' only)
+    unit: tuple  # the unit, from the factors' units
 
 
 def _build_structure(node: Algebra) -> _NodeStructure:
+    """The node's constraint vectors and unit.  Its children's vectors are
+    shared where it cuts nothing, so it writes only the entries its own
+    specs hold (a ProdH's whole first side, as on a rebuilt II-chain)."""
     if node.is_leaf:
-        desc = node.group
-        entry = LevelView(desc.rank, (FULL,) * desc.rank, None)
-        return _NodeStructure(desc.kinds, (entry,), None, None)
-
-    x_amb, x_entries = ladder(node.x)
-    y_amb, y_entries = ladder(node.y)
-    xlen = x_entries[0].prefix
-    xg = x_entries[0].gconstr
+        g = node.group
+        return _NodeStructure(g.kinds, (), None, None, kn.vzero(g.rank))
+    xs, ys, xlen = node.x._structure, node.y._structure, node.xlen
 
     # the top set, and the middle columns: the top set cut by V or by the
     # first side of H (FullH and GraphH cut nothing there)
     family, cut = NODE_KINDS[node.kind]
-    zc = merge_constr_vec(xg, node.zsub) if family == "tb" else None
-    vc = xg if zc is None else zc
+    zc = (merge_constr_vec(xs.gconstr, _checks(node.zsub, xlen))
+          if family == "tb" else None)
+    vc = xs.gconstr if zc is None else zc
     if cut == "vsub":
-        vc = merge_constr_vec(vc, node.vsub)
+        vc = merge_constr_vec(vc, _checks(node.vsub, xlen))
     elif isinstance(node.h, ProdH):
-        vc = merge_constr_vec(vc, node.h.zpart)
+        vc = merge_constr_vec(vc, _checks(node.h.zpart, xlen))
 
-    def lift(con):
-        # reindex a constraint from Y-local to node coordinates
-        if con[0] == "graph":
-            return (con[0], con[1], con[2] + xlen)
-        return con
-
-    def lift_vec(v):
-        return tuple(lift(c) for c in v)
-
-    y_head = lift_vec(y_entries[0].gconstr)
-    if isinstance(node.h, ProdH):
-        y_head = merge_constr_vec(y_head, node.h.ypart)
+    y_head = _shift(ys.gconstr, xlen)
+    if isinstance(node.h, ProdH):  # over a leaf, whose vector is empty
+        y_head = _shift(_checks(node.h.ypart, len(ys.ambient)), xlen)
     elif isinstance(node.h, GraphH):
-        y_head = (("graph", node.h.c, xlen - 1),)  # already node coordinates
+        y_head = ((xlen, ("graph", node.h.c, xlen - 1)),)
+    return _NodeStructure(xs.ambient + ys.ambient, vc + y_head, vc, zc,
+                          (xs.unit, mid(ys.unit)))
 
-    entries = []
-    last = len(y_entries) - 1
-    for j, ent in enumerate(y_entries):
-        g = vc + (y_head if j == 0 else lift_vec(ent.gconstr))
-        if j < last:
-            z = None if ent.zconstr is None else vc + lift_vec(ent.zconstr)
-        else:
-            z = zc  # this level's own reduction step belongs to the node
-        entries.append(LevelView(xlen + ent.prefix, g, z))
-    entries.extend(x_entries)
-    return _NodeStructure(x_amb + y_amb, tuple(entries), vc, zc)
+
+def _flat_ladder(a: Algebra) -> tuple:
+    """a's LevelView tuple: a level per leaf, Y before X.  Its group is the
+    group part of the top t of the Y-chain (t, t.y, ...) to its leaf, its
+    subgroup the top set of the node whose X is the next level, each after
+    the middle-column vectors of the nodes holding t on their Y side."""
+    entries, todo = [], [(a, 0, (), None)]
+    while todo:
+        n, off, above, z = todo.pop()
+        g = above + _shift(n._structure.gconstr, off)
+        while not n.is_leaf:
+            s = n._structure
+            todo.append((n.x, off, above, z))
+            z = None if s.zconstr is None else above + _shift(s.zconstr, off)
+            above += _shift(s.vconstr, off)
+            off += n.xlen
+            n = n.y
+        entries.append(LevelView(off + n.group.rank, g, z))
+    return tuple(entries)
 
 
 def ladder(a: Algebra):
     """(ambient coordinate kinds, LevelView tuple) of the group part."""
-    s = a._structure
-    return s.ambient, s.entries
+    return a._structure.ambient, a._ladder
 
 
 def gr_ambient(a: Algebra) -> GroupDesc:
@@ -533,10 +537,9 @@ def _arity_check(what: str, rank: int):
 def _column_test(free, gvec, constraints):
     """first -> the marker test on first and the constraints on its raw
     vector; the marker test alone when every coordinate is full."""
-    checks = _checks(constraints)
-    if not checks:
+    if not constraints:
         return free
-    return lambda first: free(first) and _checks_ok(checks, gvec(first))
+    return lambda first: free(first) and _checks_ok(constraints, gvec(first))
 
 
 def _compile_coords(a: Algebra) -> _Coords:
@@ -781,9 +784,7 @@ def lt(a: Algebra, p, q) -> bool:
 
 
 def unit(a: Algebra):
-    if a.is_leaf:
-        return kn.vzero(a.group.rank)
-    return (unit(a.x), mid(unit(a.y)))
+    return a._structure.unit
 
 
 def mul(a: Algebra, p, q):
@@ -854,10 +855,10 @@ def tau(a: Algebra, p):
 
 
 def _y_constraints(a: Algebra):
-    """Constraints of a sublex node's slices on its Y leaf: the Y part of
-    the outermost ladder entry.  A graph entry points at an ambient index
-    of the first side."""
-    return a._structure.entries[0].gconstr[a.xlen:]
+    """A sublex node's slice constraints on its Y leaf, dense: the Y part
+    of its group part's vector, a graph entry pointing into the first side."""
+    s = a._structure
+    return _dense(s.gconstr, len(s.ambient))[a.xlen:]
 
 
 def slice_member(a: Algebra, first, yv) -> bool:
@@ -867,8 +868,8 @@ def slice_member(a: Algebra, first, yv) -> bool:
     columns."""
     if not a.is_sublex:
         return validate_elem(a.y, yv)
-    return (g_member(a.y.group, yv) and constr_ok(
-        a._structure.entries[0].gconstr, to_gvec(a.x, first) + yv))
+    return (g_member(a.y.group, yv) and _checks_ok(
+        a._structure.gconstr, to_gvec(a.x, first) + yv))
 
 
 def _slice_step(a: Algebra):

@@ -320,10 +320,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ParseError, UnknownLaw) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as e:
+    except (ParseError, UnknownLaw, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except PlexError as e:

@@ -28,9 +28,11 @@ above u off a's tables, and builds nu, the complement of u in a, the test
 x * u != x and the classifier around u on a, once, so every law at u
 reads one step.  A restriction computes on a alone, since every
 projection below it fixes x * u; a quotient maps the members it builds
-on a onto the base, and its covers descend through the base.  The member of a component is the canonical fill of its elements'
-head (their raw coordinates above the step kernel), built once per head
-in a bounded memo owned by the step.
+on a onto the base, and its covers descend through the base.
+
+The member of a component is the canonical fill of its elements' head
+(their raw coordinates above the step kernel), built once per head in a
+bounded memo owned by the step.
 
 Every consumer reaches a chain through one view protocol, defined here:
 ChainView derives le, lt, res, tau, fconst and x_up from the primitives a
@@ -80,6 +82,7 @@ from .chains import (
     Algebra,
     FullH,
     ProdH,
+    _dense,
     _elem_from_prefix_raw,
     absorber,
     comp,
@@ -105,7 +108,6 @@ from .groups import (
     FULL,
     TRIV,
     GroupDesc,
-    TRIV_GROUP,
     divisible_hull,
     g_add,
     g_cmp,
@@ -171,10 +173,9 @@ def _lacks_pseudo_tops(a: Algebra) -> bool:
     if a.is_leaf:
         return False
     n = _upper_node(a)[0]
-    s = n._structure
-    x_amb, x_entries = ladder(n.x)
-    tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
-    return sub_leq(GroupDesc(x_amb), tops, s.vconstr)
+    s, xs = n._structure, n.x._structure
+    tops = s.zconstr if n.family == "tb" else xs.gconstr
+    return sub_leq(GroupDesc(xs.ambient), tops, s.vconstr)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +466,15 @@ def _canonical_fill(view: ChainView, head: tuple):
     and indexed kernel directions at zero, graph-tied ones at their forced
     value.  It is built on the view's algebra a, where the prefix names an
     element, and the view's project maps it onto the view."""
-    e0 = view.entries[0]
-    if len(head) != view.entries[1].prefix:
+    e0, n = view.entries[0], len(head)
+    if n != view.entries[1].prefix:
         raise StructuralMismatch("representative head has the wrong arity")
-    vec = list(head)
-    for j in range(len(head), e0.prefix):
-        con = e0.gconstr[j]
-        if con != FULL and con[0] == "graph":
-            vec.append(kn.rmul(con[1], vec[con[2]]))
-        else:
-            vec.append(kn.ZERO)
+    vec = list(head) + [kn.ZERO] * (e0.prefix - n)
+    for j, con in reversed(e0.gconstr):  # the kernel's pairs come last
+        if j < n:
+            break
+        if con[0] == "graph":  # its source lies in the head
+            vec[j] = kn.rmul(con[1], vec[con[2]])
     return view.project(_elem_from_prefix_raw(view.a, tuple(vec)))
 
 
@@ -691,41 +691,40 @@ def _in_hull(con, ambient_kind: str, kind: str):
     return con
 
 
-def _level_record(ambient, e0, e1, coords, idem_branch: bool):
+def _level_record(ambient, e0, e1, kinds, at, hull, idem_branch: bool):
     """RepLevel of the step from ladder entry e0 to e1 plus its free kernel
     indices: the kernel coordinates that are neither pinned nor tied to
-    another coordinate by a graph.  coords holds the (ambient index, kind)
-    pairs of the rebuilt coordinates below the step, innermost group
-    first."""
-    g0 = e0.gconstr
+    another coordinate by a graph.  kinds and at (index by ambient index)
+    are the rebuilt coordinates below the step, and hull the running zpart:
+    idx 1 on each integer direction kept as its hull Q."""
+    g0 = dict(e0.gconstr)
     free = tuple(j for j in range(e1.prefix, e0.prefix)
-                 if g0[j] != TRIV and g0[j][0] != "graph")
-    if free:
-        gdesc = divisible_hull(GroupDesc(tuple(ambient[j] for j in free)))
-    else:
-        gdesc = TRIV_GROUP
-    ypart = tuple(_in_hull(g0[j], ambient[j], "Q") for j in free)
-    zpart = tuple(_in_hull(g0[j], ambient[j], k) for j, k in coords)
-    # equal entries name equal subgroups: only where they differ are the
-    # two constraints compared as subgroups of the rebuilt coordinates
+                 if g0.get(j, FULL) != TRIV and g0.get(j, FULL)[0] != "graph")
+    gdesc = divisible_hull(GroupDesc(tuple(ambient[j] for j in free)))
+    ypart = tuple(_in_hull(g0.get(j, FULL), ambient[j], "Q") for j in free)
+
+    def below(vec):  # e0's pairs on the rebuilt coordinates, after hull's
+        return hull + [(at[j], _in_hull(c, ambient[j], kinds[at[j]]))
+                       for j, c in vec if j in at]
+    zpart = below(e0.gconstr)
     if idem_branch:
-        zsrc = e0.zconstr
-        if zsrc is None:
+        if e0.zconstr is None:
             raise StructuralMismatch("quotient step without top-column data")
-        z = tuple(_in_hull(zsrc[j], ambient[j], k) for j, k in coords)
-        full_ok = zpart == z
+        zs = below(e0.zconstr)
+        # equal pairs name equal subgroups: only where they differ are the
+        # two compared as subgroups of the rebuilt coordinates
+        full_ok = zpart == zs
         if not full_ok:
-            child = GroupDesc(tuple(k for _, k in coords))
-            full_ok = sub_leq(child, zpart, z) and sub_leq(child, z, zpart)
+            child = GroupDesc(tuple(kinds))
+            full_ok = sub_leq(child, zpart, zs) and sub_leq(child, zs, zpart)
+        z = _dense(zs, len(kinds))
     else:
         if e0.zconstr is not None:
             raise StructuralMismatch("restriction step with top-column data")
         z = "gr"
-        full_ok = sub_is_full(GroupDesc(tuple(k for _, k in coords)), zpart)
-    if full_ok and all(c == FULL for c in ypart):
-        h = FullH()
-    else:
-        h = ProdH(zpart, ypart)
+        full_ok = sub_is_full(GroupDesc(tuple(kinds)), zpart)
+    h = (FullH() if full_ok and all(c == FULL for c in ypart)
+         else ProdH(_dense(zpart, len(kinds)), ypart))
     level = RepLevel(iota="I" if idem_branch else "II", z=z, g=gdesc, h=h)
     return level, free
 
@@ -738,11 +737,10 @@ def _walk(a: Algebra):
 
     Step k works at the positive idempotent idems[k + 1] and splits
     ladder entry k from entry k + 1.  Its branch is read off the structure
-    (chains._lift_branches), and a quotient step compares the rebuilt
-    coordinates' constraints as subgroups only where their entries differ,
-    so a step costs no product.  Its level record still reads the
-    constraint on every rebuilt coordinate below it, so the pass, like the
-    tree it returns, grows with the square of the depth.
+    (chains._lift_branches), and its level record reads only the pairs its
+    entry holds, so a step costs no product, and the pass grows with the
+    tree it returns: linearly on the I-tower, with the square of the depth
+    where each level's ProdH spans the rebuilt coordinates (the II-chain).
 
     An element x whose local unit is idems[j] is invertible at steps j,
     j + 1, ...; there its slot is the free kernel slice of its raw
@@ -764,22 +762,25 @@ def _walk(a: Algebra):
     if len(idems) != len(entries):
         raise StructuralMismatch(
             "idempotent count disagrees with the coordinate ladder")
-    if any(c != FULL for c in entries[-1].gconstr):
+    if entries[-1].gconstr:
         raise StructuralMismatch("group level with nontrivial constraints")
     head = entries[-1].prefix
     base = GroupDesc(tuple(ambient[:head]))
     # the rebuilt coordinates so far: the base group, then each step's
     # free kernel directions, which live in their hull
-    coords = list(zip(range(head), base.kinds))
+    kinds, at, hull = list(base.kinds), {j: j for j in range(head)}, []
     branches = a._idem_branches
     levels, steps = [], []
     for k in range(len(idems) - 2, -1, -1):  # innermost step first
         idem_b = branches[k + 1]
         level, free = _level_record(ambient, entries[k], entries[k + 1],
-                                    coords, idem_b)
+                                    kinds, at, hull, idem_b)
         levels.append(level)
         steps.append((k, idem_b, free))
-        coords += [(j, "Q") for j in free]
+        at.update((j, len(kinds) + n) for n, j in enumerate(free))
+        kinds += ["Q"] * len(free)
+        hull += [(at[j], c) for j in free
+                 if (c := _in_hull(FULL, ambient[j], "Q")) != FULL]
     # up(k) tests x * idems[k] == x, and down(k + 1) whether x absorbs the
     # complement of step k's idempotent
     up, down = a._idem_tests.up, a._idem_tests.down

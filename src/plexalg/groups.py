@@ -29,9 +29,9 @@ class GroupDesc:
     """A group's coordinate kinds: immutable, equal and hashed by them."""
 
     def __init__(self, kinds: tuple[str, ...]):
-        for k in kinds:
-            if k not in (INT, RAT):
-                raise InvalidSubgroup(f"unknown coordinate kind {k!r}")
+        if kinds.count(INT) + kinds.count(RAT) != len(kinds):
+            bad = next(k for k in kinds if k not in (INT, RAT))
+            raise InvalidSubgroup(f"unknown coordinate kind {bad!r}")
         self.__dict__["kinds"] = kinds
 
     def __eq__(self, other):
@@ -98,6 +98,8 @@ def g_cmp(desc: GroupDesc, a, b) -> int:
 #   ('idx', m)   the multiples of m (m >= 1); on a 'Q' coordinate this is
 #                m-spaced integers sitting inside the rationals
 #   ('graph', c, src)  c times coordinate src (ladder constraints only)
+# The containment tests read constraint vectors, as the ladder holds specs:
+# the (index, entry) pairs of the entries that are not full.
 
 FULL = ("full",)
 TRIV = ("triv",)
@@ -114,6 +116,8 @@ def sub_validate(desc: GroupDesc, sub):
         raise InvalidSubgroup(
             f"subgroup spec {sub!r} does not match rank {desc.rank}"
         )
+    if sub.count(FULL) == len(sub):  # the usual spec, read at C speed
+        return sub
     for entry in sub:
         if entry == FULL or entry == TRIV:
             continue
@@ -156,15 +160,13 @@ def entry_leq(kind: str, small, big) -> bool:
 
 
 def sub_leq(desc: GroupDesc, small, big) -> bool:
-    return all(
-        entry_leq(kind, s, b)
-        for kind, s, b in zip(desc.kinds, small, big)
-    )
+    s, b = dict(small), dict(big)
+    return all(entry_leq(desc.kinds[i], s.get(i, FULL), b.get(i, FULL))
+               for i in s.keys() | b.keys())
 
 
 def sub_is_full(desc: GroupDesc, sub) -> bool:
-    return all(_entry_norm(k, e) == _entry_norm(k, FULL)
-               for k, e in zip(desc.kinds, sub))
+    return all(entry_leq(desc.kinds[i], FULL, e) for i, e in sub)
 
 
 # -- convex coordinate tails ---------------------------------------------------

@@ -313,11 +313,9 @@ def _print_entry(e) -> str:
 
 
 def print_sub(sub) -> str:
-    if len(sub) == 0:
+    if sub.count(FULL) == len(sub):  # the usual spec, read at C speed
         return "full"
-    if all(e == FULL for e in sub):
-        return "full"
-    if all(e == TRIV for e in sub):
+    if sub.count(TRIV) == len(sub):
         return "triv"
     if len(sub) == 1:
         return _print_entry(sub[0])

@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import kernel as kn
-from .chains import BOT, TOP, Algebra
+from .chains import BOT, TOP, Algebra, _dense
 from .groups import FULL, TRIV
 
 
@@ -103,7 +103,7 @@ def _coord_getter(a: Algebra, i: int):
 def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int,
                    offset: int = 0):
     """(random, getrandbits) -> group element of a whose raw vector
-    satisfies constraints (over the ambient of a), nested as
+    satisfies constraints (dense, over the ambient of a), nested as
     _Coords.from_gvec nests it.  A graph constraint names its source
     coordinate in the frame of the outermost call, where the coordinates
     of a start at offset."""
@@ -149,16 +149,17 @@ def _compile_sampler(a: Algebra, magnitude: int, denominator: int,
     if a.is_leaf:
         return _group_sampler(a, (FULL,) * a.group.rank, magnitude,
                               denominator)
-    s = a._structure
+    s, xlen = a._structure, a.xlen
     fx = _sampler(a.x, magnitude, denominator, marker_p)
     if a.is_sublex:  # a middle column of a sublex node is a group element
-        fm = _group_sampler(a, s.entries[0].gconstr, magnitude, denominator)
+        fm = _group_sampler(a, _dense(s.gconstr, len(s.ambient)), magnitude,
+                            denominator)
         fy = None
     else:
-        fm = _group_sampler(a.x, s.vconstr, magnitude, denominator)
+        fm = _group_sampler(a.x, _dense(s.vconstr, xlen), magnitude, denominator)
         fy = _sampler(a.y, magnitude, denominator, marker_p)
     # a top column of a 'tb' node needs its first coordinate in the top set
-    fz = (_group_sampler(a.x, s.zconstr, magnitude, denominator)
+    fz = (_group_sampler(a.x, _dense(s.zconstr, xlen), magnitude, denominator)
           if a.family == "tb" else None)
 
     def draw(rnd, bits):

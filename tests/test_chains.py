@@ -195,17 +195,17 @@ def _ref_in_group_part(a, x) -> bool:
     if not (_ref_in_group_part(a.x, first)
             and _ref_in_group_part(a.y, second[1])):
         return False
-    return ch.constr_ok(a._structure.entries[0].gconstr, _ref_to_gvec(a, x))
+    return ch._checks_ok(a._structure.gconstr, _ref_to_gvec(a, x))
 
 
 def _full_zset_member(a, first):
     return _ref_in_group_part(a.x, first) and (
         a.family == "t"
-        or ch.constr_ok(a._structure.zconstr, _ref_to_gvec(a.x, first)))
+        or ch._checks_ok(a._structure.zconstr, _ref_to_gvec(a.x, first)))
 
 
 def _full_mid_capable(a, first):
-    return _ref_in_group_part(a.x, first) and ch.constr_ok(
+    return _ref_in_group_part(a.x, first) and ch._checks_ok(
         a._structure.vconstr, _ref_to_gvec(a.x, first))
 
 
@@ -445,7 +445,7 @@ def _ref_rat(rng, kind, magnitude, denominator):
 def _ref_gvec(a, constraints, rng, magnitude, denominator):
     amb = a._structure.ambient
     vec = []
-    for j, con in enumerate(constraints):
+    for j, con in enumerate(ch._dense(constraints, len(amb))):
         if con == gr.TRIV:
             vec.append(kn.ZERO)
         elif con == gr.FULL:
@@ -471,7 +471,7 @@ def _ref_elem(a, rng, magnitude=6, denominator=8, marker_p=0.25):
             return (a.x._coords.from_gvec(vec), ch.TOP)
         return (_ref_elem(a.x, rng, magnitude, denominator, marker_p), ch.TOP)
     if a.is_sublex:
-        return a._coords.from_gvec(_ref_gvec(a, s.entries[0].gconstr, rng,
+        return a._coords.from_gvec(_ref_gvec(a, s.gconstr, rng,
                                              magnitude, denominator))
     first = a.x._coords.from_gvec(
         _ref_gvec(a.x, s.vconstr, rng, magnitude, denominator))
@@ -482,7 +482,7 @@ def _ref_elem(a, rng, magnitude=6, denominator=8, marker_p=0.25):
 def _ref_group(a, rng, magnitude, denominator):
     """The discreteness probe's draw: a vector of the group part, named
     by the validating prefix builder."""
-    vec = _ref_gvec(a, a._structure.entries[0].gconstr, rng, magnitude,
+    vec = _ref_gvec(a, a._structure.gconstr, rng, magnitude,
                     denominator)
     return ch.elem_from_prefix(a, vec)
 
@@ -714,6 +714,59 @@ def test_build_calls_per_node_grow_linearly_in_depth(monkeypatch):
     assert per_node[40] * 20 <= per_node[20] * 40, per_node
 
 
+def _deep_ii(depth):
+    return "II(Z, " * depth + "Q" + ")" * depth
+
+
+_ENTRY_TAGS = (gr.FULL[0], gr.TRIV[0], "idx", "graph")
+
+
+def _constraint_entries(obj, skip=frozenset()):
+    """(constraint entries held by the tuples reachable from obj, the ids
+    of those tuples), passing over the tuples whose ids are in skip.  An
+    entry counts once per tuple that holds it, dense or as an (index,
+    entry) pair."""
+    count, seen, todo = 0, set(), [obj]
+    while todo:
+        o = todo.pop()
+        if not isinstance(o, tuple) or id(o) in seen or id(o) in skip:
+            continue
+        seen.add(id(o))
+        for c in o:
+            if isinstance(c, tuple) and c and c[0] in _ENTRY_TAGS:
+                count += 1
+            else:
+                todo.append(c)
+    return count, seen
+
+
+@pytest.mark.parametrize("spec", [_deep_tb, _deep_ii],
+                         ids=["I-tower", "II-chain"])
+def test_structure_entries_written_per_node_grow_with_its_coordinates(
+        monkeypatch, spec):
+    # a node shares its children's constraint vectors wherever it cuts
+    # nothing, and the ladder is read off them for the node asked only;
+    # copying every level's vector into each node wrote about h**2 entries
+    # for a node h deep in the II-chain
+    for d in (50, 100, 200):
+        written = []
+
+        def build_counted(node, _real=ch._build_structure):
+            s = _real(node)
+            old = set()
+            if not node.is_leaf:
+                for c in (node.x, node.y):
+                    old |= _constraint_entries(c._structure)[1]
+            written.append((_constraint_entries(s, old)[0], len(s.ambient)))
+            return s
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ch, "_build_structure", build_counted)
+            ch.ladder(ps.parse_algebra(spec(d)))
+        assert len(written) == 2 * d + 1
+        assert all(n <= 4 * k for n, k in written), (d, max(written))
+
+
 @pytest.mark.parametrize("kind,x,y,sub", [
     ("I", "II(Z, Q)", "Lex(Z, Q)", (gr.FULL, gr.idx(3))),
     ("II", "I(Z, full, Z)", "II(Z, Q)", None),
@@ -747,6 +800,112 @@ def test_positive_idempotents_are_verified_once(monkeypatch):
     assert made > 0
     assert ch.positive_idempotents(a) is first
     assert calls[0] == made
+
+
+# ---------------------------------------------------------------------------
+# the unit, cached on each node, against the recursion it replaced
+
+
+def _ref_unit(a):
+    if a.is_leaf:
+        return kn.vzero(a.group.rank)
+    return (_ref_unit(a.x), ch.mid(_ref_unit(a.y)))
+
+
+def _assert_unit_matches_the_recursion(a):
+    assert ch.unit(a) == _ref_unit(a)
+    assert ch.positive_idempotents(a)[0] == ch.unit(a)
+
+
+@pytest.mark.parametrize("name", DIFF_CASES)
+def test_cached_unit_matches_the_recursive_definition(name):
+    _assert_unit_matches_the_recursion(ps.parse_algebra(case_spec(name)))
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs))
+def test_cached_unit_matches_the_recursive_definition_on_random_specs(spec):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_unit_matches_the_recursion(a)
+
+
+# ---------------------------------------------------------------------------
+# the sparse ladder against the dense one it replaced
+#
+# The oracle builds every node's ladder as first written: dense vectors,
+# each node copying and lifting its children's, level by level.
+
+
+def _ref_ladder(a):
+    """(ambient, [(prefix, gconstr, zconstr)], vconstr, zconstr), dense."""
+    if a.is_leaf:
+        k = a.group.rank
+        return a.group.kinds, [(k, (gr.FULL,) * k, None)], None, None
+    x_amb, x_entries = _ref_ladder(a.x)[:2]
+    y_amb, y_entries = _ref_ladder(a.y)[:2]
+    xlen, xg = x_entries[0][:2]
+
+    def merge(u, v):
+        return tuple(ch.merge_constr(p, q) for p, q in zip(u, v))
+
+    def lift(v):
+        return tuple(("graph", c[1], c[2] + xlen) if c[0] == "graph" else c
+                     for c in v)
+
+    family, cut = ch.NODE_KINDS[a.kind]
+    zc = merge(xg, a.zsub) if family == "tb" else None
+    vc = xg if zc is None else zc
+    if cut == "vsub":
+        vc = merge(vc, a.vsub)
+    elif isinstance(a.h, ch.ProdH):
+        vc = merge(vc, a.h.zpart)
+    y_head = lift(y_entries[0][1])
+    if isinstance(a.h, ch.ProdH):
+        y_head = merge(y_head, a.h.ypart)
+    elif isinstance(a.h, ch.GraphH):
+        y_head = (("graph", a.h.c, xlen - 1),)
+    entries = []
+    for j, (prefix, g, z) in enumerate(y_entries):
+        g = vc + (y_head if j == 0 else lift(g))
+        if j < len(y_entries) - 1:
+            z = None if z is None else vc + lift(z)
+        else:
+            z = zc
+        entries.append((xlen + prefix, g, z))
+    return x_amb + y_amb, entries + x_entries, vc, zc
+
+
+def _assert_ladder_matches_the_dense_one(a):
+    amb, entries, vc, zc = _ref_ladder(a)
+    got_amb, got = ch.ladder(a)
+    assert got_amb == amb
+    assert [(e.prefix, ch._dense(e.gconstr, e.prefix),
+             None if e.zconstr is None else ch._dense(e.zconstr, below.prefix))
+            for e, below in zip(got, got[1:] + (None,))] == entries
+    s = a._structure
+    assert ch._dense(s.gconstr, len(amb)) == entries[0][1]
+    if not a.is_leaf:
+        assert ch._dense(s.vconstr, a.xlen) == vc
+        assert (s.zconstr is None and zc is None
+                or ch._dense(s.zconstr, a.xlen) == zc)
+
+
+@pytest.mark.parametrize("name", DIFF_CASES + REGRESSION_SPECS)
+def test_ladder_matches_the_dense_definition(name):
+    _assert_ladder_matches_the_dense_one(ps.parse_algebra(case_spec(name)))
+
+
+@settings(max_examples=80)
+@given(spec=st.integers(1, 3).flatmap(_specs))
+def test_ladder_matches_the_dense_definition_on_random_specs(spec):
+    try:
+        a = ps.parse_algebra(spec[0])
+    except PlexError:
+        reject()
+    _assert_ladder_matches_the_dense_one(a)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,11 +1166,11 @@ def _ref_partial_vec(a, x):
 def _ref_zset_member(a, first):
     return _ref_marker_free(a.x, first) and (
         a.family == "t"
-        or ch.constr_ok(a._structure.zconstr, _ref_to_gvec(a.x, first)))
+        or ch._checks_ok(a._structure.zconstr, _ref_to_gvec(a.x, first)))
 
 
 def _ref_mid_capable(a, first):
-    return _ref_marker_free(a.x, first) and ch.constr_ok(
+    return _ref_marker_free(a.x, first) and ch._checks_ok(
         a._structure.vconstr, _ref_to_gvec(a.x, first))
 
 

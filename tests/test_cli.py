@@ -129,9 +129,10 @@ def test_depth_300_spec_evaluates_and_checks(capsys, spec_file, text):
 
 
 # the rebuild round trip runs on the first spec only: the second's tree is
-# about 330 KB, quadratic in the depth as its level constraints are, each
-# verb on it builds the ladder again, and rebuilding reads none of the
-# peel's caches
+# about 330 KB, quadratic in the depth as its level constraints are, and
+# rebuilding it verifies each new node's idempotents at full depth
+# (build._smoke), so with the round trip this case took longer than the
+# first spec's whole test
 @pytest.mark.parametrize("text,round_trip", zip(DEPTH_300, (True, False)),
                          ids=["first", "second"])
 def test_depth_300_spec_peels(capsys, spec_file, text, round_trip):

@@ -402,11 +402,12 @@ def test_only_the_embedding_into_the_rebuilt_algebra_builds_it(monkeypatch):
 def _rebuilt_coords(entries, ambient):
     """(ambient index, kind) of each coordinate the rebuilt tower below a
     view keeps, innermost group first, read off the view's own ladder."""
-    if any(c != FULL for c in entries[-1].gconstr):
+    if any(c != FULL for c in ch._dense(entries[-1].gconstr,
+                                        entries[-1].prefix)):
         raise StructuralMismatch("innermost level with nontrivial constraints")
     coords = [(j, ambient[j]) for j in range(entries[-1].prefix)]
     for lev in range(len(entries) - 2, -1, -1):
-        g = entries[lev].gconstr
+        g = ch._dense(entries[lev].gconstr, entries[lev].prefix)
         for j in range(entries[lev + 1].prefix, entries[lev].prefix):
             if g[j] != gr.TRIV and g[j][0] != "graph":
                 coords.append((j, "Q"))  # kernel directions live in their hull
@@ -421,7 +422,7 @@ def _view_walk(view):
             "idempotent count disagrees with the coordinate ladder")
     if len(idems) == 1:
         e0 = view.entries[0]
-        if any(c != FULL for c in e0.gconstr):
+        if any(c != FULL for c in ch._dense(e0.gconstr, e0.prefix)):
             raise StructuralMismatch("group level with nontrivial constraints")
         desc = GroupDesc(tuple(view.ambient[: e0.prefix]))
         return dec.RepTree(base=desc, levels=()), ch.leaf(desc), view.partial_vec
@@ -430,8 +431,8 @@ def _view_walk(view):
     idem_b = child.branch == dec.IDEM_BRANCH
     tree, child_alg, child_fn = _view_walk(child)
     coords = _rebuilt_coords(view.entries[1:], view.ambient)
-    level, free = dec._level_record(view.ambient, view.entries[0],
-                                    view.entries[1], coords, idem_b)
+    level, free = _oracle_level_record(view.ambient, view.entries[0],
+                                       view.entries[1], coords, idem_b)
     if idem_b:
         target = build_sublex("SLI", child_alg, ch.leaf(level.g), level.h,
                               zsub=level.z)
@@ -711,19 +712,24 @@ def _lacks_pseudo_tops_oracle(a) -> bool:
     s = n._structure
     x_amb, x_entries = ch.ladder(n.x)
     tops = s.zconstr if n.family == "tb" else x_entries[0].gconstr
-    return _constr_within(x_amb, tops, s.vconstr)
+    return _constr_within(x_amb, ch._dense(tops, len(x_amb)),
+                          ch._dense(s.vconstr, len(x_amb)))
 
 
 def _ladder_constraints(a) -> set:
-    """(ambient kinds, vector) of every constraint vector of a's nodes: a
-    vector of length k is over the first k ambient coordinates."""
+    """(ambient kinds, vector) of every constraint vector of a's nodes and
+    of their ladders, each over the ambient coordinates it names."""
     out, stack = set(), [a]
     while stack:
         n = stack.pop()
         s = n._structure
-        vecs = [s.vconstr, s.zconstr] + [v for e in s.entries
-                                         for v in (e.gconstr, e.zconstr)]
-        out.update((s.ambient[:len(v)], v) for v in vecs if v is not None)
+        amb, entries = ch.ladder(n)
+        xlen = 0 if n.is_leaf else n.xlen
+        vecs = [(s.vconstr, xlen), (s.zconstr, xlen)]
+        for e, below in zip(entries, entries[1:] + (None,)):
+            vecs += [(e.gconstr, e.prefix),
+                     (e.zconstr, below and below.prefix)]
+        out.update((amb[:k], v) for v, k in vecs if v is not None)
         if not n.is_leaf:
             stack += [n.x, n.y]
     return out
@@ -740,7 +746,8 @@ def test_sub_leq_answers_as_the_pseudo_top_rule_did(name):
         for amb_big, big in vecs:
             if amb_big == amb:
                 assert gr.sub_leq(GroupDesc(amb), small, big) == \
-                    _constr_within(amb, small, big), (small, big)
+                    _constr_within(amb, ch._dense(small, len(amb)),
+                                   ch._dense(big, len(amb))), (small, big)
 
 
 # the representation as a normal form: represent∘rebuild fixes every tree
@@ -776,8 +783,8 @@ def _tau_lex(a):
     for k in range(len(idems) - 2, -1, -1):
         u = idems[k + 1]
         idem_b = dec.branch(a, u) == dec.IDEM_BRANCH
-        _, free = dec._level_record(ambient, entries[k], entries[k + 1],
-                                    coords, idem_b)
+        _, free = _oracle_level_record(ambient, entries[k], entries[k + 1],
+                                       coords, idem_b)
         steps.append((k, idem_b, ch.absorber(a, ch.comp(a, u)), free))
         coords += [(j, "Q") for j in free]
     unit_step = {e: j for j, e in enumerate(idems)}
@@ -936,7 +943,7 @@ def test_lex_map_compiles_only_the_tests_it_reads(monkeypatch):
 
 
 def _oracle_level_record(ambient, e0, e1, coords, idem_branch: bool):
-    g0 = e0.gconstr
+    g0 = ch._dense(e0.gconstr, e0.prefix)
     free = tuple(j for j in range(e1.prefix, e0.prefix)
                  if g0[j] != gr.TRIV and g0[j][0] != "graph")
     if free:
@@ -947,17 +954,18 @@ def _oracle_level_record(ambient, e0, e1, coords, idem_branch: bool):
     child_desc = GroupDesc(tuple(k for _, k in coords))
     zpart = tuple(dec._in_hull(g0[j], ambient[j], k) for j, k in coords)
     if idem_branch:
-        zsrc = e0.zconstr
-        if zsrc is None:
+        if e0.zconstr is None:
             raise StructuralMismatch("quotient step without top-column data")
+        zsrc = ch._dense(e0.zconstr, e1.prefix)
         z = tuple(dec._in_hull(zsrc[j], ambient[j], k) for j, k in coords)
-        full_ok = (gr.sub_leq(child_desc, zpart, z)
-                   and gr.sub_leq(child_desc, z, zpart))
+        full_ok = (_constr_within(child_desc.kinds, zpart, z)
+                   and _constr_within(child_desc.kinds, z, zpart))
     else:
         if e0.zconstr is not None:
             raise StructuralMismatch("restriction step with top-column data")
         z = "gr"
-        full_ok = gr.sub_is_full(child_desc, zpart)
+        full_ok = _constr_within(child_desc.kinds, (FULL,) * len(zpart),
+                                 zpart)
     if full_ok and all(c == FULL for c in ypart):
         h = ch.FullH()
     else:
@@ -972,7 +980,8 @@ def _oracle_walk(a):
     if len(idems) != len(entries):
         raise StructuralMismatch(
             "idempotent count disagrees with the coordinate ladder")
-    if any(c != FULL for c in entries[-1].gconstr):
+    if any(c != FULL for c in ch._dense(entries[-1].gconstr,
+                                        entries[-1].prefix)):
         raise StructuralMismatch("group level with nontrivial constraints")
     head = entries[-1].prefix
     base = GroupDesc(tuple(ambient[:head]))
@@ -1079,9 +1088,9 @@ def _represent_calls(monkeypatch, depth) -> dict:
         dec.group_representation(a)
         got = dict(calls)
         # the counters are live: a branch test walks every level of u, and
-        # a containment test reads each entry
+        # a containment test reads each entry a vector holds
         dec.branch(a, ch.positive_idempotents(a)[1])
-        gr.sub_leq(GroupDesc(("Z",)), (FULL,), (FULL,))
+        gr.sub_leq(GroupDesc(("Z",)), ((0, gr.idx(2)),), ())
     assert calls["ops"] - got.get("ops", 0) >= depth, calls
     assert calls["entry_leq"] == got.get("entry_leq", 0) + 1, calls
     return got
@@ -1097,6 +1106,25 @@ def test_represent_calls_grow_at_most_linearly_in_depth(monkeypatch):
         for name in ("ops", "entry_leq"):
             assert calls[2 * d].get(name, 0) <= 2.5 * calls[d].get(name, 0), \
                 calls
+
+
+def test_represent_reads_constraints_linearly_on_the_i_tower(monkeypatch):
+    # a level record reads the pairs its ladder entry holds and expands the
+    # running zpart only where it prints it; reading the constraint of
+    # every rebuilt coordinate below each step read about d**2
+    for d in (50, 100, 200):
+        a = ps.parse_algebra("I(" * d + "Z" + ", full, Q)" * d)
+        reads = collections.Counter()
+
+        def counted(*args, _real=dec._in_hull):
+            reads["constraint"] += 1
+            return _real(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dec, "_in_hull", counted)
+            tree = dec.group_representation(a)
+        assert len(tree.levels) == d
+        assert reads["constraint"] <= 2 * d, (d, reads)
 
 
 # ---------------------------------------------------------------------------

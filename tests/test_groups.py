@@ -96,7 +96,8 @@ def test_subgroup_containment():
     assert gr.entry_leq("Q", gr.idx(3), gr.FULL)
     assert not gr.entry_leq("Q", gr.FULL, gr.idx(1))
     assert gr.entry_leq("Q", gr.TRIV, gr.idx(5))
-    assert gr.sub_is_full(LZZ, (gr.idx(1), gr.FULL))
+    # a constraint vector holds the entries that are not full, by index
+    assert gr.sub_is_full(LZZ, ((0, gr.idx(1)),))
 
 
 GRAPH = ("graph", kn.rmake(1, 2), 0)
@@ -110,10 +111,10 @@ def test_a_graph_entry_is_contained_only_in_itself():
                       gr.FULL, gr.TRIV, gr.idx(1), gr.idx(3)):
             assert not gr.entry_leq(kind, GRAPH, other), other
             assert not gr.entry_leq(kind, other, GRAPH), other
-    assert gr.sub_leq(LZQ, (gr.idx(2), GRAPH), (gr.FULL, GRAPH))
-    assert not gr.sub_leq(LZQ, (gr.idx(2), GRAPH), (gr.FULL, gr.FULL))
-    assert not gr.sub_leq(LZQ, (gr.FULL, gr.TRIV), (gr.FULL, GRAPH))
-    assert not gr.sub_is_full(LZQ, (gr.FULL, gr.idx(1)))
+    assert gr.sub_leq(LZQ, ((0, gr.idx(2)), (1, GRAPH)), ((1, GRAPH),))
+    assert not gr.sub_leq(LZQ, ((0, gr.idx(2)), (1, GRAPH)), ())
+    assert not gr.sub_leq(LZQ, ((1, gr.TRIV),), ((1, GRAPH),))
+    assert not gr.sub_is_full(LZQ, ((1, gr.idx(1)),))
 
 
 def test_divisible_hull():
