@@ -135,7 +135,7 @@ class GraphH(NamedTuple):
 # ---------------------------------------------------------------------------
 # per-coordinate constraints (ladder entries and merged node data): the
 # subgroup entries of plexalg.groups, full, triv, ('idx', m) and
-# ('graph', c, src), value = c * value of ambient coordinate src; a
+# ('graph', c), value = c * value of the coordinate right before it; a
 # constraint vector holds its non-full ones as (index, entry), by index.
 
 
@@ -161,11 +161,10 @@ def merge_constr_vec(a, b):
 
 
 def _shift(vec, off: int) -> tuple:
-    """vec moved off coordinates up, graph sources with it."""
+    """vec moved off coordinates up."""
     if not vec or not off:
         return vec
-    return tuple((i + off, ("graph", con[1], con[2] + off)
-                  if con[0] == "graph" else con) for i, con in vec)
+    return tuple((i + off, con) for i, con in vec)
 
 
 def _checks(sub, rank: int) -> tuple:
@@ -190,7 +189,7 @@ def _checks_ok(checks, vec) -> bool:
     for i, con in checks:
         v = vec[i]
         if con[0] == "graph":
-            if v != kn.rmul(con[1], vec[con[2]]):
+            if v != kn.rmul(con[1], vec[i - 1]):
                 return False
         elif not coord_in_sub(con, v):
             return False
@@ -358,7 +357,7 @@ def _build_structure(node: Algebra) -> _NodeStructure:
     if isinstance(node.h, ProdH):  # over a leaf, whose vector is empty
         y_head = _shift(_checks(node.h.ypart, len(ys.ambient)), xlen)
     elif isinstance(node.h, GraphH):
-        y_head = ((xlen, ("graph", node.h.c, xlen - 1)),)
+        y_head = ((xlen, ("graph", node.h.c)),)
     return _NodeStructure(xs.ambient + ys.ambient, vc + y_head, vc, zc,
                           (xs.unit, mid(ys.unit)))
 
@@ -611,7 +610,7 @@ def _compile_covers(a: Algebra) -> _Covers:
 
             def pin(first):
                 vec = gx(first)
-                return tuple(kn.ZERO if c == TRIV else kn.rmul(c[1], vec[c[2]])
+                return tuple(kn.ZERO if c == TRIV else kn.rmul(c[1], vec[-1])
                              for c in cons)
     else:
         ymin = a.y._covers.least

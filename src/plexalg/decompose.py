@@ -26,9 +26,11 @@ steps between it and a, and the step at level k works at
 u = positive_idempotents(a)[k]: it reads its shape and the idempotents
 above u off a's tables, and builds nu, the complement of u in a, the test
 x * u != x and the classifier around u on a, once, so every law at u
-reads one step.  A restriction computes on a alone, since every
-projection below it fixes x * u; a quotient maps the members it builds
-on a onto the base, and its covers descend through the base.
+reads one step.  One rule serves both shapes: every operation of a step
+computes on a and maps its result through the step's own projection,
+never through the level below, so a cover costs the same few calls on
+every level.  The base feeds only the canonical fill, which maps the
+member it builds on a onto the base.
 
 The member of a component is the canonical fill of its elements' head
 (their raw coordinates above the step kernel), built once per head in a
@@ -473,8 +475,8 @@ def _canonical_fill(view: ChainView, head: tuple):
     for j, con in reversed(e0.gconstr):  # the kernel's pairs come last
         if j < n:
             break
-        if con[0] == "graph":  # its source lies in the head
-            vec[j] = kn.rmul(con[1], vec[con[2]])
+        if con[0] == "graph":  # its source, j - 1, lies in the head
+            vec[j] = kn.rmul(con[1], vec[j - 1])
     return view.project(_elem_from_prefix_raw(view.a, tuple(vec)))
 
 
@@ -517,7 +519,9 @@ class _Step(ChainView):
     elements.  At level k, one below its base, u is
     positive_idempotents(a)[k].  The step builds once, on a, what both
     shapes read: u, its complement nu, the test grp, x * u != x, which
-    says tau(x) < u, and the classifier kind around u."""
+    says tau(x) < u, and the classifier kind around u.  Every operation
+    computes on a and maps its result through project; only __init__ and
+    describe read the base."""
 
     branch: str  # the branch this step shape peels
     needs: str  # the message of WrongBranch for the other branch
@@ -533,7 +537,7 @@ class _Step(ChainView):
         self.k = base.k + 1
         if a._idem_branches[self.k] != (self.branch == IDEM_BRANCH):
             raise WrongBranch(self.needs)
-        root = BaseChain(a)
+        self.root = root = BaseChain(a)
         self.u, self.nu = u, comp(a, u)
         self.cmp = root.cmp
         self.ambient = base.ambient
@@ -545,10 +549,10 @@ class _Step(ChainView):
         return "%s of %s" % (self.shape, self.base.describe())
 
     def unit(self):
-        return self.project(self.base.unit())
+        return self.project(unit(self.a))
 
     def sampler(self, rng):
-        draw, project = self.base.sampler(rng), self.project
+        draw, project = self.root.sampler(rng), self.project
         return lambda: project(draw())
 
     def pos_idems(self) -> tuple:
@@ -556,7 +560,10 @@ class _Step(ChainView):
         return (self.unit(),) + positive_idempotents(self.a)[self.k + 1:]
 
     def validate(self, x) -> bool:
-        return self.base.validate(x) and self.project(x) == x
+        return validate_elem(self.a, x) and self.project(x) == x
+
+    def partial_vec(self, x) -> tuple:
+        return partial_vec(self.a, x)[:self.prefix]
 
 
 class QuotientChain(_Step):
@@ -570,8 +577,6 @@ class QuotientChain(_Step):
 
     def __init__(self, base, u):
         super().__init__(base, u)
-        self._lift = self.base.project  # a member built on a, onto the base
-        self._head_len = self.base.entries[1].prefix
         # a class's canonical member depends only on the head of its
         # elements: build it once per head, in a memo that lives and dies
         # with this step
@@ -589,20 +594,19 @@ class QuotientChain(_Step):
         pseudo-tops), so the member fixes the class.  The representative
         is the fill of the head of an invertible x, read with no
         classification, and of the whole prefix of a component top, which
-        is as long.  x may be any element of a: the member is built on a
-        and mapped onto the base once."""
-        a, fill = self.a, self._fill
+        is as long.  x may be any element of a."""
+        a, fill, head = self.a, self._fill, self.prefix
         if self.grp(x):
-            return fill(partial_vec(a, x)[:self._head_len])
+            return fill(partial_vec(a, x)[:head])
         kind = self.kind(x)
         if kind == TOP_C:
             return fill(partial_vec(a, x))
         if kind == BOT_C:
             top_rep = fill(partial_vec(a, comp(a, x)))
-            return fill(partial_vec(a, comp(a, top_rep))[:self._head_len])
+            return fill(partial_vec(a, comp(a, top_rep))[:head])
         if kind == BOT_PS:
-            return self._lift(x_up(a, x))
-        return self._lift(x)
+            return x_up(a, x)
+        return x
 
     def mul(self, p, q):
         return self.to_class(mul(self.a, p, q))
@@ -612,26 +616,22 @@ class QuotientChain(_Step):
 
     def class_min(self, c):
         if self.grp(c):
-            return self._lift(mul(self.a, c, self.nu))
-        return self.base.x_down(c) if self.kind(c) == TOP_PS else c
+            return mul(self.a, c, self.nu)
+        return x_down(self.a, c) if self.kind(c) == TOP_PS else c
 
     def class_max(self, c):
-        return self._lift(mul(self.a, c, self.u)) if self.grp(c) else c
+        return mul(self.a, c, self.u) if self.grp(c) else c
 
     def x_down(self, c):
         low = self.class_min(c)
-        below = self.base.x_down(low)
+        below = x_down(self.a, low)
         return c if below == low else self.to_class(below)
-
-    def partial_vec(self, c) -> tuple:
-        return self.base.partial_vec(c)[: self.prefix]
 
 
 class RestrictionChain(_Step):
     """Elements whose local unit is at least u, with u as the new unit:
     the projection x -> x * u fixes exactly them, since u <= tau(x) gives
-    x * u == x, and an invertible y has y * u != y.  The projections
-    below fix x * u, so the step never maps through its base."""
+    x * u == x, and an invertible y has y * u != y."""
 
     branch = NONIDEM_BRANCH
     needs = "the restriction step needs a non-idempotent complement of u"
@@ -658,13 +658,10 @@ class RestrictionChain(_Step):
         d = mul(self.a, p, self.nu)
         if self.lt(d, p):
             return d
-        below = self.base.x_down(p)
+        below = x_down(self.a, p)
         if below != p and not self.contains(below):
             raise StructuralMismatch("cover below leaves the restriction")
         return below
-
-    def partial_vec(self, p) -> tuple:
-        return self.base.partial_vec(p)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def g_cmp(desc: GroupDesc, a, b) -> int:
 #   ('triv',)    only 0
 #   ('idx', m)   the multiples of m (m >= 1); on a 'Q' coordinate this is
 #                m-spaced integers sitting inside the rationals
-#   ('graph', c, src)  c times coordinate src (ladder constraints only)
+#   ('graph', c)  c times the coordinate before it (ladder constraints only)
 # The containment tests read constraint vectors, as the ladder holds specs:
 # the (index, entry) pairs of the entries that are not full.
 

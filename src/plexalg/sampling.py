@@ -88,25 +88,11 @@ def _coord_sampler(kind: str, con, magnitude: int, denominator: int,
     return integer
 
 
-def _coord_getter(a: Algebra, i: int):
-    """Nested group element of a -> its raw coordinate i."""
-    if a.is_leaf:
-        return lambda g: g[i]
-    xlen = a.xlen
-    if i < xlen:
-        inner = _coord_getter(a.x, i)
-        return lambda g: inner(g[0])
-    inner = _coord_getter(a.y, i - xlen)
-    return lambda g: inner(g[1][1])
-
-
-def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int,
-                   offset: int = 0):
+def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int):
     """(random, getrandbits) -> group element of a whose raw vector
     satisfies constraints (dense, over the ambient of a), nested as
-    _Coords.from_gvec nests it.  A graph constraint names its source
-    coordinate in the frame of the outermost call, where the coordinates
-    of a start at offset."""
+    _Coords.from_gvec nests it.  A graph constraint ties Y's one
+    coordinate to the last coordinate of X."""
     if a.is_leaf:
         kinds = a.group.kinds
         if len(kinds) == 1:
@@ -116,20 +102,18 @@ def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int,
                   for k, con in zip(kinds, constraints)]
         return lambda rnd, bits: tuple([f(rnd, bits) for f in coords])
     xlen = a.xlen
-    fx = _group_sampler(a.x, constraints[:xlen], magnitude, denominator,
-                        offset)
+    fx = _group_sampler(a.x, constraints[:xlen], magnitude, denominator)
     ycons = constraints[xlen:]
     if ycons and ycons[0][0] == "graph":
-        # a graph restriction: Y is one rational, c times a coordinate of X
-        _, c, src = ycons[0]
-        of_x = _coord_getter(a.x, src - offset)
+        # a graph restriction: Y is one rational, c times X's last coordinate
+        c, of_x = ycons[0][1], a.x._coords.gvec
 
         def graph(rnd, bits):
             g = fx(rnd, bits)
-            return (g, ("M", (kn.rmul(c, of_x(g)),)))
+            return (g, ("M", (kn.rmul(c, of_x(g)[-1]),)))
 
         return graph
-    fy = _group_sampler(a.y, ycons, magnitude, denominator, offset + xlen)
+    fy = _group_sampler(a.y, ycons, magnitude, denominator)
     return lambda rnd, bits: (fx(rnd, bits), ("M", fy(rnd, bits)))
 
 

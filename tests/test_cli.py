@@ -216,6 +216,32 @@ def test_parse_error_quotes_the_expected_token(capsys, spec_file):
     assert err == "error: 1:8: expected ',', got ')'\n"
 
 
+# errors at the edges of the spec, element and tree readers and of the
+# builders: one line on stderr, exit 1 for a text error, 2 for a refusal
+@pytest.mark.parametrize("text,argv,code,err", [
+    ("Q", ("eval", "-e", "comp 1/0"), 1, "1:9: zero denominator"),
+    ("I(Lex(Z, Z), idx 2, Q)", ("build",), 1,
+     "1:19: bare idx needs a rank-1 group part, got rank 2"),
+    ("I(Z, ((full)), Q)", ("build",), 1,
+     "1:14: nested subgroup tuples are not supported"),
+    ("I(Lex(Z, Z), (full), Q)", ("build",), 1,
+     "1:20: subgroup has 1 coordinates, group part has 2"),
+    ("Lex(Z, Z)", ("eval", "-e", "comp (1, 2, 3)"), 1,
+     "1:14: element has 3 coordinates, group has 2"),
+    ("SLI(Z, full, II(Z, Q), fullH)", ("build",), 2,
+     "PreconditionFailed: sublex constructions need a group leaf second "
+     "factor"),
+    ("base: Z\nlevel 2: iota=II Z=full G=Q H=fullH", ("rebuild",), 2,
+     "PreconditionFailed: restriction levels take the whole child group"),
+    ("base: Z\nlevel 2: iota=II Zz=gr G=Q H=fullH", ("rebuild",), 1,
+     "2:18: expected Z="),
+])
+def test_boundary_errors_are_one_line(capsys, spec_file, text, argv, code,
+                                      err):
+    got = run(capsys, argv[0], "-f", spec_file(text), *argv[1:])
+    assert got == (code, "", "error: %s\n" % err)
+
+
 def test_check_single_law(capsys, spec_file):
     path = spec_file("II(Z, Q)")
     code, out, _ = run(capsys, "check", "-f", path, "--laws", "eq2.2",

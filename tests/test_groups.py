@@ -100,14 +100,13 @@ def test_subgroup_containment():
     assert gr.sub_is_full(LZZ, ((0, gr.idx(1)),))
 
 
-GRAPH = ("graph", kn.rmake(1, 2), 0)
+GRAPH = ("graph", kn.rmake(1, 2))
 
 
 def test_a_graph_entry_is_contained_only_in_itself():
     for kind in ("Z", "Q"):
-        assert gr.entry_leq(kind, GRAPH, ("graph", kn.rmake(1, 2), 0))
-        for other in (("graph", kn.rmake(1, 3), 0),
-                      ("graph", kn.rmake(1, 2), 1),
+        assert gr.entry_leq(kind, GRAPH, ("graph", kn.rmake(1, 2)))
+        for other in (("graph", kn.rmake(1, 3)),
                       gr.FULL, gr.TRIV, gr.idx(1), gr.idx(3)):
             assert not gr.entry_leq(kind, GRAPH, other), other
             assert not gr.entry_leq(kind, other, GRAPH), other

@@ -191,3 +191,39 @@ def test_every_private_helper_is_referenced():
                for path in sorted((SRC / "plexalg").glob("*.py"))}
     assert len(sources) > 5
     assert _unreferenced_privates(sources) == []
+
+
+def _base_reads(source: str, classes) -> list:
+    """(class, method) of every method of the named classes whose body
+    reads self.base."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if not (isinstance(stmt, ast.ClassDef) and stmt.name in classes):
+            continue
+        for fn in stmt.body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "base"
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    for n in ast.walk(fn)):
+                out.append((stmt.name, fn.name))
+    return sorted(out)
+
+
+def test_the_check_finds_a_step_reading_its_base():
+    assert _base_reads("class S:\n"
+                       "    def f(self):\n"
+                       "        return lambda: self.base.unit()\n"
+                       "    def g(self, base):\n"
+                       "        return base.unit()\n"
+                       "class T:\n"
+                       "    def f(self):\n"
+                       "        return self.base\n", {"S"}) == [("S", "f")]
+
+
+def test_steps_read_their_base_only_when_built_and_described():
+    # a peel step computes on the input algebra a and maps the result
+    # through its own projection; the base feeds only the canonical fill,
+    # which __init__ binds, and describe
+    source = (SRC / "plexalg" / "decompose.py").read_text()
+    reads = _base_reads(source, {"_Step", "QuotientChain", "RestrictionChain"})
+    assert {method for _, method in reads} == {"__init__", "describe"}, reads
