@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import kernel as kn
-from .chains import BOT, TOP, Algebra, _dense
+from .chains import BOT, TOP, Algebra, _dense, to_gvec
 from .groups import FULL, TRIV
 
 
@@ -106,11 +106,11 @@ def _group_sampler(a: Algebra, constraints, magnitude: int, denominator: int):
     ycons = constraints[xlen:]
     if ycons and ycons[0][0] == "graph":
         # a graph restriction: Y is one rational, c times X's last coordinate
-        c, of_x = ycons[0][1], a.x._coords.gvec
+        c, x = ycons[0][1], a.x
 
         def graph(rnd, bits):
             g = fx(rnd, bits)
-            return (g, ("M", (kn.rmul(c, of_x(g)[-1]),)))
+            return (g, ("M", (kn.rmul(c, to_gvec(x, g)[-1]),)))
 
         return graph
     fy = _group_sampler(a.y, ycons, magnitude, denominator)
